@@ -97,8 +97,10 @@ pub fn serve(ctx: &Ctx) -> Report {
     ));
     r.note(format!(
         "Workers 1→8 at 4 shards: {} → {} req/s; shards 1→8 at 4 workers: {} → {} \
-         req/s. Expect worker scaling until the 8 closed-loop clients saturate; \
-         sharding mainly narrows point-lookup work per shard.",
+         req/s. Neither curve is expected to rise: a request is answered by one \
+         worker and its time is mostly the queue hop, and the shard count is a \
+         logical partition (routing counters, balance) over one flat store, so it \
+         does not change what a read touches.",
         f2(worker_curve[0]),
         f2(worker_curve[3]),
         f2(shard_curve[0]),

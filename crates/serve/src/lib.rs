@@ -4,11 +4,12 @@
 //! The computation crates build an iceberg cube once; this crate answers
 //! analyst navigation against it at high request rates:
 //!
-//! - [`ShardedCube`] range-partitions every cuboid of a
-//!   [`CubeStore`](icecube_core::CubeStore) across N shards by key.
-//!   Routing is deterministic: point lookups touch exactly one shard,
-//!   slices/drill-downs/cuboid scans fan out and concatenate in shard
-//!   order — bit-for-bit the unsharded answer.
+//! - [`ShardedCube`] is one flat copy of a
+//!   [`CubeStore`](icecube_core::CubeStore) plus the split keys that
+//!   range-partition every cuboid into N logical shards. Routing
+//!   (`shard_of`) is deterministic and feeds the per-shard counters;
+//!   reads go straight to the store's sorted keys — the unsharded answer
+//!   by construction.
 //! - [`CubeServer`] runs a fixed worker pool over a shared request queue;
 //!   clients submit typed [`Request`]s through cloneable
 //!   [`ClientHandle`]s and get typed [`Response`]s, never panics.

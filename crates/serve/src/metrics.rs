@@ -138,7 +138,9 @@ pub struct ShardCounters {
 /// [`CubeServer`]: crate::server::CubeServer
 #[derive(Debug)]
 pub struct Metrics {
-    /// End-to-end request latency (enqueue to reply), leaf requests only.
+    /// Request latency, one sample per leaf request (so `latency.count()`
+    /// equals `requests`): a job's enqueue-to-reply time, split between
+    /// its leaves where a batch has several.
     pub latency: LatencyHistogram,
     /// Leaf requests completed (batch members count individually).
     pub requests: AtomicU64,

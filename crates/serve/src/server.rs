@@ -6,8 +6,8 @@
 //! request becomes a job on an MPMC queue (an `mpsc` channel whose
 //! receiver the workers share behind a mutex — only the *dequeue* is
 //! serialized, the cube reads themselves run fully in parallel since each
-//! epoch's cube is immutable). Every worker records end-to-end latency
-//! (enqueue to answer) and routing counters into shared [`Metrics`].
+//! epoch's cube is immutable). Every worker records latency (enqueue to
+//! answer, one sample per leaf) and routing counters into shared [`Metrics`].
 //! A malformed request is answered with [`Response::Error`], never a
 //! worker panic, so one bad client cannot take down the pool; lifecycle
 //! problems (zero workers, a closed queue) come back as typed
@@ -18,8 +18,8 @@
 //! exactly once per dequeued job and answers the *whole* job — every leaf
 //! of a batch included — from that snapshot, so a concurrent
 //! [`CubeServer::refresh`] can never tear a response across epochs. The
-//! refresh itself builds the replacement shards off-thread and holds the
-//! lock only for the pointer swap; queries in flight keep serving from
+//! refresh itself builds the replacement cube outside the lock and holds
+//! it only for the pointer swap; queries in flight keep serving from
 //! the epoch they started on, and the old cube is freed when the last
 //! such query drops its `Arc`. Every [`Answer`] carries the epoch it was
 //! answered from, which is what the equivalence and concurrency suites
@@ -207,10 +207,10 @@ impl CubeServer {
         self.snapshot().epoch
     }
 
-    /// Publishes `store` as the next epoch, re-sharded at the current
+    /// Publishes `store` as the next epoch, partitioned at the current
     /// shard count, and returns the new epoch number.
     ///
-    /// The replacement shards are built before the swap; the publication
+    /// The replacement cube is built before the swap; the publication
     /// itself is a single pointer exchange under the snapshot lock, so
     /// every job dequeued before the swap finishes on the old epoch and
     /// every job after it sees the new one — no request is ever torn
@@ -265,7 +265,7 @@ impl CubeServer {
                 offered: store.dims(),
             });
         }
-        // The expensive part — resharding — happens outside the lock.
+        // The expensive part — copying the store — happens outside the lock.
         let cube = ShardedCube::new(store, shards);
         let mut cur = self
             .current
@@ -428,12 +428,14 @@ fn worker_loop(
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         );
-        let leaves = req.leaf_count() as u64;
-        let resp = execute(snapshot.cube(), snapshot.progress(), metrics, &req);
-        let ns = enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        for _ in 0..leaves.max(1) {
-            metrics.latency.record(ns);
-        }
+        let mut since = enqueued;
+        let resp = execute(
+            snapshot.cube(),
+            snapshot.progress(),
+            metrics,
+            &req,
+            &mut since,
+        );
         // The client may have given up waiting; that is not a server error.
         let _ = reply.send(Answer {
             epoch: snapshot.epoch(),
@@ -442,25 +444,35 @@ fn worker_loop(
     }
 }
 
-/// Answers one request, recording counters. Batches recurse.
+/// Answers one request, recording counters and one latency sample per
+/// leaf. Batches recurse.
+///
+/// `since` is when the job was enqueued; each leaf records the time from
+/// it to its own answer and then moves it there, so the first leaf of a
+/// job carries the queue wait, every later leaf only its own execution,
+/// and a job's samples add up to (never beyond) its enqueue-to-reply time.
 fn execute(
     cube: &ShardedCube,
     progress: Option<&Progress>,
     metrics: &Metrics,
     req: &Request,
+    since: &mut Instant,
 ) -> Response {
     if let Request::Batch(reqs) = req {
         return Response::Batch(
             reqs.iter()
-                .map(|r| execute(cube, progress, metrics, r))
+                .map(|r| execute(cube, progress, metrics, r, since))
                 .collect(),
         );
     }
     Metrics::bump(&metrics.requests);
-    let resp = execute_leaf(cube, progress, metrics, req);
+    let resp = execute_leaf(cube, progress, metrics, req, since);
     if matches!(resp, Response::Error(_)) {
         Metrics::bump(&metrics.errors);
     }
+    let ns = since.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    metrics.latency.record(ns);
+    *since = Instant::now();
     resp
 }
 
@@ -472,6 +484,7 @@ fn execute_leaf(
     progress: Option<&Progress>,
     metrics: &Metrics,
     req: &Request,
+    since: &mut Instant,
 ) -> Response {
     match req {
         Request::Point { cuboid, key } => match cube.get(*cuboid, key) {
@@ -571,7 +584,7 @@ fn execute_leaf(
                 Err(e) => Response::Error(e),
             }
         }
-        Request::Batch(_) => execute(cube, progress, metrics, req),
+        Request::Batch(_) => execute(cube, progress, metrics, req, since),
     }
 }
 
@@ -779,6 +792,38 @@ mod tests {
             }
         });
         assert_eq!(srv.stats().requests, 80);
+    }
+
+    #[test]
+    fn every_leaf_records_its_own_latency_sample() {
+        let srv = server(2, 1);
+        let h = srv.handle().expect("running");
+        let g01 = CuboidMask::from_dims(&[0, 1]);
+        let leaves: Vec<Request> = (0..3)
+            .map(|_| Request::Cuboid {
+                cuboid: g01,
+                minsup: 1,
+            })
+            .chain([Request::Batch(vec![Request::Point {
+                cuboid: g01,
+                key: vec![0, 2],
+            }])])
+            .collect();
+        let batch = Request::Batch(leaves);
+        let k = batch.leaf_count() as u64;
+        let start = std::time::Instant::now();
+        h.call(batch).expect("running");
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let latency = &srv.metrics.latency;
+        assert_eq!(latency.count(), k, "one sample per leaf");
+        assert_eq!(latency.count(), srv.stats().requests);
+        // The samples split the job's enqueue-to-reply time between its
+        // leaves, so together they fit inside the call that waited for it
+        // (k copies of the job's total would not).
+        assert!(latency.mean_ns() * k <= wall_ns);
+        // An empty batch has no leaves and records nothing.
+        h.call(Request::Batch(Vec::new())).expect("running");
+        assert_eq!(latency.count(), k);
     }
 
     #[test]

@@ -1,121 +1,107 @@
-//! Range-sharding a [`CubeStore`] across N shards by key.
+//! A [`CubeStore`] with a logical N-way range partition over its keys.
 //!
-//! Every cuboid of the source store is split independently at even key
-//! quantiles (via [`CubeStore::split_points`], the same convention
+//! The cells stay where the store already keeps them — one flat, sorted
+//! key arena per cuboid — and sharding adds only a routing table: every
+//! cuboid is split independently at even key quantiles (via
+//! [`CubeStore::split_points`], the same convention
 //! `icecube-core::partition` and POL's `Boundaries` use: range `j` owns
-//! keys `k` with `splits[j-1] <= k < splits[j]`). Routing is therefore
-//! deterministic and shared by writer and reader: a point lookup computes
-//! its shard from the routing table and touches exactly one shard, while
-//! slices, drill-downs and full-cuboid queries fan out to every shard and
-//! concatenate — shard ranges are contiguous and each shard keeps its
-//! cells key-sorted, so the merged answer is bit-for-bit the order an
-//! unsharded [`CubeStore`] produces.
+//! keys `k` with `splits[j-1] <= k < splits[j]`). [`ShardedCube::shard_of`]
+//! is therefore deterministic and shared by writer and reader, and it is
+//! what the per-shard routing counters and the balance readout are
+//! computed from. Reads validate the request and delegate straight to the
+//! store: a materialized, sorted view is reused in place rather than
+//! re-derived per shard, so every answer is the unsharded answer by
+//! construction, at any shard count.
 
 use crate::request::RequestError;
 use icecube_core::{Aggregate, CubeStore};
 use icecube_lattice::CuboidMask;
 use std::collections::HashMap;
 
-/// A cube range-partitioned into independently queryable shards.
+/// A cube store plus the split keys that range-partition each of its
+/// cuboids into `shard_count` logical shards.
 #[derive(Debug, Clone)]
 pub struct ShardedCube {
-    dims: usize,
-    minsup: u64,
-    shards: Vec<CubeStore>,
-    /// Per-cuboid split keys (at most `shards.len() - 1` each, ascending).
+    store: CubeStore,
+    shard_count: usize,
+    /// Per-cuboid split keys (at most `shard_count - 1` each, ascending).
     routes: HashMap<CuboidMask, Vec<Vec<u32>>>,
-    /// Cuboids the source store materialized, ascending.
-    materialized: Vec<CuboidMask>,
 }
 
 impl ShardedCube {
-    /// Range-partitions `store` into `shard_count` shards.
-    ///
-    /// # Panics
-    /// Panics if `shard_count` is zero.
+    /// Range-partitions `store` into `shard_count` logical shards: one
+    /// flat copy of the store plus the split keys of every cuboid. Zero
+    /// shards is treated as one, as [`CubeStore::split_points`] does.
     pub fn new(store: &CubeStore, shard_count: usize) -> Self {
-        // check:allow(panic-in-lib): construction-time contract spelled
-        // out in the `# Panics` section above — a zero-shard cube is a
-        // programming error at deployment, not request-time input, and
-        // no worker thread ever runs this path.
-        // check:allow(panic-path): same construction-time contract.
-        assert!(shard_count > 0, "need at least one shard");
-        let dims = store.dims();
-        let minsup = store.minsup();
-        let materialized = store.cuboid_masks();
-        let mut routes = HashMap::with_capacity(materialized.len());
-        let mut per_shard: Vec<Vec<icecube_core::Cell>> = vec![Vec::new(); shard_count];
-        for &mask in &materialized {
-            let splits = store.split_points(mask, shard_count);
-            for (key, agg) in store.cells_of(mask) {
-                // partition_point over at most shard_count − 1 splits is
-                // always a valid shard index, so the lookup cannot miss.
-                let r = splits.partition_point(|sp| sp.as_slice() <= key);
-                if let Some(bucket) = per_shard.get_mut(r) {
-                    bucket.push(icecube_core::Cell {
-                        cuboid: mask,
-                        key: key.to_vec(),
-                        agg,
-                    });
-                }
-            }
-            routes.insert(mask, splits);
-        }
-        let shards = per_shard
+        let shard_count = shard_count.max(1);
+        let routes = store
+            .cuboid_masks()
             .into_iter()
-            .map(|cells| CubeStore::from_cells(dims, minsup, cells))
+            .map(|mask| (mask, store.split_points(mask, shard_count)))
             .collect();
         ShardedCube {
-            dims,
-            minsup,
-            shards,
+            store: store.clone(),
+            shard_count,
             routes,
-            materialized,
         }
     }
 
     /// Number of cube dimensions.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.store.dims()
     }
 
     /// The minimum support the source cube was computed at.
     pub fn minsup(&self) -> u64 {
-        self.minsup
+        self.store.minsup()
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_count
     }
 
     /// Total cells across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(CubeStore::len).sum()
+        self.store.len()
     }
 
     /// True when the cube held no qualifying cells.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
-    /// Cells stored per shard (the sharding balance experiments plot this).
+    /// Cells owned per shard (the sharding balance experiments plot
+    /// this), counted on demand: one walk per cuboid over its sorted
+    /// keys, stepping to the next shard each time a split key is passed.
     pub fn shard_cell_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(CubeStore::len).collect()
+        let mut counts = vec![0usize; self.shard_count];
+        for (&mask, splits) in &self.routes {
+            let mut shard = 0;
+            for (key, _) in self.store.cells_of(mask) {
+                while splits.get(shard).is_some_and(|sp| sp.as_slice() <= key) {
+                    shard += 1;
+                }
+                if let Some(n) = counts.get_mut(shard) {
+                    *n += 1;
+                }
+            }
+        }
+        counts
     }
 
     /// Cuboids the source store materialized, ascending.
-    pub fn materialized_cuboids(&self) -> &[CuboidMask] {
-        &self.materialized
+    pub fn materialized_cuboids(&self) -> Vec<CuboidMask> {
+        self.store.cuboid_masks()
     }
 
     /// Whether the source store materialized cuboid `g`.
     pub fn has_cuboid(&self, g: CuboidMask) -> bool {
-        self.materialized.binary_search(&g).is_ok()
+        self.store.has_cuboid(g)
     }
 
     /// The shard owning `key` within cuboid `g` — the deterministic routing
-    /// step point lookups take.
+    /// step point lookups are accounted to.
     pub fn shard_of(&self, g: CuboidMask, key: &[u32]) -> usize {
         match self.routes.get(&g) {
             Some(splits) => splits.partition_point(|sp| sp.as_slice() <= key),
@@ -126,10 +112,10 @@ impl ShardedCube {
     }
 
     fn check_dim(&self, dim: usize) -> Result<(), RequestError> {
-        if dim >= self.dims {
+        if dim >= self.dims() {
             return Err(RequestError::UnknownDimension {
                 dim,
-                dims: self.dims,
+                dims: self.dims(),
             });
         }
         Ok(())
@@ -152,36 +138,26 @@ impl ShardedCube {
         Ok(())
     }
 
-    /// Point lookup: routed to exactly one shard.
+    /// Point lookup: one binary search in the cuboid's sorted keys.
     pub fn get(&self, g: CuboidMask, key: &[u32]) -> Result<Option<Aggregate>, RequestError> {
         self.check_cuboid(g)?;
         self.check_key(g, key)?;
-        let shard = self.shard_of(g, key);
-        Ok(self.shards.get(shard).and_then(|s| s.get(g, key)).copied())
+        Ok(self.store.get(g, key).copied())
     }
 
-    /// All qualifying cells of one group-by at threshold `minsup`: fans out
-    /// to every shard and concatenates in shard order (ascending keys).
+    /// All qualifying cells of one group-by at threshold `minsup`, in
+    /// ascending key order (which is shard order).
     pub fn query(
         &self,
         g: CuboidMask,
         minsup: u64,
     ) -> Result<Vec<(Vec<u32>, Aggregate)>, RequestError> {
         self.check_cuboid(g)?;
-        if minsup < self.minsup {
-            return Err(RequestError::ThresholdTooLow {
-                stored: self.minsup,
-                requested: minsup,
-            });
-        }
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.query(g, minsup)?);
-        }
-        Ok(out)
+        Ok(self.store.query(g, minsup)?)
     }
 
-    /// Slice: fans out to every shard and concatenates in shard order.
+    /// Slice: cells of `g` whose value on `dim` equals `value`, in
+    /// ascending key order.
     pub fn slice(
         &self,
         g: CuboidMask,
@@ -190,18 +166,11 @@ impl ShardedCube {
     ) -> Result<Vec<(Vec<u32>, Aggregate)>, RequestError> {
         self.check_cuboid(g)?;
         self.check_dim(dim)?;
-        if !g.contains(dim) {
-            return Err(RequestError::DimensionNotInCuboid { dim });
-        }
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.slice(g, dim, value)?);
-        }
-        Ok(out)
+        Ok(self.store.slice(g, dim, value)?)
     }
 
-    /// Drill-down: fans out over the shards of the finer cuboid and
-    /// concatenates in shard order.
+    /// Drill-down: the refinements of `(g, key)` in the finer cuboid
+    /// `g ∪ {dim}`, in ascending key order.
     pub fn drill_down(
         &self,
         g: CuboidMask,
@@ -214,11 +183,7 @@ impl ShardedCube {
             return Err(RequestError::DimensionAlreadyInCuboid { dim });
         }
         self.check_key(g, key)?;
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.drill_down(g, key, dim)?);
-        }
-        Ok(out)
+        Ok(self.store.drill_down(g, key, dim)?)
     }
 }
 
@@ -239,9 +204,10 @@ mod tests {
     #[test]
     fn sharding_preserves_every_cell() {
         let s = store(1);
-        for n in [1, 2, 3, 8] {
+        // Zero shards is one shard, as `CubeStore::split_points` has it.
+        for n in [0, 1, 2, 3, 8] {
             let sharded = ShardedCube::new(&s, n);
-            assert_eq!(sharded.shard_count(), n);
+            assert_eq!(sharded.shard_count(), n.max(1));
             assert_eq!(sharded.len(), s.len(), "{n} shards");
             assert_eq!(sharded.shard_cell_counts().iter().sum::<usize>(), s.len());
         }
@@ -254,7 +220,6 @@ mod tests {
         for cell in s.iter() {
             let shard = sharded.shard_of(cell.cuboid, &cell.key);
             assert!(shard < 3);
-            // The owning shard has the cell; every other shard does not.
             assert_eq!(sharded.get(cell.cuboid, &cell.key).unwrap(), Some(cell.agg));
         }
     }

@@ -29,7 +29,8 @@ fn main() {
     .expect("valid query");
     let store = CubeStore::from_outcome(rel.arity(), 1, outcome);
 
-    // …then range-partition it into 4 shards and start 4 workers over it.
+    // …then range-partition it into 4 logical shards (one flat copy of the
+    // store plus split keys) and start 4 workers over it.
     let sharded = ShardedCube::new(&store, 4);
     println!(
         "sharded cube: {} cells over {} cuboids, per shard {:?}",
@@ -41,7 +42,7 @@ fn main() {
     let handle = server.handle().expect("server is running");
     let ask = |req| handle.call(req).expect("server is running");
 
-    // A point lookup routes to exactly one shard.
+    // A point lookup is accounted to exactly one shard.
     let g = CuboidMask::from_dims(&[0, 1]);
     if let Response::Point(agg) = ask(Request::Point {
         cuboid: g,
@@ -50,7 +51,7 @@ fn main() {
         println!("point (0,0) over {g}: {agg:?}");
     }
 
-    // A slice fans out to every shard and merges in key order.
+    // A slice covers every shard's key range, in key order.
     if let Response::Cells(cells) = ask(Request::Slice {
         cuboid: g,
         dim: 1,

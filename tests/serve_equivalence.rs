@@ -190,6 +190,11 @@ proptest! {
         for n in SHARD_COUNTS {
             let sharded = ShardedCube::new(&store, n);
             prop_assert_eq!(sharded.len(), store.len());
+            let mut owned = vec![0usize; n];
+            for cell in store.iter() {
+                owned[sharded.shard_of(cell.cuboid, &cell.key)] += 1;
+            }
+            prop_assert_eq!(sharded.shard_cell_counts(), owned, "balance at {} shards", n);
             for g in store.cuboid_masks() {
                 prop_assert_eq!(
                     sharded.query(g, minsup).expect("valid"),
