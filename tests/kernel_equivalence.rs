@@ -6,7 +6,7 @@
 //! rewrite must not add, drop, merge, or reorder a single `charge_*`
 //! call, because fault injection keys off exact virtual times).
 
-use icecube::cluster::{ClusterConfig, SimCluster};
+use icecube::cluster::{ClusterConfig, FaultPlan, SimCluster};
 use icecube::core::aht::{run_aht_with, AhtRunScratch};
 use icecube::core::asl::{run_asl_with, AslRunScratch};
 use icecube::core::buc::{bpp_buc, bpp_buc_with, BucScratch};
@@ -14,9 +14,13 @@ use icecube::core::cell::CellBuf;
 use icecube::core::naive::naive_iceberg_cube;
 use icecube::core::sequential::{run_sequential, SeqAlgorithm};
 use icecube::core::verify::assert_same_cells;
-use icecube::core::{run_parallel, Algorithm, IcebergQuery, RunOptions};
+use icecube::core::{
+    run_parallel, run_parallel_exec, run_parallel_with, Algorithm, IcebergQuery, RunOptions,
+};
 use icecube::data::{Relation, SyntheticSpec};
+use icecube::exec::{Backend, ExecError, ExecReport, Executor, TaskSpec, Workload};
 use icecube::lattice::TreeTask;
+use icecube::trace::{chrome_trace_json, phase_cost_csv};
 
 const SEEDS: [u64; 8] = [3, 11, 29, 47, 101, 211, 499, 997];
 
@@ -120,7 +124,10 @@ fn scratch_reuse_is_invisible_to_cells_and_charges() {
 /// FNV-1a over the debug rendering of a run's cells and statistics — the
 /// repo's canonical bit-identity fingerprint for a full simulated run.
 fn fingerprint(cells: &[icecube::core::Cell], stats: &impl std::fmt::Debug) -> u64 {
-    let rendered = format!("{cells:?}|{stats:?}");
+    fnv(&format!("{cells:?}|{stats:?}"))
+}
+
+fn fnv(rendered: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in rendered.bytes() {
         h ^= b as u64;
@@ -129,12 +136,15 @@ fn fingerprint(cells: &[icecube::core::Cell], stats: &impl std::fmt::Debug) -> u
     h
 }
 
-/// Golden fingerprints of every (algorithm, seed, minsup) configuration,
-/// recorded from the pre-arena ASL/AHT kernels (boxed skiplist nodes,
-/// per-cell `Box` hash keys). The arena rewrite must reproduce each run
-/// bit for bit: same cells in the same order, same charge counters, same
-/// virtual clocks, same skiplist RNG draws.
-const GOLDEN_FPS: [(Algorithm, u64, u64, u64); 32] = [
+/// Golden fingerprints of every (algorithm, seed, minsup) configuration
+/// on four Fast-Ethernet nodes. The ASL/AHT rows were recorded from the
+/// pre-arena kernels (boxed skiplist nodes, per-cell `Box` hash keys);
+/// the RP/BPP/PT/HashTree rows from the hand-written `run_*` schedulers,
+/// before the simulated cluster was driven from the executor plans. Any
+/// rewrite must reproduce each run bit for bit: same cells in the same
+/// order, same charge counters, same virtual clocks, same skiplist RNG
+/// draws.
+const GOLDEN_FPS: [(Algorithm, u64, u64, u64); 96] = [
     (Algorithm::Asl, 3, 1, 0xf8dd6d97d19f81bd),
     (Algorithm::Asl, 3, 3, 0x665f1980c5a43f3e),
     (Algorithm::Asl, 11, 1, 0x4673d81728fb9c26),
@@ -167,6 +177,70 @@ const GOLDEN_FPS: [(Algorithm, u64, u64, u64); 32] = [
     (Algorithm::Aht, 499, 3, 0xff822ecb30e407e6),
     (Algorithm::Aht, 997, 1, 0x4b267da3fbb67d82),
     (Algorithm::Aht, 997, 3, 0x80a97d688d46ab2e),
+    (Algorithm::Rp, 3, 1, 0xc31c1564ea05fa72),
+    (Algorithm::Rp, 3, 3, 0x40de290519a1e826),
+    (Algorithm::Rp, 11, 1, 0x4571061294456cc4),
+    (Algorithm::Rp, 11, 3, 0x19318703a827d446),
+    (Algorithm::Rp, 29, 1, 0x04b0c76b60c3db7c),
+    (Algorithm::Rp, 29, 3, 0x7fd60a684046504a),
+    (Algorithm::Rp, 47, 1, 0x4dc3064d6dbda748),
+    (Algorithm::Rp, 47, 3, 0x3478f6e910daf47b),
+    (Algorithm::Rp, 101, 1, 0x42e6f40e7c85a92d),
+    (Algorithm::Rp, 101, 3, 0xc1049d18f8f47544),
+    (Algorithm::Rp, 211, 1, 0x91378044ed374b14),
+    (Algorithm::Rp, 211, 3, 0x165fc00c8754024b),
+    (Algorithm::Rp, 499, 1, 0x23c9c2816f3ea38f),
+    (Algorithm::Rp, 499, 3, 0xf79d96eb85bfb274),
+    (Algorithm::Rp, 997, 1, 0x412705c3faee0ccc),
+    (Algorithm::Rp, 997, 3, 0x4556db6560a6b90d),
+    (Algorithm::Bpp, 3, 1, 0xce57c5da78983f1d),
+    (Algorithm::Bpp, 3, 3, 0x28d82f85f86dc904),
+    (Algorithm::Bpp, 11, 1, 0x07faeb7ead115a53),
+    (Algorithm::Bpp, 11, 3, 0x54e32836301714c8),
+    (Algorithm::Bpp, 29, 1, 0xbb1fe3f15d2e6c2e),
+    (Algorithm::Bpp, 29, 3, 0x3f138a6ac436f116),
+    (Algorithm::Bpp, 47, 1, 0x474ee673fefccf16),
+    (Algorithm::Bpp, 47, 3, 0x5a35b913fe5cb803),
+    (Algorithm::Bpp, 101, 1, 0x0433f0baa6a5a131),
+    (Algorithm::Bpp, 101, 3, 0x89c31dbd8907f7ed),
+    (Algorithm::Bpp, 211, 1, 0x11776f7dd9fe3fc9),
+    (Algorithm::Bpp, 211, 3, 0xbe1aa3cceed3cb56),
+    (Algorithm::Bpp, 499, 1, 0x0b37894d411bd9b4),
+    (Algorithm::Bpp, 499, 3, 0x4ccbe36025fe3533),
+    (Algorithm::Bpp, 997, 1, 0x030132d048ca33c9),
+    (Algorithm::Bpp, 997, 3, 0xd5e539da76580d7a),
+    (Algorithm::Pt, 3, 1, 0x8ae460e0dd40e9ae),
+    (Algorithm::Pt, 3, 3, 0x8ba5aa13695b0f78),
+    (Algorithm::Pt, 11, 1, 0xaa2f3fca59e0ded2),
+    (Algorithm::Pt, 11, 3, 0x261f066de8f9fbbe),
+    (Algorithm::Pt, 29, 1, 0x79028867385b6a9d),
+    (Algorithm::Pt, 29, 3, 0x0d03a1bce7360c65),
+    (Algorithm::Pt, 47, 1, 0xb5c9421ad56cfeda),
+    (Algorithm::Pt, 47, 3, 0x7486ded9bd6046f2),
+    (Algorithm::Pt, 101, 1, 0xc253058a79abd04a),
+    (Algorithm::Pt, 101, 3, 0x1dfcdee118b907ee),
+    (Algorithm::Pt, 211, 1, 0x702b72d7ebe56b95),
+    (Algorithm::Pt, 211, 3, 0x82e99b7f31eafa6d),
+    (Algorithm::Pt, 499, 1, 0x6d8d7b074880ec5d),
+    (Algorithm::Pt, 499, 3, 0xa262eeee9339c766),
+    (Algorithm::Pt, 997, 1, 0x564694aea0416d56),
+    (Algorithm::Pt, 997, 3, 0xdcc609ef767d6dab),
+    (Algorithm::HashTree, 3, 1, 0x2dc1d36070eed4b5),
+    (Algorithm::HashTree, 3, 3, 0x67b264b72c2813fe),
+    (Algorithm::HashTree, 11, 1, 0x0433e4f610058c1c),
+    (Algorithm::HashTree, 11, 3, 0x00b1531ce751222b),
+    (Algorithm::HashTree, 29, 1, 0xdfccecb8f3f32865),
+    (Algorithm::HashTree, 29, 3, 0x5c94ef42df252ba9),
+    (Algorithm::HashTree, 47, 1, 0xcfaaccb403d15c65),
+    (Algorithm::HashTree, 47, 3, 0x4a5faed798a54be9),
+    (Algorithm::HashTree, 101, 1, 0x295c4da4e2f7d8b6),
+    (Algorithm::HashTree, 101, 3, 0xff5cd7bbaae3cc16),
+    (Algorithm::HashTree, 211, 1, 0xd000530373f7e5d9),
+    (Algorithm::HashTree, 211, 3, 0x72e40738e05220c0),
+    (Algorithm::HashTree, 499, 1, 0xeff2f319955a0396),
+    (Algorithm::HashTree, 499, 3, 0xd5d28a661f4a9b3d),
+    (Algorithm::HashTree, 997, 1, 0x8da5fc799f51bbcd),
+    (Algorithm::HashTree, 997, 3, 0x4a6926860b459662),
 ];
 
 #[test]
@@ -189,7 +263,7 @@ fn asl_aht_scratch_reuse_is_invisible_and_matches_pre_arena_goldens() {
         let reused = match alg {
             Algorithm::Asl => run_asl_with(&mut asl_scratch, &rel, &q, &cfg, &opts),
             Algorithm::Aht => run_aht_with(&mut aht_scratch, &rel, &q, &cfg, &opts),
-            other => panic!("unexpected algorithm {other}"),
+            _ => continue,
         }
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_same_cells(
@@ -205,4 +279,199 @@ fn asl_aht_scratch_reuse_is_invisible_and_matches_pre_arena_goldens() {
             "{ctx}: fingerprint 0x{fp:016x} != pre-arena golden 0x{golden:016x}"
         );
     }
+}
+
+/// Every golden row through the one public entry point, all drifted rows
+/// reported at once.
+#[test]
+fn simulated_runs_match_their_golden_fingerprints() {
+    let mut drifted = Vec::new();
+    for (alg, seed, minsup, golden) in GOLDEN_FPS {
+        let rel = workload(seed);
+        let q = IcebergQuery::count_cube(rel.arity(), minsup);
+        let ctx = format!("{alg}, seed {seed}, minsup {minsup}");
+        let out = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4))
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_same_cells(naive_iceberg_cube(&rel, &q), out.cells.clone(), &ctx);
+        let fp = fingerprint(&out.cells, &out.stats);
+        if fp != golden {
+            drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "fingerprint drift:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// One golden per (algorithm, variant): the cluster shapes, fault plans,
+/// option switches and trace exports that the seed × minsup sweep above
+/// never reaches. Recorded from the hand-written `run_*` schedulers.
+const GOLDEN_VARIANT_FPS: [(Algorithm, &str, u64); 23] = [
+    (Algorithm::Rp, "crash", 0xad60efa489474137),
+    (Algorithm::Rp, "heterogeneous_16", 0x69fd2a008a39a8db),
+    (Algorithm::Rp, "no_affinity", 0x32bc9a15323839d3),
+    (Algorithm::Rp, "traced_chaos", 0x39911ef2053aa6b7),
+    (Algorithm::Bpp, "crash", 0x3413f9df001f1631),
+    (Algorithm::Bpp, "heterogeneous_16", 0xbeeba4969186811f),
+    (Algorithm::Bpp, "no_affinity", 0xd5a4d9b8cbbe5368),
+    (Algorithm::Bpp, "bpp_partitioning", 0x0658e0d836d5904a),
+    (Algorithm::Bpp, "traced_chaos", 0xf21f7e1cb436ea1b),
+    (Algorithm::Asl, "crash", 0x679c23825849d719),
+    (Algorithm::Asl, "heterogeneous_16", 0x1b1667dd4f4275c1),
+    (Algorithm::Asl, "no_affinity", 0x16bfc1e64b88ee85),
+    (Algorithm::Asl, "asl_longest_prefix", 0x310afd6e0d799106),
+    (Algorithm::Asl, "traced_chaos", 0x1a8b8034a16a785b),
+    (Algorithm::Pt, "crash", 0xeccf7862658adb4f),
+    (Algorithm::Pt, "heterogeneous_16", 0xc12a7ed30fe150f3),
+    (Algorithm::Pt, "no_affinity", 0x89a684d7f0e35312),
+    (Algorithm::Pt, "pt_task_ratio_4", 0x1c57269a3c8d99a5),
+    (Algorithm::Pt, "traced_chaos", 0xd55fa104c9b24c6d),
+    (Algorithm::Aht, "crash", 0x8b01dc7fc6b81259),
+    (Algorithm::Aht, "heterogeneous_16", 0x380b34d0c8ae94e2),
+    (Algorithm::Aht, "no_affinity", 0x0fd4cc4ac4b6b491),
+    (Algorithm::Aht, "traced_chaos", 0x2e63cb0f5fe5e227),
+];
+
+#[test]
+fn variant_runs_match_their_golden_fingerprints() {
+    let rel = workload(101); // four dimensions, skewed
+    let q = IcebergQuery::count_cube(rel.arity(), 2);
+    let want = naive_iceberg_cube(&rel, &q);
+    let four = ClusterConfig::fast_ethernet(4);
+    let defaults = RunOptions::default();
+    let mut drifted = Vec::new();
+    for (alg, variant, golden) in GOLDEN_VARIANT_FPS {
+        let ctx = format!("{alg}, {variant}");
+        let (cfg, opts) = match variant {
+            "crash" => {
+                // Node 0 dies a quarter of the way through the quiet run's
+                // makespan, with a task in flight.
+                let quiet = run_parallel(alg, &rel, &q, &four).unwrap();
+                let plan = FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4);
+                (four.clone().with_faults(plan), defaults)
+            }
+            "heterogeneous_16" => (ClusterConfig::heterogeneous_16(), defaults),
+            "no_affinity" => (
+                four.clone(),
+                RunOptions {
+                    affinity: false,
+                    ..defaults
+                },
+            ),
+            "bpp_partitioning" => (
+                four.clone(),
+                RunOptions {
+                    include_bpp_partitioning: true,
+                    ..defaults
+                },
+            ),
+            "asl_longest_prefix" => (
+                four.clone(),
+                RunOptions {
+                    asl_longest_prefix: true,
+                    ..defaults
+                },
+            ),
+            "pt_task_ratio_4" => (
+                four.clone(),
+                RunOptions {
+                    pt_task_ratio: 4,
+                    ..defaults
+                },
+            ),
+            "traced_chaos" => {
+                let plan = FaultPlan::seeded_severity(0x7ace, 4, 4_000_000, 200);
+                (four.clone().with_trace().with_faults(plan), defaults)
+            }
+            other => panic!("unknown variant {other}"),
+        };
+        let out =
+            run_parallel_with(alg, &rel, &q, &cfg, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_same_cells(want.clone(), out.cells.clone(), &ctx);
+        if variant == "crash" {
+            assert!(out.stats.total_tasks_lost() >= 1, "{ctx}: vacuous crash");
+        }
+        let fp = match &out.trace {
+            // The exports render every event and every phase-cost delta.
+            Some(log) => fnv(&(chrome_trace_json(log) + &phase_cost_csv(log))),
+            None => fingerprint(&out.cells, &out.stats),
+        };
+        if fp != golden {
+            drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "fingerprint drift:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// An executor that records the plan it is handed and runs nothing.
+struct PlanRecorder(Vec<(u64, u64)>);
+
+impl Executor for PlanRecorder {
+    fn backend(&self) -> Backend {
+        Backend::Native
+    }
+
+    fn workers(&self) -> usize {
+        1
+    }
+
+    fn run<W: Workload>(
+        &mut self,
+        tasks: &[TaskSpec],
+        _workload: &W,
+    ) -> Result<(Vec<W::Out>, ExecReport), ExecError> {
+        self.0 = tasks.iter().map(|t| (t.affinity, t.weight)).collect();
+        Err(ExecError::BadPlan { id: usize::MAX })
+    }
+}
+
+/// Fingerprints of the `(affinity, weight)` sequences, in slice order —
+/// the order `NativeExecutor` injects contiguous blocks in — that
+/// `run_parallel_exec` hands an executor, for d = 3, 6, 9. Task ids are
+/// free to be renumbered; what the native pool runs, and in which order
+/// it starts, is not.
+const GOLDEN_NATIVE_PLANS: [(Algorithm, usize, u64); 15] = [
+    (Algorithm::Rp, 3, 0xfd1a8859f740e686),
+    (Algorithm::Rp, 6, 0x6448fd949ed3e32b),
+    (Algorithm::Rp, 9, 0x8a169c6597a7f7ce),
+    (Algorithm::Bpp, 3, 0xca13496327f83d57),
+    (Algorithm::Bpp, 6, 0x7a1fa0e35993ae5d),
+    (Algorithm::Bpp, 9, 0x913c599d7448cace),
+    (Algorithm::Asl, 3, 0xb8e1b945d5da1f96),
+    (Algorithm::Asl, 6, 0x3858bef816168065),
+    (Algorithm::Asl, 9, 0x9264e3c2c6cf0a35),
+    (Algorithm::Pt, 3, 0xbfe3609de15dad3b),
+    (Algorithm::Pt, 6, 0xd4a6bfde2cbd56a2),
+    (Algorithm::Pt, 9, 0x0c5cb185066cebec),
+    (Algorithm::Aht, 3, 0xb8e1b945d5da1f96),
+    (Algorithm::Aht, 6, 0xb615be9de3da8797),
+    (Algorithm::Aht, 9, 0xe8021126ee5cd74b),
+];
+
+#[test]
+fn native_plans_match_their_golden_fingerprints() {
+    let mut drifted = Vec::new();
+    for (alg, d, golden) in GOLDEN_NATIVE_PLANS {
+        let rel = SyntheticSpec::uniform(300, vec![4; d], 17)
+            .generate()
+            .unwrap();
+        let q = IcebergQuery::count_cube(d, 2);
+        let mut recorder = PlanRecorder(Vec::new());
+        let refused = run_parallel_exec(&mut recorder, alg, &rel, &q, &RunOptions::default());
+        assert!(refused.is_err(), "the recorder runs nothing");
+        assert!(!recorder.0.is_empty(), "{alg}, d={d}: no plan recorded");
+        let fp = fnv(&format!("{:?}", recorder.0));
+        if fp != golden {
+            drifted.push(format!(
+                "{alg}, d={d}: 0x{fp:016x} != golden 0x{golden:016x}"
+            ));
+        }
+    }
+    assert!(drifted.is_empty(), "plan drift:\n{}", drifted.join("\n"));
 }
