@@ -41,7 +41,7 @@ pub use config::{ClusterConfig, CpuCosts, DiskModel, NetModel, NodeSpec};
 pub use fault::{Crash, FaultPlan, NetFate, NetFaults, RecoveryPolicy, Slowdown};
 pub use icecube_trace::{CostSnapshot, EventKind, TraceLog};
 pub use node::SimNode;
-pub use schedule::{run_demand, run_demand_steps, run_demand_steps_healing, StepEvent, TaskSource};
+pub use schedule::{run_demand_steps_healing, StepEvent};
 pub use stats::{NodeStats, RunStats};
 
 /// A simulated cluster: node states plus the shared cost model.

@@ -5,10 +5,11 @@
 //! task to a worker processor" (Section 3.3.2). In the simulation, the
 //! manager is realized as a greedy event loop: the node with the smallest
 //! virtual clock is by definition the next to request work, so the loop
-//! repeatedly serves that node, asks the [`TaskSource`] for the best task
-//! given the node's *previous* task (affinity), executes it, and advances
-//! that node's clock by the task's measured cost. Ties break by node id,
-//! making every schedule bit-for-bit reproducible.
+//! repeatedly serves that node, lets the caller's step pick and execute
+//! the best task for it (affinity lives with the caller, which holds the
+//! per-worker state), and the task's measured cost advances that node's
+//! clock. Ties break by node id, making every schedule bit-for-bit
+//! reproducible.
 //!
 //! As in the paper, the manager overlaps a worker on node 0, so no node is
 //! reserved; the RPC round trip per task is charged to the worker.
@@ -16,7 +17,7 @@
 //! # Self-healing
 //!
 //! When the cluster carries a [`crate::fault::FaultPlan`], the manager
-//! loops here become fault-tolerant (and stay bit-for-bit deterministic):
+//! loop becomes fault-tolerant (and stays bit-for-bit deterministic):
 //!
 //! * worker→manager RPCs that hit an injected drop time out and are
 //!   retried with backoff, bounded by the plan's
@@ -29,13 +30,12 @@
 //!   the survivors alone. The manager itself (overlapped on a worker but
 //!   logically replicated) is assumed to survive.
 //!
-//! With a quiet plan every loop reduces exactly to its pre-fault
-//! behaviour — same assignments, same clocks, same counters.
+//! With a quiet plan the loop reduces exactly to plain demand
+//! scheduling — same assignments, same clocks, same counters.
 
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
+// check:allow-file(panic-path): the one loop here indexes `cluster.nodes`
+// and its own per-node flag vectors only with `0..cluster.len()` node
+// ids it generates itself; no index comes from a caller.
 
 use crate::SimCluster;
 
@@ -81,147 +81,13 @@ fn charge_rpc_with_faults(cluster: &mut SimCluster, node: usize) {
     }
 }
 
-/// Supplies tasks to the demand scheduler.
-///
-/// `next_task` receives the requesting node and its previously executed
-/// task so implementations can apply prefix/subset affinity; returning
-/// `None` retires the node.
-pub trait TaskSource<T> {
-    /// Picks the next task for `node`, or `None` when no work remains.
-    fn next_task(&mut self, node: usize, prev: Option<&T>) -> Option<T>;
-}
-
-/// Blanket implementation so plain closures can serve as sources.
-impl<T, F> TaskSource<T> for F
-where
-    F: FnMut(usize, Option<&T>) -> Option<T>,
-{
-    fn next_task(&mut self, node: usize, prev: Option<&T>) -> Option<T> {
-        self(node, prev)
-    }
-}
-
-/// Runs demand scheduling to completion, reassigning tasks lost to
-/// crashed workers.
-///
-/// `exec` performs the task on the given node, charging whatever virtual
-/// time it costs; it receives the node's previous task for affinity reuse.
-/// Returns the per-node task histories: a task appears in exactly one
-/// *surviving* node's history even if a crashed worker attempted it first.
-/// (If every node dies — possible only with a hand-built plan, never a
-/// seeded one — unfinished tasks are abandoned.)
-pub fn run_demand<T, S, F>(cluster: &mut SimCluster, source: &mut S, mut exec: F) -> Vec<Vec<T>>
-where
-    T: Clone,
-    S: TaskSource<T>,
-    F: FnMut(&mut SimCluster, usize, &T, Option<&T>),
-{
-    let n = cluster.len();
-    let detect = cluster.config.faults.policy.detect_timeout_ns;
-    let mut prev: Vec<Option<T>> = vec![None; n];
-    let mut history: Vec<Vec<T>> = vec![Vec::new(); n];
-    // Source exhaustion is per node (the manager stops polling the source
-    // for it); lost tasks can still revive such a node.
-    let mut src_done = vec![false; n];
-    // Tasks reclaimed from crashed workers, with the virtual time at
-    // which the manager has detected the death and may reassign them.
-    let mut lost: Vec<(T, u64)> = Vec::new();
-    // The next node to request work is the live one with the smallest
-    // clock (ties by id) that could still receive an assignment.
-    while let Some(node) = (0..n)
-        .filter(|&i| !cluster.nodes[i].is_dead() && (!src_done[i] || !lost.is_empty()))
-        .min_by_key(|&i| (cluster.nodes[i].clock_ns(), i))
-    {
-        // Worker → manager RPC round trip to obtain the assignment.
-        charge_rpc_with_faults(cluster, node);
-        if cluster.nodes[node].is_dead() {
-            continue; // died asking for work; nothing was in flight
-        }
-        let mut task: Option<T> = None;
-        let mut recovered = false;
-        if !src_done[node] {
-            match source.next_task(node, prev[node].as_ref()) {
-                Some(t) => task = Some(t),
-                None => src_done[node] = true,
-            }
-        }
-        if task.is_none() && !lost.is_empty() {
-            // Reassign the earliest-detectable lost task; the worker may
-            // have to sit out the manager's detection timeout first.
-            let pos = (0..lost.len()).min_by_key(|&i| lost[i].1).unwrap();
-            let available_at = lost[pos].1;
-            cluster.nodes[node].wait_until(available_at);
-            if cluster.nodes[node].is_dead() {
-                continue; // died waiting; the task stays in the pool
-            }
-            task = Some(lost.remove(pos).0);
-            recovered = true;
-        }
-        // With no task (source done, no lost work) the node drops out of
-        // the candidate set until a loss revives it.
-        if let Some(task) = task {
-            cluster.nodes[node].charge_task_overhead();
-            exec(cluster, node, &task, prev[node].as_ref());
-            if cluster.nodes[node].is_dead() {
-                // Crashed mid-task: roll it back into the pool, to be
-                // reassigned once the death is detected.
-                let death = cluster.nodes[node].clock_ns();
-                cluster.nodes[node].note_task_lost();
-                lost.push((task, death + detect));
-            } else {
-                if recovered {
-                    cluster.nodes[node].note_task_recovered();
-                }
-                history[node].push(task.clone());
-                prev[node] = Some(task);
-            }
-        }
-    }
-    // Workers that finish early idle until the last one completes — the
-    // paper's wall clock is the max over processors. (Dead nodes ignore
-    // this; their clocks stay frozen at the crash.)
-    let end = cluster.makespan_ns();
-    for node in &mut cluster.nodes {
-        node.wait_until(end);
-    }
-    history
-}
-
-/// Demand scheduling with caller-managed task state.
-///
-/// Like [`run_demand`], but the callback owns task selection *and*
-/// execution: it is invoked for the node with the smallest clock and
-/// returns `false` to retire that node. Used by algorithms whose affinity
-/// decisions depend on per-worker state richer than "the previous task"
-/// (e.g. ASL's first-and-previous skip lists).
-pub fn run_demand_steps<F>(cluster: &mut SimCluster, mut step: F)
-where
-    F: FnMut(&mut SimCluster, usize) -> bool,
-{
-    let n = cluster.len();
-    let mut retired = vec![false; n];
-    while let Some(node) = (0..n)
-        .filter(|&i| !retired[i] && !cluster.nodes[i].is_dead())
-        .min_by_key(|&i| (cluster.nodes[i].clock_ns(), i))
-    {
-        cluster.nodes[node].charge_rpc();
-        if cluster.nodes[node].is_dead() || !step(cluster, node) {
-            retired[node] = true;
-        }
-    }
-    let end = cluster.makespan_ns();
-    for node in &mut cluster.nodes {
-        node.wait_until(end);
-    }
-}
-
-/// What the manager is telling the algorithm about `node` in a
+/// What the manager is telling the caller about `node` in a
 /// [`run_demand_steps_healing`] callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepEvent {
     /// `node` (live, smallest clock) requests work: select and execute a
-    /// task on it, returning `false` to retire it — exactly the contract
-    /// of the [`run_demand_steps`] callback.
+    /// task on it, returning `false` to retire it (nothing left to hand
+    /// out; a later loss elsewhere revives retired survivors).
     Assign,
     /// `node` has crashed: reclaim whatever task it was running back into
     /// the pending pool (rolling back its partial output), returning
@@ -230,18 +96,19 @@ pub enum StepEvent {
     Lost,
 }
 
-/// Demand scheduling with caller-managed task state *and* self-healing.
+/// Demand scheduling with caller-managed task state and self-healing.
 ///
-/// Like [`run_demand_steps`], but the single callback receives a
-/// [`StepEvent`] so the algorithm can both execute work (`Assign`) and
-/// reclaim a crashed worker's in-flight task (`Lost`) from one closure
-/// (selection state and output sinks live in the same captures).
+/// The single callback receives a [`StepEvent`] so the caller can both
+/// execute work (`Assign`) and reclaim a crashed worker's in-flight task
+/// (`Lost`) from one closure (selection state and outputs live in the
+/// same captures). Each assignment is preceded by the worker → manager
+/// RPC round trip, retried under the fault plan's message drops.
 ///
 /// Recovery timing: after a death with a task in flight, every subsequent
 /// assignment waits for the manager's detection timeout to pass — a
 /// reclaimed task cannot restart before the manager could have noticed
-/// the crash. Under a quiet plan the loop is bit-identical to
-/// [`run_demand_steps`].
+/// the crash. Workers that finish early idle until the last one
+/// completes: the paper's wall clock is the max over processors.
 pub fn run_demand_steps_healing<F>(cluster: &mut SimCluster, mut step: F)
 where
     F: FnMut(&mut SimCluster, usize, StepEvent) -> bool,
@@ -305,32 +172,54 @@ where
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use crate::fault::FaultPlan;
 
-    /// A source handing out `k` equal tasks in order.
-    struct Counter {
-        next: usize,
+    /// Hands tasks `0..total` out in order, costing `cost(task)` CPU ns
+    /// each, re-queueing whatever a crashed node had in flight. Returns
+    /// the per-node histories of *completed* tasks.
+    fn drain(
+        cluster: &mut SimCluster,
         total: usize,
+        cost: impl Fn(usize) -> u64,
+    ) -> Vec<Vec<usize>> {
+        let n = cluster.len();
+        let mut queue: std::collections::VecDeque<usize> = (0..total).collect();
+        let mut inflight: Vec<Option<usize>> = vec![None; n];
+        let mut history: Vec<Vec<usize>> = vec![Vec::new(); n];
+        run_demand_steps_healing(cluster, |c, node, event| match event {
+            StepEvent::Lost => match inflight[node].take() {
+                Some(task) => {
+                    queue.push_back(task);
+                    true
+                }
+                None => false,
+            },
+            StepEvent::Assign => {
+                let Some(task) = queue.pop_front() else {
+                    return false;
+                };
+                c.nodes[node].charge_cpu(cost(task));
+                if c.nodes[node].is_dead() {
+                    inflight[node] = Some(task);
+                } else {
+                    history[node].push(task);
+                }
+                true
+            }
+        });
+        history
     }
 
-    impl TaskSource<usize> for Counter {
-        fn next_task(&mut self, _node: usize, _prev: Option<&usize>) -> Option<usize> {
-            if self.next < self.total {
-                self.next += 1;
-                Some(self.next - 1)
-            } else {
-                None
-            }
-        }
+    fn finished(history: &[Vec<usize>]) -> Vec<usize> {
+        let mut done: Vec<usize> = history.iter().flatten().copied().collect();
+        done.sort_unstable();
+        done
     }
 
     #[test]
     fn equal_tasks_spread_evenly() {
         let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(4));
-        let mut src = Counter { next: 0, total: 16 };
-        let hist = run_demand(&mut cluster, &mut src, |c, node, _task, _prev| {
-            c.nodes[node].charge_cpu(1_000_000);
-        });
-        assert_eq!(hist.iter().map(Vec::len).sum::<usize>(), 16);
+        let hist = drain(&mut cluster, 16, |_| 1_000_000);
         // Homogeneous nodes with equal tasks: perfect 4/4/4/4 split.
         assert!(hist.iter().all(|h| h.len() == 4), "{hist:?}");
     }
@@ -338,13 +227,7 @@ mod tests {
     #[test]
     fn slower_nodes_receive_fewer_tasks() {
         let mut cluster = SimCluster::new(ClusterConfig::heterogeneous_16());
-        let mut src = Counter {
-            next: 0,
-            total: 160,
-        };
-        let hist = run_demand(&mut cluster, &mut src, |c, node, _task, _prev| {
-            c.nodes[node].charge_cpu(10_000_000);
-        });
+        let hist = drain(&mut cluster, 160, |_| 10_000_000);
         let fast: usize = hist[..8].iter().map(Vec::len).sum();
         let slow: usize = hist[8..].iter().map(Vec::len).sum();
         assert!(fast > slow, "fast {fast} vs slow {slow}");
@@ -355,52 +238,20 @@ mod tests {
         // One long task and many short ones: demand scheduling should give
         // the long-task node nothing else while others absorb the rest.
         let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(2));
-        let costs = [100u64, 1, 1, 1, 1, 1, 1, 1, 1, 1];
-        let mut next = 0usize;
-        let mut src = move |_node: usize, _prev: Option<&usize>| {
-            if next < costs.len() {
-                next += 1;
-                Some(next - 1)
-            } else {
-                None
-            }
-        };
-        let hist = run_demand(&mut cluster, &mut src, |c, node, task, _prev| {
-            c.nodes[node].charge_cpu(costs[*task] * 1_000_000_000);
-        });
+        let hist = drain(
+            &mut cluster,
+            10,
+            |t| if t == 0 { 100 } else { 1 } * 1_000_000_000,
+        );
         let with_long = hist.iter().position(|h| h.contains(&0)).unwrap();
         assert_eq!(hist[with_long].len(), 1, "{hist:?}");
         assert_eq!(hist[1 - with_long].len(), 9);
     }
 
     #[test]
-    fn previous_task_is_passed_for_affinity() {
-        let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(1));
-        let mut seen_prev: Vec<Option<usize>> = Vec::new();
-        let mut next = 0usize;
-        let mut src = move |_node: usize, prev: Option<&usize>| {
-            // record what the source observed
-            if next < 3 {
-                next += 1;
-                Some((prev.map(|p| p * 10).unwrap_or(0)) + 1)
-            } else {
-                None
-            }
-        };
-        let hist = run_demand(&mut cluster, &mut src, |c, node, _t, prev| {
-            seen_prev.push(prev.copied());
-            c.nodes[node].charge_cpu(1);
-        });
-        assert_eq!(hist[0], vec![1, 11, 111]);
-    }
-
-    #[test]
     fn all_clocks_align_at_the_end() {
         let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(3));
-        let mut src = Counter { next: 0, total: 4 };
-        run_demand(&mut cluster, &mut src, |c, node, _t, _p| {
-            c.nodes[node].charge_cpu(5_000_000);
-        });
+        drain(&mut cluster, 4, |_| 5_000_000);
         let end = cluster.makespan_ns();
         assert!(cluster.nodes.iter().all(|n| n.clock_ns() == end));
     }
@@ -409,10 +260,7 @@ mod tests {
     fn schedule_is_deterministic() {
         let run = || {
             let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(4));
-            let mut src = Counter { next: 0, total: 33 };
-            let hist = run_demand(&mut cluster, &mut src, |c, node, t, _p| {
-                c.nodes[node].charge_cpu((*t as u64 % 7 + 1) * 1_000_000);
-            });
+            let hist = drain(&mut cluster, 33, |t| (t as u64 % 7 + 1) * 1_000_000);
             (hist, cluster.makespan_ns())
         };
         assert_eq!(run(), run());
@@ -420,61 +268,39 @@ mod tests {
 
     #[test]
     fn a_lost_task_is_rerun_on_a_survivor() {
-        use crate::fault::FaultPlan;
         // Node 1 dies early, mid-task; every task must still complete on
         // a surviving node, exactly once.
         let config =
             ClusterConfig::fast_ethernet(4).with_faults(FaultPlan::none().crash(1, 2_000_000));
         let mut cluster = SimCluster::new(config);
-        let mut src = Counter { next: 0, total: 16 };
-        let hist = run_demand(&mut cluster, &mut src, |c, node, _t, _p| {
-            c.nodes[node].charge_cpu(1_000_000);
-        });
-        let mut done: Vec<usize> = hist.iter().flatten().copied().collect();
-        done.sort_unstable();
-        assert_eq!(done, (0..16).collect::<Vec<_>>(), "{hist:?}");
-        assert!(hist[1].is_empty() || cluster.nodes[1].is_dead());
+        let hist = drain(&mut cluster, 16, |_| 1_000_000);
+        assert_eq!(finished(&hist), (0..16).collect::<Vec<_>>(), "{hist:?}");
+        assert!(cluster.nodes[1].is_dead());
         let stats = cluster.run_stats();
         assert_eq!(stats.total_crashes(), 1);
-        assert_eq!(stats.total_tasks_lost(), stats.total_tasks_recovered());
+        assert_eq!(stats.total_tasks_lost(), 1);
     }
 
     #[test]
     fn recovery_respects_the_detection_timeout() {
-        use crate::fault::FaultPlan;
         // A 2-node cluster where node 1 dies mid-way through its only
         // task: node 0 must not restart it before death + detection.
         let config =
             ClusterConfig::fast_ethernet(2).with_faults(FaultPlan::none().crash(1, 1_500_000));
         let detect = config.faults.policy.detect_timeout_ns;
         let mut cluster = SimCluster::new(config);
-        let mut handed = 0usize;
-        let mut src = move |_node: usize, _prev: Option<&usize>| {
-            if handed < 2 {
-                handed += 1;
-                Some(handed - 1)
-            } else {
-                None
-            }
-        };
-        let mut recovered_start = None;
-        let hist = run_demand(&mut cluster, &mut src, |c, node, t, _p| {
-            if node == 0 && *t == 1 {
-                recovered_start = Some(c.nodes[0].clock_ns());
-            }
-            c.nodes[node].charge_cpu(10_000_000);
-        });
-        assert!(hist[0].contains(&1), "survivor re-ran the lost task");
+        let hist = drain(&mut cluster, 2, |_| 10_000_000);
+        assert_eq!(hist[0], vec![0, 1], "survivor re-ran the lost task");
         let death = cluster.nodes[1].clock_ns();
+        // Node 0 ran task 0, then task 1 for 10 ms ending at the makespan.
         assert!(
-            recovered_start.expect("task 1 re-ran") >= death + detect,
+            cluster.makespan_ns() - 10_000_000 >= death + detect,
             "restarted before the manager could have detected the crash"
         );
     }
 
     #[test]
     fn faulty_schedules_are_deterministic() {
-        use crate::fault::FaultPlan;
         let run = || {
             let config = ClusterConfig::heterogeneous_16().with_faults(FaultPlan::seeded(
                 5,
@@ -482,10 +308,7 @@ mod tests {
                 100_000_000,
             ));
             let mut cluster = SimCluster::new(config);
-            let mut src = Counter { next: 0, total: 64 };
-            let hist = run_demand(&mut cluster, &mut src, |c, node, t, _p| {
-                c.nodes[node].charge_cpu((*t as u64 % 5 + 1) * 1_000_000);
-            });
+            let hist = drain(&mut cluster, 64, |t| (t as u64 % 5 + 1) * 1_000_000);
             (hist, cluster.makespan_ns(), cluster.run_stats())
         };
         let (h1, m1, s1) = run();
@@ -493,67 +316,28 @@ mod tests {
         assert_eq!(h1, h2);
         assert_eq!(m1, m2);
         assert_eq!(s1, s2);
-        let mut done: Vec<usize> = h1.iter().flatten().copied().collect();
-        done.sort_unstable();
-        assert_eq!(done, (0..64).collect::<Vec<_>>(), "no task lost for good");
+        assert_eq!(
+            finished(&h1),
+            (0..64).collect::<Vec<_>>(),
+            "no task lost for good"
+        );
     }
 
     #[test]
-    fn healing_steps_reassign_inflight_tasks() {
-        use crate::fault::FaultPlan;
-        use std::rc::Rc;
-        // A hand-rolled step algorithm with explicit in-flight tracking,
-        // shaped like the ASL/PT/AHT adapters.
+    fn retired_survivors_are_revived_by_a_late_loss() {
+        // Three tasks on three nodes: everyone retires after one task,
+        // then node 2 dies inside its long one — a retired survivor must
+        // come back for it.
         let config =
-            ClusterConfig::fast_ethernet(3).with_faults(FaultPlan::none().crash(2, 3_000_000));
-        let mut cluster = SimCluster::new(config.clone());
-        let mut remaining: Vec<usize> = (0..9).collect();
-        let mut inflight: Vec<Option<usize>> = vec![None; 3];
-        let done = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let done2 = Rc::clone(&done);
-        run_demand_steps_healing(&mut cluster, move |c, node, event| match event {
-            StepEvent::Lost => {
-                if let Some(t) = inflight[node].take() {
-                    remaining.push(t);
-                    true
-                } else {
-                    false
-                }
-            }
-            StepEvent::Assign => {
-                let Some(t) = remaining.pop() else {
-                    return false;
-                };
-                inflight[node] = Some(t);
-                c.nodes[node].charge_cpu(2_000_000);
-                if !c.nodes[node].is_dead() {
-                    inflight[node] = None;
-                    done2.borrow_mut().push(t);
-                }
-                true
-            }
-        });
-        let mut finished = done.borrow().clone();
-        finished.sort_unstable();
-        assert_eq!(finished, (0..9).collect::<Vec<_>>());
+            ClusterConfig::fast_ethernet(3).with_faults(FaultPlan::none().crash(2, 30_000_000));
+        let mut cluster = SimCluster::new(config);
+        let hist = drain(
+            &mut cluster,
+            3,
+            |t| if t == 2 { 90_000_000 } else { 1_000_000 },
+        );
+        assert_eq!(finished(&hist), vec![0, 1, 2]);
         assert!(cluster.nodes[2].is_dead());
         assert_eq!(cluster.run_stats().total_tasks_lost(), 1);
-    }
-
-    #[test]
-    fn legacy_steps_skip_dead_nodes_without_hanging() {
-        use crate::fault::FaultPlan;
-        let config = ClusterConfig::fast_ethernet(2).with_faults(FaultPlan::none().crash(1, 1_000));
-        let mut cluster = SimCluster::new(config);
-        let mut left = 5;
-        run_demand_steps(&mut cluster, |c, node| {
-            if left == 0 {
-                return false;
-            }
-            left -= 1;
-            c.nodes[node].charge_cpu(1_000_000);
-            true
-        });
-        assert_eq!(left, 0, "the survivor absorbed all steps");
     }
 }

@@ -26,18 +26,15 @@
 // by the panic-path triage note in DESIGN section 12.
 
 use crate::agg::Aggregate;
-use crate::algorithms::{finish, load_replicated, Algorithm, RunOptions, RunOutcome};
-use crate::asl::{chained_tasks, cuboid_tasks, reinsert_sorted};
-use crate::backend::charge_replicated_load;
+use crate::algorithms::RunOptions;
+use crate::asl::{affinity_ladder, cuboid_of, head, lattice_plan, Affine, Held};
+use crate::backend::{charge_replicated_load, task_sink};
 use crate::cell::{Cell, CellBuf, CellSink};
-use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::recover::TaskGuard;
-use icecube_cluster::{run_demand_steps_healing, ClusterConfig, SimCluster, SimNode, StepEvent};
+use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{TaskSpec, Workload};
 use icecube_lattice::CuboidMask;
-use std::rc::Rc;
 
 /// The bucket-index function AHT uses (Section 4.9.2 suggests replacing
 /// the naive MOD hash with "a more sophisticated hash function" to relieve
@@ -550,191 +547,6 @@ impl AffinityHashTable {
     }
 }
 
-/// Reusable per-run scratch for [`run_aht`]: the table-storage pool and
-/// collapse buffers every table construction draws from. One scratch can
-/// be threaded through back-to-back runs (the executor `Workload`
-/// prologue contract); outputs are identical to a cold start.
-#[derive(Default)]
-pub struct AhtRunScratch {
-    pool: AhtPool,
-}
-
-impl AhtRunScratch {
-    /// An empty scratch; arenas grow on first use and are recycled after.
-    pub fn new() -> Self {
-        AhtRunScratch::default()
-    }
-}
-
-/// Runs AHT over a simulated cluster.
-pub fn run_aht(
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    run_aht_with(&mut AhtRunScratch::new(), rel, query, config, opts)
-}
-
-/// [`run_aht`] drawing table storage from a caller-held scratch, so
-/// repeated runs reuse their arenas. The pool is host-side machinery
-/// shared across all simulated workers; it is invisible to the simulated
-/// cost model.
-pub fn run_aht_with(
-    scratch: &mut AhtRunScratch,
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    let AhtRunScratch { pool } = scratch;
-    // check:allow(no-clone-hot-path): one-time cluster construction at
-    // driver entry, not the per-tuple probe/collapse path.
-    let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
-    load_replicated(&mut cluster, rel);
-    let mut remaining = cuboid_tasks(query.dims);
-
-    struct Worker {
-        first: Option<Rc<AffinityHashTable>>,
-        prev: Option<Rc<AffinityHashTable>>,
-    }
-    let mut workers: Vec<Worker> = (0..n)
-        .map(|_| Worker {
-            first: None,
-            prev: None,
-        })
-        .collect();
-    let mut sinks: Vec<CellBuf> = (0..n)
-        .map(|_| {
-            if opts.collect_cells {
-                CellBuf::collecting()
-            } else {
-                CellBuf::counting()
-            }
-        })
-        .collect();
-    let minsup = query.minsup;
-    let affinity = opts.affinity;
-    let target_buckets = rel.len();
-
-    // Self-healing bookkeeping (same scheme as ASL): the cuboid each node
-    // is building or collapsing, its pre-task checkpoint, and the cuboids
-    // reclaimed from crashed workers (to credit the eventual survivor).
-    let mut inflight: Vec<Option<CuboidMask>> = (0..n).map(|_| None).collect();
-    let mut guards: Vec<Option<TaskGuard>> = (0..n).map(|_| None).collect();
-    let mut requeued: Vec<CuboidMask> = Vec::new();
-
-    cluster.phase_start("compute");
-    run_demand_steps_healing(&mut cluster, |cluster, node_id, event| {
-        if event == StepEvent::Lost {
-            // The dead worker's hash tables are unreachable; the cuboid
-            // goes back into the sorted pool and a survivor rebuilds it
-            // (re-establishing affinity from scratch if need be).
-            let Some(task) = inflight[node_id].take() else {
-                return false;
-            };
-            if let Some(guard) = guards[node_id].take() {
-                guard.rollback(&mut cluster.nodes[node_id], &mut sinks[node_id]);
-            }
-            reinsert_sorted(&mut remaining, task);
-            if !requeued.contains(&task) {
-                requeued.push(task);
-            }
-            return true;
-        }
-        if remaining.is_empty() {
-            return false;
-        }
-        let w = &mut workers[node_id];
-        // AHT treats prefix affinity as ordinary subset affinity
-        // (Section 3.5.2): two passes — subset of previous, subset of
-        // first — then largest remaining.
-        let mut choice: Option<(usize, bool)> = None; // (position, from_prev)
-        if affinity {
-            for (held, from_prev) in [(&w.prev, true), (&w.first, false)] {
-                if let Some(t) = held {
-                    if let Some(pos) = remaining.iter().position(|&c| c.is_subset_of(t.cuboid())) {
-                        choice = Some((pos, from_prev));
-                        break;
-                    }
-                }
-            }
-        }
-        let (task, affine) = match choice {
-            Some((pos, from_prev)) => (remaining.remove(pos), Some(from_prev)),
-            None => (remaining.remove(0), None),
-        };
-        inflight[node_id] = Some(task);
-        guards[node_id] = Some(TaskGuard::checkpoint(
-            &cluster.nodes[node_id],
-            &sinks[node_id],
-        ));
-        let node = &mut cluster.nodes[node_id];
-        node.charge_task_overhead_for(task.bits() as u64);
-        let built = match affine {
-            Some(from_prev) => {
-                let held = if from_prev {
-                    w.prev.as_ref()
-                } else {
-                    w.first.as_ref()
-                }
-                .expect("held");
-                let mut table = held.collapse(task, pool);
-                node.charge_scan(held.len() as u64);
-                node.charge_agg_updates(held.len() as u64);
-                let (probes, cmps) = table.take_counters();
-                node.charge_hash_probes(probes);
-                node.charge_comparisons(cmps);
-                table
-            }
-            None => {
-                let mut table =
-                    AffinityHashTable::build_pooled(task, rel, target_buckets, opts.aht_hash, pool);
-                node.charge_scan(rel.len() as u64);
-                node.charge_agg_updates(rel.len() as u64);
-                let (probes, cmps) = table.take_counters();
-                node.charge_hash_probes(probes);
-                node.charge_comparisons(cmps);
-                table
-            }
-        };
-        emit_table(&built, minsup, node, &mut sinks[node_id]);
-        // Install as the worker's previous (and first, if none yet).
-        node.alloc(built.memory_bytes());
-        if let Some(old) = w.prev.take() {
-            let is_first = w.first.as_ref().is_some_and(|f| Rc::ptr_eq(f, &old));
-            if !is_first {
-                node.free(old.memory_bytes());
-                // The superseded table is unreachable; recycle its arenas.
-                if let Ok(retired) = Rc::try_unwrap(old) {
-                    pool.release(retired);
-                }
-            }
-        }
-        let rc = Rc::new(built);
-        if w.first.is_none() {
-            w.first = Some(Rc::clone(&rc));
-        }
-        w.prev = Some(rc);
-        if !cluster.nodes[node_id].is_dead() {
-            inflight[node_id] = None;
-            guards[node_id] = None;
-            cluster.nodes[node_id].trace_task_end(task.bits() as u64);
-            if let Some(pos) = requeued.iter().position(|&t| t == task) {
-                requeued.remove(pos);
-                cluster.nodes[node_id].note_task_recovered();
-            }
-        }
-        true
-    });
-    cluster.phase_end("compute");
-    if !remaining.is_empty() || inflight.iter().any(Option::is_some) {
-        return Err(AlgoError::ClusterExhausted { nodes: n });
-    }
-    Ok(finish(Algorithm::Aht, &mut cluster, sinks))
-}
-
 /// Streams a finished table's qualifying cells in bucket order (no sort:
 /// post-sorting is deferred to query time in AHT) and charges the write.
 fn emit_table<S: CellSink>(
@@ -759,78 +571,73 @@ fn emit_table<S: CellSink>(
     }
 }
 
-/// Per-worker affinity state for the executor path: the first and most
-/// recent tables, owned outright (the sim driver's `Rc` sharing exists
-/// for memory accounting, which the executor path does not do).
+/// Per-worker state: the first and most recent tables the worker built,
+/// plus its private storage pool.
 pub(crate) struct AhtScratch {
     first: Option<AffinityHashTable>,
     prev: Option<AffinityHashTable>,
     pool: AhtPool,
 }
 
-/// AHT's backend-agnostic decomposition: one task per cuboid in
-/// [`chained_tasks`] order, built by collapse when the worker holds a
-/// superset table (subset affinity only, as in Section 3.5.2) and from
-/// the raw relation otherwise. A table's final contents are the same
-/// cells either way, so outputs stay byte-identical however tasks land
-/// on workers.
+/// AHT's decomposition: one task per cuboid, built by collapse when the
+/// worker holds a superset table and from the raw relation otherwise.
+/// AHT treats prefix affinity as ordinary subset affinity (Section
+/// 3.5.2), so the manager's ladder has two passes — subset of previous,
+/// subset of first — then the largest remaining cuboid. A table's final
+/// contents are the same cells either way, so outputs stay
+/// byte-identical however tasks land on workers.
 pub(crate) struct AhtWorkload<'a> {
     rel: &'a Relation,
     minsup: u64,
     hash: AhtHash,
     affinity: bool,
     collect: bool,
-    target_buckets: usize,
-    tasks: Vec<CuboidMask>,
 }
 
-/// Builds AHT's executor plan for the given query.
-pub(crate) fn exec_workload<'a>(
+/// Builds AHT's plan for the given query.
+pub(crate) fn plan<'a>(
     rel: &'a Relation,
     query: &IcebergQuery,
     opts: &RunOptions,
 ) -> (Vec<TaskSpec>, AhtWorkload<'a>) {
-    let tasks = chained_tasks(query.dims, false);
-    let specs = tasks
-        .iter()
-        .enumerate()
-        .map(|(id, cuboid)| TaskSpec {
-            id,
-            affinity: cuboid.bits() as u64,
-            weight: 1u64 << cuboid.dim_count(),
-        })
-        .collect();
     let workload = AhtWorkload {
         rel,
         minsup: query.minsup,
         hash: opts.aht_hash,
         affinity: opts.affinity,
         collect: opts.collect_cells,
-        target_buckets: rel.len(),
-        tasks,
     };
-    (specs, workload)
+    (lattice_plan(query.dims, false), workload)
 }
 
 impl AhtWorkload<'_> {
-    /// Builds a cuboid's table from the raw relation, charging the scan
-    /// and hashing costs — the no-affinity path and the cold-worker
-    /// seed share it.
-    fn build_from_relation(
-        &self,
-        task: CuboidMask,
-        node: &mut SimNode,
-        pool: &mut AhtPool,
-    ) -> AffinityHashTable {
-        let mut table =
-            AffinityHashTable::build_pooled(task, self.rel, self.target_buckets, self.hash, pool);
-        node.charge_scan(self.rel.len() as u64);
-        node.charge_agg_updates(self.rel.len() as u64);
-        let (probes, cmps) = table.take_counters();
-        node.charge_hash_probes(probes);
-        node.charge_comparisons(cmps);
-        table
+    /// The two subset passes resolved against this worker's held tables.
+    fn ladder(&self, pending: &[TaskSpec], scratch: &AhtScratch) -> Option<Affine> {
+        if !self.affinity {
+            return None;
+        }
+        let prev = scratch.prev.as_ref().map(AffinityHashTable::cuboid);
+        let first = scratch.first.as_ref().map(AffinityHashTable::cuboid);
+        affinity_ladder(pending, prev, first, false, false)
     }
+
+    /// Builds a cuboid's table from the raw relation (the paper fixes the
+    /// bucket count to the tuple count), charging the scan.
+    fn build(&self, task: CuboidMask, pool: &mut AhtPool) -> (AffinityHashTable, u64) {
+        let rows = self.rel.len();
+        let table = AffinityHashTable::build_pooled(task, self.rel, rows, self.hash, pool);
+        (table, rows as u64)
+    }
+}
+
+/// Charges a table construction that scanned `scanned` source entries,
+/// draining the table's probe and comparison counters.
+fn charge_build(table: &mut AffinityHashTable, scanned: u64, node: &mut SimNode) {
+    node.charge_scan(scanned);
+    node.charge_agg_updates(scanned);
+    let (probes, cmps) = table.take_counters();
+    node.charge_hash_probes(probes);
+    node.charge_comparisons(cmps);
 }
 
 impl Workload for AhtWorkload<'_> {
@@ -849,47 +656,51 @@ impl Workload for AhtWorkload<'_> {
         charge_replicated_load(self.rel, node);
     }
 
-    fn run(&self, spec: &TaskSpec, scratch: &mut AhtScratch, node: &mut SimNode) -> CellBuf {
-        let task = self.tasks[spec.id];
-        let mut sink = if self.collect {
-            CellBuf::collecting()
-        } else {
-            CellBuf::counting()
-        };
-        // A cold worker materializes the full-lattice table before
-        // anything else so the subset passes always have a donor (every
-        // task collapses from the lattice root at worst, never rebuilding
-        // from raw data mid-run). Contents are identical either way.
-        if self.affinity && scratch.first.is_none() && task != self.tasks[0] {
-            scratch.first = Some(self.build_from_relation(self.tasks[0], node, &mut scratch.pool));
+    fn pick(&self, pending: &[TaskSpec], scratch: &AhtScratch) -> usize {
+        self.ladder(pending, scratch)
+            .map_or_else(|| head(pending), |hit| hit.at)
+    }
+
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut AhtScratch,
+        node: &mut SimNode,
+        steered: bool,
+    ) -> CellBuf {
+        let task = cuboid_of(spec);
+        let mut sink = task_sink(self.collect);
+        // With no manager steering affine tasks its way, a cold worker
+        // materializes the full-lattice table before anything else so
+        // the subset passes always have a donor (every task collapses
+        // from the lattice root at worst, never rebuilding from raw data
+        // mid-run). Contents are identical either way.
+        let full = CuboidMask::full(self.rel.arity());
+        if !steered && self.affinity && scratch.first.is_none() && task != full {
+            let (mut table, scanned) = self.build(full, &mut scratch.pool);
+            charge_build(&mut table, scanned, node);
+            node.alloc(table.memory_bytes());
+            scratch.first = Some(table);
         }
-        // Subset-of-previous first, then subset-of-first, as the
-        // simulated manager does.
+        let hit = self.ladder(std::slice::from_ref(spec), scratch);
         let AhtScratch { first, prev, pool } = scratch;
-        let held = if self.affinity {
-            [prev.as_ref(), first.as_ref()]
-                .into_iter()
-                .flatten()
-                .find(|t| task.is_subset_of(t.cuboid()))
-        } else {
-            None
+        let donor = hit.and_then(|hit| match hit.held {
+            Held::Prev => prev.as_ref(),
+            Held::First => first.as_ref(),
+        });
+        let (mut built, scanned) = match donor {
+            Some(held) => (held.collapse(task, pool), held.len() as u64),
+            None => self.build(task, pool),
         };
-        let built = match held {
-            Some(held) => {
-                let mut table = held.collapse(task, pool);
-                node.charge_scan(held.len() as u64);
-                node.charge_agg_updates(held.len() as u64);
-                let (probes, cmps) = table.take_counters();
-                node.charge_hash_probes(probes);
-                node.charge_comparisons(cmps);
-                table
-            }
-            None => self.build_from_relation(task, node, pool),
-        };
+        charge_build(&mut built, scanned, node);
         emit_table(&built, self.minsup, node, &mut sink);
+        // Install as the worker's previous (and first, if none yet),
+        // releasing the superseded previous table.
+        node.alloc(built.memory_bytes());
         if first.is_none() {
             *first = Some(built);
         } else if let Some(old) = prev.replace(built) {
+            node.free(old.memory_bytes());
             pool.release(old);
         }
         sink
@@ -899,10 +710,22 @@ impl Workload for AhtWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::{naive_cuboid, naive_iceberg_cube};
     use crate::verify::assert_same_cells;
+    use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
+
+    fn run_aht(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Aht, rel, query, config, opts)
+    }
 
     #[test]
     fn assign_bits_respects_target_and_minimums() {

@@ -1,11 +1,13 @@
 //! The algorithm catalogue: dispatch, options, outcomes, and the key
 //! features of Table 1.1.
 
-use crate::cell::{sort_cells, Cell, CellBuf};
+use crate::backend::{collect, run_plan};
+use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use icecube_cluster::{ClusterConfig, RunStats, SimCluster, TraceLog};
+use icecube_cluster::{ClusterConfig, RunStats, TraceLog};
 use icecube_data::Relation;
+use icecube_exec::SimExecutor;
 use std::fmt;
 
 /// The parallel iceberg-cube algorithms the paper develops and evaluates.
@@ -204,7 +206,9 @@ pub fn run_parallel(
     run_parallel_with(algorithm, rel, query, config, &RunOptions::default())
 }
 
-/// Runs `algorithm` with explicit options.
+/// Runs `algorithm` with explicit options: builds its plan at the width
+/// of the cluster (`config.nodes.len()` partitions for BPP, `32 × n`
+/// subtrees for PT) and runs it on a [`SimExecutor`] for `config`.
 pub fn run_parallel_with(
     algorithm: Algorithm,
     rel: &Relation,
@@ -213,14 +217,36 @@ pub fn run_parallel_with(
     opts: &RunOptions,
 ) -> Result<RunOutcome, AlgoError> {
     validate(rel, query)?;
-    match algorithm {
-        Algorithm::Rp => crate::rp::run_rp(rel, query, config, opts),
-        Algorithm::Bpp => crate::bpp::run_bpp(rel, query, config, opts),
-        Algorithm::Asl => crate::asl::run_asl(rel, query, config, opts),
-        Algorithm::Pt => crate::pt::run_pt(rel, query, config, opts),
-        Algorithm::Aht => crate::aht::run_aht(rel, query, config, opts),
-        Algorithm::HashTree => crate::htree::run_hash_tree(rel, query, config, opts),
-    }
+    let nodes = config.nodes.len();
+    let out = match algorithm {
+        // The hash-tree attempt is one fallible task on node 0, not a plan.
+        Algorithm::HashTree => {
+            let (sink, report) = crate::htree::run_hash_tree(rel, query, config, opts)?;
+            collect(algorithm, vec![sink], report)
+        }
+        _ => run_plan(
+            &mut SimExecutor::new(config.clone()),
+            algorithm,
+            rel,
+            query,
+            opts,
+            nodes,
+            config.seed,
+        )?,
+    };
+    // The simulator always reports statistics; a report without them
+    // would mean every node is gone.
+    let stats = out
+        .report
+        .stats
+        .ok_or(AlgoError::ClusterExhausted { nodes })?;
+    Ok(RunOutcome {
+        algorithm,
+        cells: out.cells,
+        total_cells: out.total_cells,
+        stats,
+        trace: out.report.trace,
+    })
 }
 
 /// Validates query/relation compatibility.
@@ -235,42 +261,6 @@ pub(crate) fn validate(rel: &Relation, query: &IcebergQuery) -> Result<(), AlgoE
         });
     }
     Ok(())
-}
-
-/// Charges every node for reading its replicated copy of the dataset from
-/// local disk into memory (the replicated algorithms' common prologue).
-/// Traced as the per-node `load` phase.
-pub(crate) fn load_replicated(cluster: &mut SimCluster, rel: &Relation) {
-    cluster.phase_start("load");
-    for node in &mut cluster.nodes {
-        node.read_bytes(rel.byte_size());
-        node.charge_scan(rel.len() as u64);
-        node.alloc(rel.byte_size());
-    }
-    cluster.phase_end("load");
-}
-
-/// Gathers per-node sinks into a sorted outcome, draining the cluster's
-/// trace (if tracing was enabled) into it.
-pub(crate) fn finish(
-    algorithm: Algorithm,
-    cluster: &mut SimCluster,
-    sinks: Vec<CellBuf>,
-) -> RunOutcome {
-    let mut cells = Vec::new();
-    let mut total = 0u64;
-    for sink in sinks {
-        total += sink.count;
-        cells.extend(sink.into_cells());
-    }
-    sort_cells(&mut cells);
-    RunOutcome {
-        algorithm,
-        cells,
-        total_cells: total,
-        stats: cluster.run_stats(),
-        trace: cluster.take_trace(),
-    }
 }
 
 #[cfg(test)]
@@ -334,6 +324,29 @@ mod tests {
             validate(&empty, &IcebergQuery::count_cube(1, 1)),
             Err(AlgoError::EmptyInput)
         ));
+    }
+
+    #[test]
+    fn losing_every_node_is_a_typed_error() {
+        use crate::backend::run_parallel_exec;
+        use icecube_cluster::FaultPlan;
+        let rel = crate::fixtures::sales();
+        let q = IcebergQuery::count_cube(3, 1);
+        let cfg = ClusterConfig::fast_ethernet(2)
+            .with_faults(FaultPlan::none().crash(0, 1_000).crash(1, 1_000));
+        // Static sweep and demand loop, through either entry point.
+        for alg in Algorithm::evaluated() {
+            let by_config = run_parallel(alg, &rel, &q, &cfg).map(|out| out.total_cells);
+            let mut sim = SimExecutor::new(cfg.clone());
+            let by_executor = run_parallel_exec(&mut sim, alg, &rel, &q, &RunOptions::default())
+                .map(|out| out.total_cells);
+            for lost in [by_config, by_executor] {
+                assert!(
+                    matches!(lost, Err(AlgoError::ClusterExhausted { nodes: 2 })),
+                    "{alg}: expected ClusterExhausted, got {lost:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,22 +37,20 @@
 // by the panic-path triage note in DESIGN section 12.
 
 use crate::agg::Aggregate;
-use crate::algorithms::{finish, load_replicated, Algorithm, RunOptions, RunOutcome};
-use crate::backend::charge_replicated_load;
+use crate::algorithms::RunOptions;
+use crate::backend::{charge_replicated_load, task_sink};
 use crate::cell::{Cell, CellBuf, CellSink};
-use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::recover::TaskGuard;
-use icecube_cluster::{run_demand_steps_healing, ClusterConfig, SimCluster, SimNode, StepEvent};
+use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{TaskSpec, Workload};
 use icecube_lattice::{CuboidMask, Lattice};
 use icecube_skiplist::{SkipList, SkipListPool};
-use std::rc::Rc;
+use std::cmp::Reverse;
 
 /// Every cuboid of the `d`-lattice, most dimensions first (ties by mask
-/// for determinism): the shared task order of ASL and AHT, used by both
-/// the simulator drivers and the executor plans.
+/// for determinism): the manager's pool order for ASL and AHT, and so the
+/// id order of their plans.
 pub(crate) fn cuboid_tasks(d: usize) -> Vec<CuboidMask> {
     let lattice = Lattice::new(d);
     let mut tasks: Vec<CuboidMask> = lattice.cuboids().collect();
@@ -60,66 +58,121 @@ pub(crate) fn cuboid_tasks(d: usize) -> Vec<CuboidMask> {
     tasks
 }
 
-/// Replays the manager's affinity ladder over [`cuboid_tasks`] with a
-/// single virtual worker, returning the order in which that worker would
-/// pull tasks under demand scheduling. Executor plans use this order so
-/// that contiguous id blocks keep workers on prefix/subset chains
-/// without a demand scheduler: a static plan in [`cuboid_tasks`] order
-/// strands most tasks with no affine held list (siblings at the same
-/// dimension count are never subsets of each other), forcing raw-data
-/// rebuilds the simulated manager avoids.
-///
-/// `prefix_affinity` selects the ladder being replayed: ASL's four
-/// passes, where a prefix hit emits from the held list without
-/// installing a new one, or AHT's two subset passes, where every task
-/// installs its table.
-pub(crate) fn chained_tasks(d: usize, prefix_affinity: bool) -> Vec<CuboidMask> {
-    let mut remaining = cuboid_tasks(d);
-    let mut out = Vec::with_capacity(remaining.len());
-    let mut first: Option<CuboidMask> = None;
-    let mut prev: Option<CuboidMask> = None;
-    while !remaining.is_empty() {
-        let passes = [(prev, true), (first, true), (prev, false), (first, false)];
-        let mut choice = None;
-        for (held, is_prefix) in passes {
-            if is_prefix && !prefix_affinity {
-                continue;
-            }
-            let Some(held) = held else { continue };
-            let hit = remaining.iter().position(|t| {
-                if is_prefix {
-                    t.is_prefix_of(held)
-                } else {
-                    t.is_subset_of(held)
-                }
-            });
-            if let Some(pos) = hit {
-                choice = Some((pos, is_prefix));
-                break;
-            }
-        }
-        let (pos, was_prefix) = choice.unwrap_or((0, false));
-        let task = remaining.remove(pos);
-        if !(prefix_affinity && was_prefix) {
-            if first.is_none() {
-                first = Some(task);
-            } else {
-                prev = Some(task);
-            }
-        }
-        out.push(task);
-    }
-    out
+/// The cuboid a lattice-plan task computes (its affinity hint is the
+/// cuboid's mask).
+pub(crate) fn cuboid_of(spec: &TaskSpec) -> CuboidMask {
+    CuboidMask::from_bits(spec.affinity as u32)
 }
 
-/// Reinserts a reclaimed cuboid into `remaining`, preserving the
-/// descending-dimension-count (then ascending-mask) order the affinity
-/// passes rely on.
-pub(crate) fn reinsert_sorted(remaining: &mut Vec<CuboidMask>, task: CuboidMask) {
-    let pos = remaining.partition_point(|c| {
-        c.dim_count() > task.dim_count() || (c.dim_count() == task.dim_count() && *c < task)
-    });
-    remaining.insert(pos, task);
+/// Which of a worker's held structures an affinity decision resolved to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Held {
+    /// The most recently installed one.
+    Prev,
+    /// The worker's first (widest), kept for the whole run.
+    First,
+}
+
+/// An affinity hit: which pending task, sourced from which held
+/// structure, and whether by prefix (one accumulate-runs scan, nothing
+/// new installed) or by subset (a new structure seeded from the held one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Affine {
+    pub(crate) at: usize,
+    pub(crate) held: Held,
+    pub(crate) prefix: bool,
+}
+
+/// The manager's task-selection ladder (Section 3.3.2) for a worker
+/// holding the cuboids `prev` and `first`: prefix of the previous, prefix
+/// of the first, subset of the previous, subset of the first — ASL's
+/// four passes, or AHT's two with `prefix_passes` off. Within a pass the
+/// hit is the pending task earliest in pool order (most dimensions
+/// first), or with `longest_prefix` (Section 4.9.2) the subset candidate
+/// sharing the longest key prefix with the held cuboid — its cells then
+/// stream out in near-sorted order. `None` means no pending task is
+/// affine: the worker builds from raw data, and [`head`] names which.
+pub(crate) fn affinity_ladder(
+    pending: &[TaskSpec],
+    prev: Option<CuboidMask>,
+    first: Option<CuboidMask>,
+    prefix_passes: bool,
+    longest_prefix: bool,
+) -> Option<Affine> {
+    let passes = [
+        (prev, Held::Prev, true),
+        (first, Held::First, true),
+        (prev, Held::Prev, false),
+        (first, Held::First, false),
+    ];
+    for (donor, held, prefix) in passes {
+        let Some(donor) = donor else { continue };
+        if prefix && !prefix_passes {
+            continue;
+        }
+        let affine = pending.iter().enumerate().filter(|(_, spec)| {
+            if prefix {
+                cuboid_of(spec).is_prefix_of(donor)
+            } else {
+                cuboid_of(spec).is_subset_of(donor)
+            }
+        });
+        let hit = if longest_prefix && !prefix {
+            affine.max_by_key(|(_, s)| (cuboid_of(s).shared_prefix_len(donor), Reverse(s.id)))
+        } else {
+            affine.min_by_key(|(_, spec)| spec.id)
+        };
+        if let Some((at, _)) = hit {
+            return Some(Affine { at, held, prefix });
+        }
+    }
+    None
+}
+
+/// With no affinity to exploit the manager hands out the pending task
+/// earliest in pool order — the largest remaining cuboid, to maximize
+/// future affinity. (Reclaimed tasks sit at the back of the queue, so
+/// this is not always position 0.)
+pub(crate) fn head(pending: &[TaskSpec]) -> usize {
+    (0..pending.len())
+        .min_by_key(|&at| pending[at].id)
+        .unwrap_or(0)
+}
+
+/// The lattice as a plan. Ids follow [`cuboid_tasks`] (the manager's pool
+/// order). Slice order is the sequence one worker would pull under the
+/// manager's ladder, so that contiguous slice blocks keep unsteered
+/// workers on prefix/subset chains without a demand scheduler: in pool
+/// order most tasks would find no affine held structure (siblings at the
+/// same dimension count are never subsets of each other), forcing
+/// raw-data rebuilds the manager avoids.
+pub(crate) fn lattice_plan(d: usize, prefix_passes: bool) -> Vec<TaskSpec> {
+    let mut pending: Vec<TaskSpec> = cuboid_tasks(d)
+        .iter()
+        .enumerate()
+        .map(|(id, cuboid)| TaskSpec {
+            id,
+            affinity: cuboid.bits() as u64,
+            weight: 1u64 << cuboid.dim_count(),
+        })
+        .collect();
+    let mut chain = Vec::with_capacity(pending.len());
+    let mut first: Option<CuboidMask> = None;
+    let mut prev: Option<CuboidMask> = None;
+    while !pending.is_empty() {
+        let hit = affinity_ladder(&pending, prev, first, prefix_passes, false);
+        let spec = pending.remove(hit.map_or(0, |hit| hit.at));
+        // A prefix hit emits from the held structure and installs nothing.
+        if !hit.is_some_and(|hit| hit.prefix) {
+            if first.is_none() {
+                first = Some(cuboid_of(&spec));
+            } else {
+                prev = Some(cuboid_of(&spec));
+            }
+        }
+        chain.push(spec);
+    }
+    chain
 }
 
 /// A materialized cuboid: its identity plus the skip list of *all* its
@@ -127,89 +180,6 @@ pub(crate) fn reinsert_sorted(remaining: &mut Vec<CuboidMask>, task: CuboidMask)
 pub(crate) struct CuboidList {
     pub(crate) cuboid: CuboidMask,
     pub(crate) list: SkipList<Aggregate>,
-}
-
-/// How the manager sourced a task for a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Source {
-    /// Prefix of the worker's previous list: aggregate it in one scan.
-    PrefixPrev,
-    /// Prefix of the worker's first list.
-    PrefixFirst,
-    /// Subset of the previous list: build a new skip list from its cells.
-    SubsetPrev,
-    /// Subset of the first list.
-    SubsetFirst,
-    /// No affinity: build from the raw data.
-    Scratch,
-}
-
-/// The manager's task-selection policy (Section 3.3.2): prefer prefix
-/// affinity, then subset affinity, else hand out the remaining cuboid with
-/// the most dimensions. `remaining` must be sorted by descending dimension
-/// count so "first match" is also "most dimensions".
-pub(crate) fn pick_task(
-    remaining: &mut Vec<CuboidMask>,
-    prev: Option<CuboidMask>,
-    first: Option<CuboidMask>,
-    affinity: bool,
-    longest_prefix: bool,
-) -> Option<(CuboidMask, Source)> {
-    if remaining.is_empty() {
-        return None;
-    }
-    if affinity {
-        type AffinityPass = (
-            Option<CuboidMask>,
-            Source,
-            fn(CuboidMask, CuboidMask) -> bool,
-        );
-        let passes: [AffinityPass; 4] = [
-            (prev, Source::PrefixPrev, CuboidMask::is_prefix_of),
-            (first, Source::PrefixFirst, CuboidMask::is_prefix_of),
-            (prev, Source::SubsetPrev, CuboidMask::is_subset_of),
-            (first, Source::SubsetFirst, CuboidMask::is_subset_of),
-        ];
-        for (held, source, relation) in passes {
-            let Some(held) = held else { continue };
-            let pos =
-                if longest_prefix && matches!(source, Source::SubsetPrev | Source::SubsetFirst) {
-                    // Section 4.9.2: among the subset-affine candidates,
-                    // prefer the longest shared key prefix with the held
-                    // list — its cells then stream out in near-sorted order.
-                    remaining
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| relation(c, held))
-                        .max_by_key(|(i, &c)| (c.shared_prefix_len(held), usize::MAX - i))
-                        .map(|(i, _)| i)
-                } else {
-                    remaining.iter().position(|&c| relation(c, held))
-                };
-            if let Some(pos) = pos {
-                return Some((remaining.remove(pos), source));
-            }
-        }
-    }
-    Some((remaining.remove(0), Source::Scratch))
-}
-
-/// Reusable host-side scratch for one ASL run: the skip-list arena pool
-/// and the small per-task buffers (projected keys, subset position maps,
-/// prefix run keys). Purely an allocation cache — recycled storage is
-/// reset on acquisition, so threading one scratch through many runs is
-/// invisible to cells, counters, and the simulator's memory accounting.
-#[derive(Default)]
-pub struct AslRunScratch {
-    pool: SkipListPool<Aggregate>,
-    bufs: AslBufs,
-}
-
-impl AslRunScratch {
-    /// An empty scratch; arenas are grown on first use and recycled after.
-    pub fn new() -> Self {
-        AslRunScratch::default()
-    }
 }
 
 /// The per-task scratch buffers shared by the ASL subroutines: cleared
@@ -222,167 +192,6 @@ struct AslBufs {
     positions: Vec<usize>,
     /// Current run's key during a prefix-reuse scan.
     run_key: Vec<u32>,
-}
-
-/// Per-worker state: the first and most recent skip lists it built.
-#[derive(Default)]
-struct Worker {
-    first: Option<Rc<CuboidList>>,
-    prev: Option<Rc<CuboidList>>,
-}
-
-impl Worker {
-    fn install(
-        &mut self,
-        node: &mut SimNode,
-        built: CuboidList,
-        pool: &mut SkipListPool<Aggregate>,
-    ) {
-        node.alloc(built.list.memory_bytes());
-        // Release the superseded previous list unless it is also the first.
-        if let Some(old) = self.prev.take() {
-            let is_first = self.first.as_ref().is_some_and(|f| Rc::ptr_eq(f, &old));
-            if !is_first {
-                node.free(old.list.memory_bytes());
-                if let Ok(retired) = Rc::try_unwrap(old) {
-                    pool.release(retired.list);
-                }
-            }
-        }
-        let rc = Rc::new(built);
-        if self.first.is_none() {
-            self.first = Some(Rc::clone(&rc));
-        }
-        self.prev = Some(rc);
-    }
-}
-
-/// Runs ASL over a simulated cluster.
-pub fn run_asl(
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    run_asl_with(&mut AslRunScratch::new(), rel, query, config, opts)
-}
-
-/// [`run_asl`] with caller-provided scratch arenas, so consecutive runs
-/// reuse skip-list storage instead of re-faulting fresh pages per cuboid.
-pub fn run_asl_with(
-    scratch: &mut AslRunScratch,
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    // check:allow(no-clone-hot-path): one-time cluster construction at
-    // driver entry, not the per-tuple insert/search path.
-    let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
-    load_replicated(&mut cluster, rel);
-    let mut remaining = cuboid_tasks(query.dims);
-
-    let mut workers: Vec<Worker> = (0..n).map(|_| Worker::default()).collect();
-    let mut sinks: Vec<CellBuf> = (0..n)
-        .map(|_| {
-            if opts.collect_cells {
-                CellBuf::collecting()
-            } else {
-                CellBuf::counting()
-            }
-        })
-        .collect();
-    let seed = config.seed;
-    let minsup = query.minsup;
-    let affinity = opts.affinity;
-    let longest_prefix = opts.asl_longest_prefix;
-    let AslRunScratch { pool, bufs } = scratch;
-
-    // Self-healing bookkeeping: which cuboid each node is computing (set
-    // for the duration of one Assign step), its pre-task checkpoint, and
-    // the cuboids reclaimed from crashed workers (to credit the survivor
-    // that eventually completes them).
-    let mut inflight: Vec<Option<CuboidMask>> = (0..n).map(|_| None).collect();
-    let mut guards: Vec<Option<TaskGuard>> = (0..n).map(|_| None).collect();
-    let mut requeued: Vec<CuboidMask> = Vec::new();
-
-    cluster.phase_start("compute");
-    run_demand_steps_healing(&mut cluster, |cluster, node_id, event| {
-        if event == StepEvent::Lost {
-            // The node died mid-task: discard its partial output and put
-            // the cuboid back for the survivors. Its skip lists died with
-            // it, so an eventual re-run rebuilds affinity from scratch.
-            let Some(task) = inflight[node_id].take() else {
-                return false;
-            };
-            if let Some(guard) = guards[node_id].take() {
-                guard.rollback(&mut cluster.nodes[node_id], &mut sinks[node_id]);
-            }
-            reinsert_sorted(&mut remaining, task);
-            if !requeued.contains(&task) {
-                requeued.push(task);
-            }
-            return true;
-        }
-        let w = &mut workers[node_id];
-        let prev_c = w.prev.as_ref().map(|l| l.cuboid);
-        let first_c = w.first.as_ref().map(|l| l.cuboid);
-        let Some((task, source)) =
-            pick_task(&mut remaining, prev_c, first_c, affinity, longest_prefix)
-        else {
-            return false;
-        };
-        inflight[node_id] = Some(task);
-        guards[node_id] = Some(TaskGuard::checkpoint(
-            &cluster.nodes[node_id],
-            &sinks[node_id],
-        ));
-        let node = &mut cluster.nodes[node_id];
-        node.charge_task_overhead_for(task.bits() as u64);
-        let list_seed = seed ^ ((node_id as u64) << 32) ^ task.bits() as u64;
-        match source {
-            Source::PrefixPrev | Source::PrefixFirst => {
-                let held = if source == Source::PrefixPrev {
-                    w.prev.as_ref().expect("prefix source requires a list")
-                } else {
-                    w.first.as_ref().expect("prefix source requires a list")
-                };
-                prefix_reuse(held, task, minsup, node, &mut sinks[node_id], bufs);
-                // No new list is created; the worker's lists are unchanged.
-            }
-            Source::SubsetPrev | Source::SubsetFirst => {
-                let held = if source == Source::SubsetPrev {
-                    w.prev.as_ref().expect("subset source requires a list")
-                } else {
-                    w.first.as_ref().expect("subset source requires a list")
-                };
-                let built = subset_create(held, task, list_seed, node, pool, bufs);
-                emit_list(&built, minsup, node, &mut sinks[node_id]);
-                w.install(node, built, pool);
-            }
-            Source::Scratch => {
-                let built = scratch_create(rel, task, list_seed, node, pool, bufs);
-                emit_list(&built, minsup, node, &mut sinks[node_id]);
-                w.install(node, built, pool);
-            }
-        }
-        if !cluster.nodes[node_id].is_dead() {
-            inflight[node_id] = None;
-            guards[node_id] = None;
-            cluster.nodes[node_id].trace_task_end(task.bits() as u64);
-            if let Some(pos) = requeued.iter().position(|&t| t == task) {
-                requeued.remove(pos);
-                cluster.nodes[node_id].note_task_recovered();
-            }
-        }
-        true
-    });
-    cluster.phase_end("compute");
-    if !remaining.is_empty() || inflight.iter().any(Option::is_some) {
-        return Err(AlgoError::ClusterExhausted { nodes: n });
-    }
-    Ok(finish(Algorithm::Asl, &mut cluster, sinks))
 }
 
 /// Subroutine `prefix-reuse` (Figure 3.8): the held list is sorted with the
@@ -518,12 +327,10 @@ fn emit_list<S: CellSink>(built: &CuboidList, minsup: u64, node: &mut SimNode, s
     }
 }
 
-/// Per-worker affinity state for the executor path: the first and most
-/// recent lists, owned outright, plus the worker's private arena pool
-/// and task buffers. The simulated driver shares lists via `Rc` purely
-/// for memory accounting; the executor path does no such accounting
-/// (and native workers live on separate threads, where `Rc` cannot go),
-/// so plain ownership with the same first/prev semantics suffices.
+/// Per-worker state: the first and most recent skip lists the worker
+/// built, plus its private arena pool and task buffers. The first list is
+/// kept for the whole run — it has the most dimensions and thus the
+/// widest subset coverage.
 pub(crate) struct AslScratch {
     first: Option<CuboidList>,
     prev: Option<CuboidList>,
@@ -533,94 +340,78 @@ pub(crate) struct AslScratch {
 
 impl AslScratch {
     /// Installs a freshly built list as the worker's previous (and
-    /// first, if none yet) — the same rule as the sim driver's
-    /// `Worker::install`, minus the allocation bookkeeping. A superseded
-    /// previous list retires its arena into the worker's pool.
-    fn install(&mut self, built: CuboidList) {
+    /// first, if none yet). A superseded previous list is released and
+    /// retires its arena into the worker's pool.
+    fn install(&mut self, node: &mut SimNode, built: CuboidList) {
+        node.alloc(built.list.memory_bytes());
         if self.first.is_none() {
             self.first = Some(built);
         } else if let Some(old) = self.prev.replace(built) {
+            node.free(old.list.memory_bytes());
             self.pool.release(old.list);
         }
     }
 }
 
-/// Which of a worker's held lists an affinity decision resolved to.
-#[derive(Clone, Copy)]
-enum Held {
-    /// The most recently installed list.
-    Prev,
-    /// The worker's first (widest) list, kept for the whole run.
-    First,
-}
-
-/// ASL's backend-agnostic decomposition: one task per cuboid in
-/// [`cuboid_tasks`] order. The simulated manager's prefix-then-subset
-/// ladder is applied per worker against its own held lists. Affinity
-/// changes only *how* a cuboid is built (reuse vs raw scan), never its
-/// cells, so outputs stay byte-identical however tasks land on workers.
+/// ASL's decomposition: one task per cuboid, built by whichever rung of
+/// the manager's ladder the worker's held lists allow. Affinity changes
+/// only *how* a cuboid is built (reuse vs raw scan), never its cells, so
+/// outputs stay byte-identical however tasks land on workers.
 pub(crate) struct AslWorkload<'a> {
     rel: &'a Relation,
     minsup: u64,
     seed: u64,
     affinity: bool,
+    longest_prefix: bool,
     collect: bool,
-    tasks: Vec<CuboidMask>,
 }
 
-/// Builds ASL's executor plan for the given query.
-pub(crate) fn exec_workload<'a>(
+/// Builds ASL's plan for the given query; `seed` salts the skip lists.
+pub(crate) fn plan<'a>(
     rel: &'a Relation,
     query: &IcebergQuery,
     opts: &RunOptions,
     seed: u64,
 ) -> (Vec<TaskSpec>, AslWorkload<'a>) {
-    let tasks = chained_tasks(query.dims, true);
-    let specs = tasks
-        .iter()
-        .enumerate()
-        .map(|(id, cuboid)| TaskSpec {
-            id,
-            affinity: cuboid.bits() as u64,
-            weight: 1u64 << cuboid.dim_count(),
-        })
-        .collect();
     let workload = AslWorkload {
         rel,
         minsup: query.minsup,
         seed,
         affinity: opts.affinity,
+        longest_prefix: opts.asl_longest_prefix,
         collect: opts.collect_cells,
-        tasks,
     };
-    (specs, workload)
+    (lattice_plan(query.dims, true), workload)
 }
 
 impl AslWorkload<'_> {
-    /// The manager's affinity ladder (prefix-of-prev, prefix-of-first,
-    /// subset-of-prev, subset-of-first) resolved against this worker's
-    /// held lists; the `bool` is true for the prefix passes.
-    fn pick(&self, scratch: &AslScratch, task: CuboidMask) -> Option<(Held, bool)> {
+    /// The ladder resolved against this worker's held lists.
+    fn ladder(&self, pending: &[TaskSpec], scratch: &AslScratch) -> Option<Affine> {
+        if !self.affinity {
+            return None;
+        }
         let prev = scratch.prev.as_ref().map(|l| l.cuboid);
         let first = scratch.first.as_ref().map(|l| l.cuboid);
-        let passes = [
-            (prev, Held::Prev, true),
-            (first, Held::First, true),
-            (prev, Held::Prev, false),
-            (first, Held::First, false),
-        ];
-        for (held, which, prefix) in passes {
-            let Some(held) = held else { continue };
-            let affine = if prefix {
-                task.is_prefix_of(held)
-            } else {
-                task.is_subset_of(held)
-            };
-            if affine {
-                return Some((which, prefix));
-            }
-        }
-        None
+        affinity_ladder(pending, prev, first, true, self.longest_prefix)
+    }
+
+    /// Builds `task`'s skip list from the raw data, seeded per (node,
+    /// cuboid): the seed shapes only tower heights (search cost), never
+    /// contents or iteration order.
+    fn build(&self, task: CuboidMask, scratch: &mut AslScratch, node: &mut SimNode) -> CuboidList {
+        let seed = self.list_seed(task, node);
+        scratch_create(
+            self.rel,
+            task,
+            seed,
+            node,
+            &mut scratch.pool,
+            &mut scratch.bufs,
+        )
+    }
+
+    fn list_seed(&self, task: CuboidMask, node: &SimNode) -> u64 {
+        self.seed ^ ((node.id() as u64) << 32) ^ task.bits() as u64
     }
 }
 
@@ -641,81 +432,53 @@ impl Workload for AslWorkload<'_> {
         charge_replicated_load(self.rel, node);
     }
 
-    fn run(&self, spec: &TaskSpec, scratch: &mut AslScratch, node: &mut SimNode) -> CellBuf {
-        let task = self.tasks[spec.id];
-        let mut sink = if self.collect {
-            CellBuf::collecting()
-        } else {
-            CellBuf::counting()
-        };
-        // The seed shapes only skip-list tower heights (search cost),
-        // never contents or iteration order, so it may differ from the
-        // simulator's node-salted seeds without breaking byte identity.
-        let list_seed = self.seed ^ task.bits() as u64;
-        // A cold worker materializes the widest cuboid before anything
-        // else, so the ladder's subset passes always have a donor: every
-        // task is a subset of the full lattice root, which caps the
-        // worst case at one subset build instead of a raw-data rebuild.
-        // (A task's cells are the same bytes whichever path builds them.)
-        if self.affinity && scratch.first.is_none() && task != self.tasks[0] {
-            let full = self.tasks[0];
-            let built = scratch_create(
-                self.rel,
-                full,
-                self.seed ^ full.bits() as u64,
-                node,
-                &mut scratch.pool,
-                &mut scratch.bufs,
-            );
-            scratch.install(built);
+    fn pick(&self, pending: &[TaskSpec], scratch: &AslScratch) -> usize {
+        self.ladder(pending, scratch)
+            .map_or_else(|| head(pending), |hit| hit.at)
+    }
+
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut AslScratch,
+        node: &mut SimNode,
+        steered: bool,
+    ) -> CellBuf {
+        let task = cuboid_of(spec);
+        let mut sink = task_sink(self.collect);
+        // With no manager steering affine tasks its way, a cold worker
+        // materializes the widest cuboid before anything else, so the
+        // ladder's subset passes always have a donor: every task is a
+        // subset of the full lattice root, which caps the worst case at
+        // one subset build instead of a raw-data rebuild. (A task's cells
+        // are the same bytes whichever path builds them.)
+        let full = CuboidMask::full(self.rel.arity());
+        if !steered && self.affinity && scratch.first.is_none() && task != full {
+            let built = self.build(full, scratch, node);
+            scratch.install(node, built);
         }
-        let choice = if self.affinity {
-            self.pick(scratch, task)
-        } else {
-            None
-        };
-        match choice {
-            Some((which, true)) => {
-                let held = match which {
-                    Held::Prev => scratch.prev.as_ref(),
-                    Held::First => scratch.first.as_ref(),
-                }
-                .expect("pick returned a held list");
+        let donor = self.ladder(std::slice::from_ref(spec), scratch);
+        let donor = donor.and_then(|hit| {
+            let held = match hit.held {
+                Held::Prev => scratch.prev.as_ref(),
+                Held::First => scratch.first.as_ref(),
+            };
+            Some((held?, hit.prefix))
+        });
+        let built = match donor {
+            Some((held, true)) => {
                 prefix_reuse(held, task, self.minsup, node, &mut sink, &mut scratch.bufs);
                 // No new list: the worker's held lists are unchanged.
+                return sink;
             }
-            Some((which, false)) => {
-                let built = {
-                    let held = match which {
-                        Held::Prev => scratch.prev.as_ref(),
-                        Held::First => scratch.first.as_ref(),
-                    }
-                    .expect("pick returned a held list");
-                    subset_create(
-                        held,
-                        task,
-                        list_seed,
-                        node,
-                        &mut scratch.pool,
-                        &mut scratch.bufs,
-                    )
-                };
-                emit_list(&built, self.minsup, node, &mut sink);
-                scratch.install(built);
+            Some((held, false)) => {
+                let seed = self.list_seed(task, node);
+                subset_create(held, task, seed, node, &mut scratch.pool, &mut scratch.bufs)
             }
-            None => {
-                let built = scratch_create(
-                    self.rel,
-                    task,
-                    list_seed,
-                    node,
-                    &mut scratch.pool,
-                    &mut scratch.bufs,
-                );
-                emit_list(&built, self.minsup, node, &mut sink);
-                scratch.install(built);
-            }
-        }
+            None => self.build(task, scratch, node),
+        };
+        emit_list(&built, self.minsup, node, &mut sink);
+        scratch.install(node, built);
         sink
     }
 }
@@ -723,10 +486,22 @@ impl Workload for AslWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
+    use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
+
+    fn run_asl(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Asl, rel, query, config, opts)
+    }
 
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
@@ -796,37 +571,59 @@ mod tests {
         );
     }
 
+    /// Specs for `cuboids`, with ids in the order given (the pool order).
+    fn specs(cuboids: &[CuboidMask]) -> Vec<TaskSpec> {
+        cuboids
+            .iter()
+            .enumerate()
+            .map(|(id, c)| TaskSpec {
+                id,
+                affinity: c.bits() as u64,
+                weight: 1 << c.dim_count(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn pick_prefers_prefix_then_subset_then_largest() {
+    fn ladder_prefers_prefix_then_subset_then_largest() {
         let abcd = CuboidMask::from_dims(&[0, 1, 2, 3]);
         let abc = CuboidMask::from_dims(&[0, 1, 2]);
         let bcd = CuboidMask::from_dims(&[1, 2, 3]);
         let cd = CuboidMask::from_dims(&[2, 3]);
-        // Remaining sorted by descending dims.
-        let mut remaining = vec![abc, bcd, cd];
+        // Pending in pool order: descending dims.
+        let mut pending = specs(&[abc, bcd, cd]);
+        let hit = |at, held, prefix| Some(Affine { at, held, prefix });
         // prev = ABCD: ABC is a prefix, picked first.
-        let (t, s) = pick_task(&mut remaining, Some(abcd), Some(abcd), true, false).unwrap();
-        assert_eq!((t, s), (abc, Source::PrefixPrev));
+        let got = affinity_ladder(&pending, Some(abcd), Some(abcd), true, false);
+        assert_eq!(got, hit(0, Held::Prev, true));
+        pending.remove(0);
         // Next: BCD is a subset of ABCD (not a prefix).
-        let (t, s) = pick_task(&mut remaining, Some(abcd), Some(abcd), true, false).unwrap();
-        assert_eq!((t, s), (bcd, Source::SubsetPrev));
+        let got = affinity_ladder(&pending, Some(abcd), Some(abcd), true, false);
+        assert_eq!(got, hit(0, Held::Prev, false));
+        pending.remove(0);
         // prev = something unrelated, first = ABCD: falls to the first list.
         let e = CuboidMask::from_dims(&[4]);
-        let (t, s) = pick_task(&mut remaining, Some(e), Some(abcd), true, false).unwrap();
-        assert_eq!((t, s), (cd, Source::SubsetFirst));
-        assert!(pick_task(&mut remaining, Some(abcd), None, true, false).is_none());
+        let got = affinity_ladder(&pending, Some(e), Some(abcd), true, false);
+        assert_eq!(got, hit(0, Held::First, false));
+        // AHT's ladder has no prefix passes: ABC is just a subset.
+        let got = affinity_ladder(&specs(&[abc]), Some(abcd), None, false, false);
+        assert_eq!(got, hit(0, Held::Prev, false));
+        assert_eq!(affinity_ladder(&[], Some(abcd), None, true, false), None);
     }
 
     #[test]
-    fn pick_without_lists_or_affinity_takes_largest() {
+    fn without_lists_or_affinity_the_largest_goes_first() {
         let abc = CuboidMask::from_dims(&[0, 1, 2]);
         let ab = CuboidMask::from_dims(&[0, 1]);
-        let mut remaining = vec![abc, ab];
-        let (t, s) = pick_task(&mut remaining, None, None, true, false).unwrap();
-        assert_eq!((t, s), (abc, Source::Scratch));
-        let mut remaining = vec![abc, ab];
-        let (t, s) = pick_task(&mut remaining, Some(abc), Some(abc), false, false).unwrap();
-        assert_eq!((t, s), (abc, Source::Scratch));
+        let pending = specs(&[abc, ab]);
+        assert_eq!(affinity_ladder(&pending, None, None, true, false), None);
+        assert_eq!(head(&pending), 0);
+        // A reclaimed task rejoins at the back of the queue but keeps its
+        // place in pool order.
+        let requeued = [pending[1], pending[0]];
+        assert_eq!(head(&requeued), 1);
+        let got = affinity_ladder(&requeued, Some(abc), None, true, false);
+        assert_eq!(got.map(|hit| hit.at), Some(1), "ABC before AB");
     }
 
     #[test]
@@ -835,13 +632,33 @@ mod tests {
         let bd = CuboidMask::from_dims(&[1, 3]);
         let ac = CuboidMask::from_dims(&[0, 2]);
         // Both are subsets of ABCD, neither a prefix; AC shares prefix A.
-        let mut remaining = vec![bd, ac];
-        let (t, s) = pick_task(&mut remaining, Some(abcd), Some(abcd), true, true).unwrap();
-        assert_eq!((t, s), (ac, Source::SubsetPrev));
-        // Without the refinement, plain first-match order applies.
-        let mut remaining = vec![bd, ac];
-        let (t, _) = pick_task(&mut remaining, Some(abcd), Some(abcd), true, false).unwrap();
-        assert_eq!(t, bd);
+        let pending = specs(&[bd, ac]);
+        let got = affinity_ladder(&pending, Some(abcd), Some(abcd), true, true);
+        assert_eq!(
+            got,
+            Some(Affine {
+                at: 1,
+                held: Held::Prev,
+                prefix: false
+            })
+        );
+        // Without the refinement, plain pool order applies.
+        let got = affinity_ladder(&pending, Some(abcd), Some(abcd), true, false);
+        assert_eq!(got.map(|hit| hit.at), Some(0));
+    }
+
+    #[test]
+    fn lattice_plan_chains_affine_tasks_and_numbers_them_in_pool_order() {
+        let plan = lattice_plan(3, true);
+        let pool = cuboid_tasks(3);
+        assert_eq!(plan.len(), 7);
+        for spec in &plan {
+            assert_eq!(cuboid_of(spec), pool[spec.id]);
+        }
+        // One worker's pull order: ABC, its prefixes AB and A, then AC
+        // (a subset of ABC) and C (a subset of the AC it now holds), …
+        let order: Vec<String> = plan.iter().map(|s| cuboid_of(s).to_string()).collect();
+        assert_eq!(order, ["ABC", "AB", "A", "AC", "C", "BC", "B"]);
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! Backend-agnostic execution of the cube algorithms.
+//! One plan per algorithm, run on whichever executor the caller brings.
 //!
-//! The simulator drivers (`run_rp`, `run_bpp`, …) schedule work onto a
-//! [`SimCluster`] themselves: virtual clocks, faults, recovery sweeps.
-//! This module routes the *same* task decompositions through the
-//! [`Executor`] abstraction instead, so a plan can run on the simulated
-//! cluster ([`icecube_exec::SimExecutor`]) or on real host threads
-//! ([`icecube_exec::NativeExecutor`]) and produce byte-identical cells.
+//! Each algorithm module states its decomposition once, as a task list
+//! plus a [`Workload`] (what a task computes, and the hooks that tell a
+//! scheduler how the paper places it). This module builds that plan and
+//! hands it to an [`Executor`]: the simulated cluster
+//! ([`icecube_exec::SimExecutor`], which [`run_parallel_with`] uses) or
+//! real host threads ([`icecube_exec::NativeExecutor`]), with
+//! byte-identical cells.
 //!
-//! Determinism contract: every plan here is built from the query alone —
-//! never from the worker count — and executors return outputs in task-id
-//! order, so the merged cube is a pure function of `(relation, query,
-//! options)` regardless of backend, worker count, or stealing order.
+//! Determinism contract: a plan is built from the query, the options and
+//! a decomposition width — never from who runs it — and executors return
+//! outputs in task-id order, so the merged cube is a pure function of
+//! `(relation, query, options)` regardless of backend, worker count, or
+//! stealing order.
+//!
+//! [`run_parallel_with`]: crate::algorithms::run_parallel_with
 
 use crate::algorithms::{validate, Algorithm, RunOptions};
 use crate::cell::{sort_cells, Cell, CellBuf};
@@ -19,28 +23,39 @@ use crate::query::IcebergQuery;
 use crate::{aht, asl, bpp, pt, rp};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
-use icecube_exec::{ExecReport, Executor, Workload};
+use icecube_exec::{ExecReport, Executor, TaskSpec, Workload};
 
-/// Fixed decomposition width for plans whose task count is tunable (BPP's
-/// partition count, PT's division target). The simulator drivers scale
-/// these with the cluster size; the executor path pins them so the task
-/// list — and therefore the output — is independent of how many workers
-/// happen to run it.
+/// Decomposition width [`run_parallel_exec`] builds plans at (BPP's
+/// partition count, PT's division target), so the task list — and
+/// therefore the output — is independent of how many workers happen to
+/// run it. [`run_parallel_with`](crate::algorithms::run_parallel_with)
+/// builds at the simulated cluster's node count instead, as the paper
+/// does.
 pub const EXEC_UNITS: usize = 8;
 
-/// Skip-list seed for ASL's executor plan. Matches the simulated
-/// cluster's default RNG seed; it shapes only tower heights (search
-/// cost), never which cells a list emits.
+/// Skip-list seed [`run_parallel_exec`] builds ASL's plan with. Matches
+/// the simulated cluster's default RNG seed; it shapes only tower heights
+/// (search cost), never which cells a list emits.
 pub(crate) const EXEC_SEED: u64 = 0x1ceb_c0de;
 
 /// Charges a node for reading its replicated copy of the dataset from
-/// local disk into memory — the per-node body of
-/// [`load_replicated`](crate::algorithms::load_replicated), reused as the
-/// executor prologue for the replicated algorithms.
+/// local disk into memory, traced as that node's `load` phase — the
+/// prologue of every replicated algorithm.
 pub(crate) fn charge_replicated_load(rel: &Relation, node: &mut SimNode) {
+    node.phase_start("load");
     node.read_bytes(rel.byte_size());
     node.charge_scan(rel.len() as u64);
     node.alloc(rel.byte_size());
+    node.phase_end("load");
+}
+
+/// An empty per-task sink: retaining cells or only counting them.
+pub(crate) fn task_sink(collect: bool) -> CellBuf {
+    if collect {
+        CellBuf::collecting()
+    } else {
+        CellBuf::counting()
+    }
 }
 
 /// The result of running one algorithm through an [`Executor`].
@@ -57,14 +72,11 @@ pub struct ExecOutcome {
     pub report: ExecReport,
 }
 
-/// Runs `algorithm` over `rel` on the given executor backend.
+/// Runs `algorithm` over `rel` on the given executor backend, with plans
+/// built at [`EXEC_UNITS`].
 ///
-/// The task decomposition is the algorithm's own (RP's subtrees, BPP's
-/// chunk×subtree grid, ASL/AHT's affinity-ordered cuboids, PT's divided
-/// subtrees); only the scheduling differs from the `run_*` drivers.
-/// `HashTree` has no executor decomposition — it builds one shared
-/// candidate structure level by level — and returns
-/// [`AlgoError::SimulatorOnly`].
+/// `HashTree` has no task decomposition — it builds one shared candidate
+/// structure level by level — and returns [`AlgoError::SimulatorOnly`].
 pub fn run_parallel_exec<E: Executor>(
     executor: &mut E,
     algorithm: Algorithm,
@@ -73,42 +85,46 @@ pub fn run_parallel_exec<E: Executor>(
     opts: &RunOptions,
 ) -> Result<ExecOutcome, AlgoError> {
     validate(rel, query)?;
+    run_plan(executor, algorithm, rel, query, opts, EXEC_UNITS, EXEC_SEED)
+}
+
+/// Builds `algorithm`'s plan at decomposition width `units` and runs it.
+pub(crate) fn run_plan<E: Executor>(
+    executor: &mut E,
+    algorithm: Algorithm,
+    rel: &Relation,
+    query: &IcebergQuery,
+    opts: &RunOptions,
+    units: usize,
+    seed: u64,
+) -> Result<ExecOutcome, AlgoError> {
+    fn go<E: Executor, W: Workload<Out = CellBuf>>(
+        executor: &mut E,
+        algorithm: Algorithm,
+        (specs, workload): (Vec<TaskSpec>, W),
+    ) -> Result<ExecOutcome, AlgoError> {
+        let (sinks, report) = executor.run(&specs, &workload)?;
+        Ok(collect(algorithm, sinks, report))
+    }
     match algorithm {
-        Algorithm::Rp => {
-            let (specs, workload) = rp::exec_workload(rel, query, opts);
-            collect(executor, algorithm, &specs, &workload)
-        }
-        Algorithm::Bpp => {
-            let (specs, workload) = bpp::exec_workload(rel, query, opts, EXEC_UNITS);
-            collect(executor, algorithm, &specs, &workload)
-        }
-        Algorithm::Asl => {
-            let (specs, workload) = asl::exec_workload(rel, query, opts, EXEC_SEED);
-            collect(executor, algorithm, &specs, &workload)
-        }
-        Algorithm::Pt => {
-            let (specs, workload) = pt::exec_workload(rel, query, opts, EXEC_UNITS);
-            collect(executor, algorithm, &specs, &workload)
-        }
-        Algorithm::Aht => {
-            let (specs, workload) = aht::exec_workload(rel, query, opts);
-            collect(executor, algorithm, &specs, &workload)
-        }
+        Algorithm::Rp => go(executor, algorithm, rp::plan(rel, query, opts)),
+        Algorithm::Bpp => go(executor, algorithm, bpp::plan(rel, query, opts, units)),
+        Algorithm::Asl => go(executor, algorithm, asl::plan(rel, query, opts, seed)),
+        Algorithm::Pt => go(executor, algorithm, pt::plan(rel, query, opts, units)),
+        Algorithm::Aht => go(executor, algorithm, aht::plan(rel, query, opts)),
         Algorithm::HashTree => Err(AlgoError::SimulatorOnly {
             algorithm: "HashTree",
         }),
     }
 }
 
-/// Runs the plan and merges per-task sinks — in task-id order, the only
-/// order executors are allowed to return — into one sorted cube.
-fn collect<E: Executor, W: Workload<Out = CellBuf>>(
-    executor: &mut E,
+/// Merges per-task sinks — in task-id order, the only order executors
+/// are allowed to return — into one sorted cube.
+pub(crate) fn collect(
     algorithm: Algorithm,
-    specs: &[icecube_exec::TaskSpec],
-    workload: &W,
-) -> Result<ExecOutcome, AlgoError> {
-    let (sinks, report) = executor.run(specs, workload)?;
+    sinks: Vec<CellBuf>,
+    report: ExecReport,
+) -> ExecOutcome {
     let mut cells = Vec::new();
     let mut total = 0u64;
     for sink in sinks {
@@ -116,12 +132,12 @@ fn collect<E: Executor, W: Workload<Out = CellBuf>>(
         cells.extend(sink.into_cells());
     }
     sort_cells(&mut cells);
-    Ok(ExecOutcome {
+    ExecOutcome {
         algorithm,
         cells,
         total_cells: total,
         report,
-    })
+    }
 }
 
 #[cfg(test)]

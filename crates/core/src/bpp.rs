@@ -18,57 +18,55 @@
 //! whose values are hot in one range (or has tiny cardinality, like
 //! *Gender*) partitions unevenly and the static assignment cannot adapt —
 //! the motivation for ASL.
+//!
+//! Self-healing: a crashed node loses its (attribute, chunk) tasks, and
+//! its chunks lived on its (now unreachable) local disk, so the survivor
+//! that re-runs one first re-derives the chunk from the source relation
+//! on stable storage — a full scan plus the chunk's moves. Chunks are
+//! disjoint ranges, so the union stays exact.
 
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
-use crate::algorithms::{finish, RunOptions, RunOutcome};
+use crate::algorithms::RunOptions;
+use crate::backend::task_sink;
 use crate::buc::{bpp_buc_with, BucScratch};
 use crate::cell::CellBuf;
-use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::recover::TaskGuard;
-use icecube_cluster::{ClusterConfig, SimCluster, SimNode};
+use icecube_cluster::{SimCluster, SimNode};
 use icecube_data::Relation;
 use icecube_exec::{TaskSpec, Workload};
 use icecube_lattice::{CuboidMask, TreeTask};
 
-/// Range-partitions the relation on every attribute: `chunks[i][j]` is
-/// attribute `i`'s `j`-th range chunk. Shared by the simulator driver
-/// (`parts` = node count) and the executor plan (`parts` fixed, so the
-/// task list is independent of worker count). Any chunk count yields the
-/// same cube: partial cuboids over disjoint ranges union exactly.
-pub(crate) fn partition_chunks(rel: &Relation, d: usize, parts: usize) -> Vec<Vec<Relation>> {
-    (0..d).map(|i| rel.range_partition(i, parts)).collect()
-}
-
-/// BPP's backend-agnostic decomposition: one task per non-empty
-/// (attribute, chunk) pair, computing the partial subtree rooted at that
-/// attribute over that chunk with breadth-first-writing BUC.
+/// BPP's decomposition: one task per non-empty (attribute, chunk) pair,
+/// computing the partial subtree rooted at that attribute over that chunk
+/// with breadth-first-writing BUC, pinned to the chunk's owner.
 pub(crate) struct BppWorkload {
+    /// `chunks[i][j]` is attribute `i`'s `j`-th range chunk. Any chunk
+    /// count yields the same cube: partial cuboids over disjoint ranges
+    /// union exactly.
     chunks: Vec<Vec<Relation>>,
-    d: usize,
+    /// The source relation's size on stable storage, and its row count.
+    source: (u64, u64),
     minsup: u64,
     collect: bool,
+    /// Charge the range-partitioning phase inside the run.
+    partitioning: bool,
     /// `(attribute, chunk)` per task id.
     tasks: Vec<(usize, usize)>,
 }
 
-/// Builds BPP's executor plan, partitioning every attribute `parts` ways.
-pub(crate) fn exec_workload(
+/// Builds BPP's plan, range-partitioning every attribute `parts` ways.
+pub(crate) fn plan(
     rel: &Relation,
     query: &IcebergQuery,
     opts: &RunOptions,
     parts: usize,
 ) -> (Vec<TaskSpec>, BppWorkload) {
-    let d = query.dims;
-    let chunks = partition_chunks(rel, d, parts);
+    let chunks: Vec<Vec<Relation>> = (0..query.dims)
+        .map(|i| rel.range_partition(i, parts))
+        .collect();
     let mut tasks = Vec::new();
-    // Chunk-major order mirrors the simulator's node-major visit order:
-    // consecutive ids share a chunk owner, which is also the locality the
-    // native pool's contiguous-block injection preserves.
+    // Chunk-major: consecutive ids share a chunk owner, so a node meets
+    // its attributes in order — also the locality the native pool's
+    // contiguous-block injection preserves.
     for j in 0..parts {
         for (i, chunk_list) in chunks.iter().enumerate() {
             if !chunk_list[j].is_empty() {
@@ -87,9 +85,10 @@ pub(crate) fn exec_workload(
         .collect();
     let workload = BppWorkload {
         chunks,
-        d,
+        source: (rel.byte_size(), rel.len() as u64),
         minsup: query.minsup,
         collect: opts.collect_cells,
+        partitioning: opts.include_bpp_partitioning,
         tasks,
     };
     (specs, workload)
@@ -103,180 +102,116 @@ impl Workload for BppWorkload {
         BucScratch::new()
     }
 
-    fn run(&self, spec: &TaskSpec, scratch: &mut BucScratch, node: &mut SimNode) -> CellBuf {
-        let (i, j) = self.tasks[spec.id];
-        let task = TreeTask::full_subtree(CuboidMask::from_dims(&[i]), self.d);
-        let chunk = &self.chunks[i][j];
-        node.read_bytes(chunk.byte_size());
-        node.charge_scan(chunk.len() as u64);
-        let mut sink = if self.collect {
-            CellBuf::collecting()
-        } else {
-            CellBuf::counting()
-        };
-        bpp_buc_with(scratch, chunk, self.minsup, task, node, &mut sink);
-        sink
-    }
-}
-
-/// Runs BPP over a simulated cluster.
-///
-/// Self-healing: a crashed node loses its (attribute, chunk) tasks; each
-/// is re-run on the least-loaded survivor after the detection timeout.
-/// The victim's chunk lived on its (now unreachable) local disk, so the
-/// survivor re-derives it from the source relation on stable storage —
-/// a full scan plus the chunk's moves — before computing the partial
-/// subtree. Chunks are disjoint ranges, so the union stays exact.
-pub fn run_bpp(
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
-    let d = query.dims;
-
-    // Pre-processing: range-partition on every attribute. Node `i mod n`
-    // partitions attribute i and distributes the chunks (Figure 3.3). The
-    // paper treats this as a pre-processing step outside the measured run;
-    // `opts.include_bpp_partitioning` charges it anyway for ablations.
-    if opts.include_bpp_partitioning {
+    /// Pre-processing: node `i mod n` range-partitions attribute `i` and
+    /// distributes the chunks to their owners (Figure 3.3). The paper
+    /// treats this as a step outside the measured run, so it is charged
+    /// only when `include_bpp_partitioning` asks for it.
+    fn stage(&self, cluster: &mut SimCluster) {
+        if !self.partitioning {
+            return;
+        }
+        let n = cluster.len();
+        let (bytes, rows) = self.source;
         cluster.phase_start("partition");
-    }
-    let chunks = partition_chunks(rel, d, n);
-    if opts.include_bpp_partitioning {
-        for (i, parts) in chunks.iter().enumerate() {
-            let owner = i % n;
-            cluster.nodes[owner].read_bytes(rel.byte_size());
-            cluster.nodes[owner].charge_scan(rel.len() as u64);
-            cluster.nodes[owner].charge_moves(rel.len() as u64);
+        for (i, parts) in self.chunks.iter().enumerate() {
+            let from = i % n;
+            cluster.nodes[from].read_bytes(bytes);
+            cluster.nodes[from].charge_scan(rows);
+            cluster.nodes[from].charge_moves(rows);
             for (j, part) in parts.iter().enumerate() {
-                if j != owner && !part.is_empty() {
-                    cluster.send(owner, j, part.byte_size());
+                if j % n != from && !part.is_empty() {
+                    cluster.send(from, j % n, part.byte_size());
                 }
             }
         }
-    }
-    if opts.include_bpp_partitioning {
         cluster.barrier();
         cluster.phase_end("partition");
     }
 
-    let mut sinks: Vec<CellBuf> = (0..n)
-        .map(|_| {
-            if opts.collect_cells {
-                CellBuf::collecting()
-            } else {
-                CellBuf::counting()
-            }
-        })
-        .collect();
-    // Computation: node j reads its m local chunks and computes the
-    // (partial) subtree rooted at each attribute over its chunk. Tasks
-    // lost to a crash are queued as (attribute, chunk-owner) pairs with
-    // the time the manager detects the loss.
-    let detect = cluster.config.faults.policy.detect_timeout_ns;
-    let mut recovery: Vec<((usize, usize), u64)> = Vec::new();
-    // One arena scratch serves every (attribute, chunk) task, including
-    // the recovery sweep: host-side reuse, invisible to the cost model.
-    let mut scratch = BucScratch::new();
-    cluster.phase_start("compute");
-    for j in 0..n {
-        if !cluster.nodes[j].is_dead() {
-            let node = &mut cluster.nodes[j];
-            for chunk_list in chunks.iter() {
-                node.read_bytes(chunk_list[j].byte_size());
-                node.charge_scan(chunk_list[j].len() as u64);
-            }
-            node.alloc(chunks.iter().map(|c| c[j].byte_size()).max().unwrap_or(0));
+    /// Node `j` bulk-reads its local chunk of every attribute, holding
+    /// the largest at a time — chunks, not the whole relation, which is
+    /// what makes BPP the memory-frugal algorithm.
+    fn worker_prologue(&self, worker: usize, workers: usize, node: &mut SimNode) {
+        // A node that died while the chunks were being distributed reads
+        // (and holds) nothing.
+        if node.is_dead() {
+            return;
         }
-        for (i, chunk_list) in chunks.iter().enumerate() {
-            let chunk = &chunk_list[j];
-            if chunk.is_empty() {
-                continue;
-            }
-            if cluster.nodes[j].is_dead() {
-                cluster.nodes[j].note_task_lost();
-                recovery.push(((i, j), cluster.nodes[j].clock_ns() + detect));
-                continue;
-            }
-            let task = TreeTask::full_subtree(CuboidMask::from_dims(&[i]), d);
-            let guard = TaskGuard::checkpoint(&cluster.nodes[j], &sinks[j]);
-            let node = &mut cluster.nodes[j];
-            node.charge_task_overhead_for(task.root.bits() as u64);
-            bpp_buc_with(&mut scratch, chunk, query.minsup, task, node, &mut sinks[j]);
-            if cluster.nodes[j].is_dead() {
-                guard.rollback(&mut cluster.nodes[j], &mut sinks[j]);
-                cluster.nodes[j].note_task_lost();
-                recovery.push(((i, j), cluster.nodes[j].clock_ns() + detect));
-            } else {
-                cluster.nodes[j].trace_task_end(task.root.bits() as u64);
+        let mut largest = 0;
+        for chunk_list in &self.chunks {
+            for chunk in chunk_list.iter().skip(worker).step_by(workers) {
+                node.read_bytes(chunk.byte_size());
+                node.charge_scan(chunk.len() as u64);
+                largest = largest.max(chunk.byte_size());
             }
         }
+        node.alloc(largest);
     }
-    cluster.phase_end("compute");
-    // Recovery sweep over lost (attribute, chunk) tasks.
-    cluster.phase_start("recover");
-    let mut next = 0;
-    while next < recovery.len() {
-        let ((i, j), available_at) = recovery[next];
-        next += 1;
-        let Some(survivor) = cluster.min_clock_live() else {
-            return Err(AlgoError::ClusterExhausted { nodes: n });
-        };
-        cluster.nodes[survivor].wait_until(available_at);
-        if cluster.nodes[survivor].is_dead() {
-            recovery.push(((i, j), available_at));
-            continue;
-        }
-        let chunk = &chunks[i][j];
-        let task = TreeTask::full_subtree(CuboidMask::from_dims(&[i]), d);
-        let guard = TaskGuard::checkpoint(&cluster.nodes[survivor], &sinks[survivor]);
-        let node = &mut cluster.nodes[survivor];
-        node.charge_task_overhead_for(task.root.bits() as u64);
-        // The dead node's disk is gone: re-derive its chunk from the
-        // source relation (full scan + the chunk's worth of moves).
-        node.read_bytes(rel.byte_size());
-        node.charge_scan(rel.len() as u64);
-        node.charge_moves(chunk.len() as u64);
+
+    fn owner(&self, spec: &TaskSpec, workers: usize) -> Option<usize> {
+        Some(self.tasks[spec.id].1 % workers)
+    }
+
+    /// The dead node's disk is gone: re-derive its chunk from the source
+    /// relation (full scan + the chunk's worth of moves).
+    fn recover(&self, spec: &TaskSpec, node: &mut SimNode) {
+        let (bytes, rows) = self.source;
+        let (i, j) = self.tasks[spec.id];
+        node.read_bytes(bytes);
+        node.charge_scan(rows);
+        node.charge_moves(self.chunks[i][j].len() as u64);
+    }
+
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut BucScratch,
+        node: &mut SimNode,
+        _: bool,
+    ) -> CellBuf {
+        let (i, j) = self.tasks[spec.id];
+        let task = TreeTask::full_subtree(CuboidMask::from_dims(&[i]), self.chunks.len());
+        let mut sink = task_sink(self.collect);
         bpp_buc_with(
-            &mut scratch,
-            chunk,
-            query.minsup,
+            scratch,
+            &self.chunks[i][j],
+            self.minsup,
             task,
             node,
-            &mut sinks[survivor],
+            &mut sink,
         );
-        if cluster.nodes[survivor].is_dead() {
-            guard.rollback(&mut cluster.nodes[survivor], &mut sinks[survivor]);
-            cluster.nodes[survivor].note_task_lost();
-            recovery.push(((i, j), cluster.nodes[survivor].clock_ns() + detect));
-        } else {
-            cluster.nodes[survivor].trace_task_end(task.root.bits() as u64);
-            cluster.nodes[survivor].note_task_recovered();
-        }
+        sink
     }
-    cluster.phase_end("recover");
-    let end = cluster.makespan_ns();
-    for node in &mut cluster.nodes {
-        node.wait_until(end);
-    }
-    Ok(finish(
-        crate::algorithms::Algorithm::Bpp,
-        &mut cluster,
-        sinks,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
-    use crate::rp::run_rp;
     use crate::verify::assert_same_cells;
+    use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
+
+    fn run_bpp(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Bpp, rel, query, config, opts)
+    }
+
+    fn run_rp(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Rp, rel, query, config, opts)
+    }
 
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);

@@ -73,33 +73,6 @@ impl CellBuf {
     pub fn into_cells(self) -> Vec<Cell> {
         self.cells
     }
-
-    /// Checkpoints the sink's current position, so the cells a task emits
-    /// can be rolled back if its node crashes mid-task.
-    pub fn mark(&self) -> CellMark {
-        CellMark {
-            len: self.cells.len(),
-            count: self.count,
-            bytes: self.bytes,
-        }
-    }
-
-    /// Rolls the sink back to a checkpoint taken with [`CellBuf::mark`],
-    /// discarding everything emitted since.
-    pub fn truncate(&mut self, mark: &CellMark) {
-        self.cells.truncate(mark.len);
-        self.count = mark.count;
-        self.bytes = mark.bytes;
-    }
-}
-
-/// A position in a [`CellBuf`], taken before a task starts so the task's
-/// output can be discarded if its node dies (see `crate::recover`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellMark {
-    len: usize,
-    count: u64,
-    bytes: u64,
 }
 
 impl CellSink for CellBuf {

@@ -193,8 +193,15 @@ impl From<icecube_data::DataError> for AlgoError {
 }
 
 impl From<icecube_exec::ExecError> for AlgoError {
+    /// Total loss of the simulated cluster has one name however the run
+    /// was started; every other executor failure stays wrapped.
     fn from(e: icecube_exec::ExecError) -> Self {
-        AlgoError::Exec(e)
+        match e {
+            icecube_exec::ExecError::ClusterExhausted { nodes } => {
+                AlgoError::ClusterExhausted { nodes }
+            }
+            other => AlgoError::Exec(other),
+        }
     }
 }
 

@@ -30,12 +30,14 @@
 // by the panic-path triage note in DESIGN section 12.
 
 use crate::agg::Aggregate;
-use crate::algorithms::{finish, Algorithm, RunOptions, RunOutcome};
+use crate::algorithms::RunOptions;
+use crate::backend::task_sink;
 use crate::cell::{Cell, CellBuf, CellSink};
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
 use icecube_cluster::{ClusterConfig, SimCluster, SimNode};
 use icecube_data::Relation;
+use icecube_exec::{Backend, ExecReport};
 use icecube_lattice::CuboidMask;
 use std::collections::HashMap;
 
@@ -156,19 +158,17 @@ fn is_subset(needle: &[u32], hay: &[u32]) -> bool {
 
 /// Runs the hash-tree algorithm. Executes on node 0 only — the paper never
 /// obtained a viable parallel version, and excludes it from the Chapter 4
-/// evaluation because "its performance lags far behind".
-pub fn run_hash_tree(
+/// evaluation because "its performance lags far behind". One fallible
+/// task is not a plan, so this drives its own cluster and reports in the
+/// executor's terms: node 0's sink plus the run's report.
+pub(crate) fn run_hash_tree(
     rel: &Relation,
     query: &IcebergQuery,
     config: &ClusterConfig,
     opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
+) -> Result<(CellBuf, ExecReport), AlgoError> {
     let mut cluster = SimCluster::new(config.clone());
-    let mut sink = if opts.collect_cells {
-        CellBuf::collecting()
-    } else {
-        CellBuf::counting()
-    };
+    let mut sink = task_sink(opts.collect_cells);
     cluster.phase_start("compute");
     let result = {
         let node = &mut cluster.nodes[0];
@@ -183,9 +183,19 @@ pub fn run_hash_tree(
     for node in &mut cluster.nodes {
         node.wait_until(end);
     }
-    let mut sinks: Vec<CellBuf> = (1..cluster.len()).map(|_| CellBuf::counting()).collect();
-    sinks.insert(0, sink);
-    Ok(finish(Algorithm::HashTree, &mut cluster, sinks))
+    let mut tasks_per_worker = vec![0; cluster.len()];
+    tasks_per_worker[0] = 1;
+    let report = ExecReport {
+        backend: Backend::Sim,
+        workers: cluster.len(),
+        tasks: 1,
+        wall_ns: end,
+        steals: 0,
+        tasks_per_worker,
+        stats: Some(cluster.run_stats()),
+        trace: cluster.take_trace(),
+    };
+    Ok((sink, report))
 }
 
 fn apriori<S: CellSink>(
@@ -349,11 +359,22 @@ fn emit_itemset<S: CellSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::NodeSpec;
     use icecube_data::presets;
+
+    /// The algorithm's one public route: the catalogue entry point.
+    fn run_hash_tree(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::HashTree, rel, query, config, opts)
+    }
 
     #[test]
     fn is_subset_handles_edges() {

@@ -48,7 +48,6 @@ pub mod progressive;
 pub mod pt;
 pub mod query;
 pub mod recipe;
-pub mod recover;
 pub mod rp;
 pub mod sequential;
 pub mod store;
@@ -60,12 +59,11 @@ pub use algorithms::{
     run_parallel, run_parallel_with, AlgoFeatures, Algorithm, RunOptions, RunOutcome,
 };
 pub use backend::{run_parallel_exec, ExecOutcome, EXEC_UNITS};
-pub use cell::{Cell, CellBuf, CellMark, CellSink};
+pub use cell::{Cell, CellBuf, CellSink};
 pub use delta::{DeltaReport, MaintainedCube};
 pub use error::AlgoError;
 pub use progressive::{ChunkMeta, Envelope, Progress, ProgressiveCube};
 pub use query::IcebergQuery;
 pub use recipe::{recommend, Choice, CubeProfile};
-pub use recover::TaskGuard;
 pub use sequential::{run_sequential, SeqAlgorithm, SeqOutcome};
 pub use store::{CubeStore, MergeStats};

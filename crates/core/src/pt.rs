@@ -20,66 +20,39 @@
 // itself constructs; a violation is a bug, not runtime input. Tracked
 // by the panic-path triage note in DESIGN section 12.
 
-use crate::algorithms::{finish, load_replicated, Algorithm, RunOptions, RunOutcome};
-use crate::backend::charge_replicated_load;
+use crate::algorithms::RunOptions;
+use crate::backend::{charge_replicated_load, task_sink};
 use crate::buc::{bpp_buc_presorted_with, BucScratch};
 use crate::cell::CellBuf;
-use crate::error::AlgoError;
 use crate::partition::{full_index, Group, Partitioner};
 use crate::query::IcebergQuery;
-use crate::recover::TaskGuard;
-use icecube_cluster::{run_demand_steps_healing, ClusterConfig, SimCluster, SimNode, StepEvent};
+use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{TaskSpec, Workload};
-use icecube_lattice::{divide_tasks, TreeTask};
+use icecube_lattice::{divide_tasks, CuboidMask, TreeTask};
 
-/// PT's task units: binary division of the processing tree into
-/// `ratio × units` near-equal subtrees, largest first. Shared by the
-/// simulator driver (`units` = node count) and the executor plan
-/// (`units` fixed, so the task list is independent of worker count).
-pub(crate) fn divide_plan(d: usize, ratio: usize, units: usize) -> Vec<TreeTask> {
-    divide_tasks(d, ratio.max(1) * units.max(1))
-}
-
-/// Reorders a divide plan into the sequence one demand-driven worker
-/// would pull under the manager's sort affinity: each next task shares
-/// the longest root prefix with the previous one, ties to the largest
-/// remaining (how [`pick_task`] breaks them, since the divide order is
-/// largest first). Contiguous id blocks of this order keep executor
-/// workers' sort caches refining incrementally instead of re-sorting
-/// the relation from scratch at almost every task.
-fn chain_plan(mut remaining: Vec<TreeTask>) -> Vec<TreeTask> {
-    let mut out = Vec::with_capacity(remaining.len());
-    let mut prev: Option<Vec<usize>> = None;
-    while !remaining.is_empty() {
-        let pos = match &prev {
-            None => 0,
-            Some(p) => {
-                let shared = |t: &TreeTask| {
-                    t.root
-                        .dims()
-                        .iter()
-                        .zip(p)
-                        .take_while(|(a, b)| a == b)
-                        .count()
-                };
-                let mut best = 0usize;
-                let mut best_len = shared(&remaining[0]);
-                for (i, t) in remaining.iter().enumerate().skip(1) {
-                    let len = shared(t);
-                    if len > best_len {
-                        best = i;
-                        best_len = len;
-                    }
-                }
-                best
-            }
-        };
-        let task = remaining.remove(pos);
-        prev = Some(task.root.dims());
-        out.push(task);
+/// The manager's pick (top-down scheduling): the pending task whose root
+/// shares the longest prefix with `prev_root`, the dimensions the worker's
+/// index is already sorted by; ties — and the no-affinity case, where
+/// `prev_root` is empty — go to the largest task, then the earliest in the
+/// queue.
+fn longest_shared_root(pending: &[TaskSpec], prev_root: &[usize]) -> usize {
+    let key = |spec: &TaskSpec| {
+        let root = CuboidMask::from_bits(spec.affinity as u32);
+        let shared = root
+            .iter_dims()
+            .zip(prev_root)
+            .take_while(|(a, b)| a == *b)
+            .count();
+        (shared, spec.weight)
+    };
+    let mut best = 0usize;
+    for at in 1..pending.len() {
+        if key(&pending[at]) > key(&pending[best]) {
+            best = at;
+        }
     }
-    out
+    best
 }
 
 /// A worker's sorted-index cache: `idx` is grouped by `root_dims[..k]` at
@@ -147,173 +120,41 @@ impl SortCache {
     }
 }
 
-/// The manager's pick: the remaining task whose root shares the longest
-/// prefix with the worker's previous root; ties (and the no-affinity case)
-/// go to the largest remaining task. `remaining` must be sorted largest
-/// first, as [`divide_tasks`] returns it.
-fn pick_task(
-    remaining: &mut Vec<TreeTask>,
-    prev_root_dims: Option<&[usize]>,
-    affinity: bool,
-) -> Option<TreeTask> {
-    if remaining.is_empty() {
-        return None;
-    }
-    let pos = match (affinity, prev_root_dims) {
-        (true, Some(prev)) => {
-            let score = |t: &TreeTask| -> usize {
-                t.root
-                    .dims()
-                    .iter()
-                    .zip(prev)
-                    .take_while(|(a, b)| a == b)
-                    .count()
-            };
-            // Earliest (largest) task among those with the best score.
-            let mut best = 0usize;
-            let mut best_score = score(&remaining[0]);
-            for (i, t) in remaining.iter().enumerate().skip(1) {
-                let s = score(t);
-                if s > best_score {
-                    best = i;
-                    best_score = s;
-                }
-            }
-            best
-        }
-        _ => 0,
-    };
-    Some(remaining.remove(pos))
-}
-
-/// Runs PT over a simulated cluster.
-pub fn run_pt(
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
-    load_replicated(&mut cluster, rel);
-    // Planning: binary division until there are ratio·n tasks ("32n" in
-    // the paper's experiments).
-    let mut remaining = divide_plan(query.dims, opts.pt_task_ratio, n);
-    let mut caches: Vec<SortCache> = (0..n).map(|_| SortCache::default()).collect();
-    let mut prev_roots: Vec<Option<Vec<usize>>> = vec![None; n];
-    let mut sinks: Vec<CellBuf> = (0..n)
-        .map(|_| {
-            if opts.collect_cells {
-                CellBuf::collecting()
-            } else {
-                CellBuf::counting()
-            }
-        })
-        .collect();
-    let minsup = query.minsup;
-    let affinity = opts.affinity;
-
-    // Self-healing bookkeeping (see `crate::recover`): in-flight task and
-    // pre-task checkpoint per node, plus the reclaimed tasks whose
-    // eventual completion counts as a recovery.
-    let mut inflight: Vec<Option<TreeTask>> = vec![None; n];
-    let mut guards: Vec<Option<TaskGuard>> = vec![None; n];
-    let mut requeued: Vec<TreeTask> = Vec::new();
-    // One arena scratch serves every task on every worker: host-side
-    // reuse, invisible to the simulated cost model.
-    let mut scratch = BucScratch::new();
-
-    cluster.phase_start("compute");
-    run_demand_steps_healing(&mut cluster, |cluster, node_id, event| {
-        if event == StepEvent::Lost {
-            // Reclaim the dead worker's subtree, keeping `remaining`
-            // sorted largest-first as divide_tasks produced it. Its sort
-            // cache died with it.
-            let Some(task) = inflight[node_id].take() else {
-                return false;
-            };
-            if let Some(guard) = guards[node_id].take() {
-                guard.rollback(&mut cluster.nodes[node_id], &mut sinks[node_id]);
-            }
-            let pos = remaining.partition_point(|t| t.size() >= task.size());
-            remaining.insert(pos, task);
-            if !requeued.contains(&task) {
-                requeued.push(task);
-            }
-            return true;
-        }
-        let Some(task) = pick_task(&mut remaining, prev_roots[node_id].as_deref(), affinity) else {
-            return false;
-        };
-        inflight[node_id] = Some(task);
-        guards[node_id] = Some(TaskGuard::checkpoint(
-            &cluster.nodes[node_id],
-            &sinks[node_id],
-        ));
-        let node = &mut cluster.nodes[node_id];
-        node.charge_task_overhead_for(task.root.bits() as u64);
-        let root_dims = task.root.dims();
-        let cache = &mut caches[node_id];
-        cache.prepare(rel, &root_dims, affinity, node);
-        bpp_buc_presorted_with(
-            &mut scratch,
-            rel,
-            minsup,
-            task,
-            &cache.idx,
-            cache.groups(),
-            node,
-            &mut sinks[node_id],
-        );
-        prev_roots[node_id] = Some(root_dims);
-        if !cluster.nodes[node_id].is_dead() {
-            inflight[node_id] = None;
-            guards[node_id] = None;
-            cluster.nodes[node_id].trace_task_end(task.root.bits() as u64);
-            if let Some(pos) = requeued.iter().position(|t| *t == task) {
-                requeued.remove(pos);
-                cluster.nodes[node_id].note_task_recovered();
-            }
-        }
-        true
-    });
-    cluster.phase_end("compute");
-    if !remaining.is_empty() || inflight.iter().any(Option::is_some) {
-        return Err(AlgoError::ClusterExhausted { nodes: n });
-    }
-    Ok(finish(Algorithm::Pt, &mut cluster, sinks))
-}
-
-/// Per-worker state for the executor path: the BUC arena plus the sort
-/// cache whose incremental refinement realizes PT's prefix affinity.
+/// Per-worker state: the BUC arena plus the sort cache whose incremental
+/// refinement realizes PT's prefix affinity.
 pub(crate) struct PtScratch {
     buc: BucScratch,
     cache: SortCache,
 }
 
-/// PT's backend-agnostic decomposition: the binary-divided subtrees in
-/// [`chain_plan`] order (root-prefix chains), each computed bottom-up by
-/// presorted BPP-BUC over the worker's sort cache. Consecutive ids tend
-/// to share root prefixes, so the native pool's contiguous-block
-/// injection preserves most of the cache reuse the simulated manager
-/// schedules for; either way the cache only changes cost, never cells.
+/// PT's decomposition: the binary-divided subtrees, each computed
+/// bottom-up by presorted BPP-BUC over the worker's sort cache. The cache
+/// only changes cost, never cells.
 pub(crate) struct PtWorkload<'a> {
     rel: &'a Relation,
     minsup: u64,
     affinity: bool,
     collect: bool,
+    /// The divided subtrees by task id: largest first, as
+    /// [`divide_tasks`] returns them.
     tasks: Vec<TreeTask>,
 }
 
-/// Builds PT's executor plan, dividing into `ratio × units` subtrees.
-pub(crate) fn exec_workload<'a>(
+/// Builds PT's plan: binary division of the processing tree until there
+/// are `pt_task_ratio × units` near-equal subtrees ("32n" in the paper's
+/// experiments). Ids follow the division's largest-first order, the
+/// manager's pool order; slice order is the sequence one worker would
+/// pull under [`longest_shared_root`], so contiguous slice blocks keep
+/// unsteered workers' sort caches refining incrementally instead of
+/// re-sorting the relation from scratch at almost every task.
+pub(crate) fn plan<'a>(
     rel: &'a Relation,
     query: &IcebergQuery,
     opts: &RunOptions,
     units: usize,
 ) -> (Vec<TaskSpec>, PtWorkload<'a>) {
-    let tasks = chain_plan(divide_plan(query.dims, opts.pt_task_ratio, units));
-    let specs = tasks
+    let tasks = divide_tasks(query.dims, opts.pt_task_ratio.max(1) * units.max(1));
+    let mut pending: Vec<TaskSpec> = tasks
         .iter()
         .enumerate()
         .map(|(id, task)| TaskSpec {
@@ -322,6 +163,13 @@ pub(crate) fn exec_workload<'a>(
             weight: task.size() as u64,
         })
         .collect();
+    let mut chain = Vec::with_capacity(pending.len());
+    let mut prev_root = Vec::new();
+    while !pending.is_empty() {
+        let spec = pending.remove(longest_shared_root(&pending, &prev_root));
+        prev_root = tasks[spec.id].root.dims();
+        chain.push(spec);
+    }
     let workload = PtWorkload {
         rel,
         minsup: query.minsup,
@@ -329,7 +177,7 @@ pub(crate) fn exec_workload<'a>(
         collect: opts.collect_cells,
         tasks,
     };
-    (specs, workload)
+    (chain, workload)
 }
 
 impl Workload for PtWorkload<'_> {
@@ -347,17 +195,28 @@ impl Workload for PtWorkload<'_> {
         charge_replicated_load(self.rel, node);
     }
 
-    fn run(&self, spec: &TaskSpec, scratch: &mut PtScratch, node: &mut SimNode) -> CellBuf {
+    fn pick(&self, pending: &[TaskSpec], scratch: &PtScratch) -> usize {
+        let prev_root: &[usize] = if self.affinity {
+            &scratch.cache.root_dims
+        } else {
+            &[]
+        };
+        longest_shared_root(pending, prev_root)
+    }
+
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut PtScratch,
+        node: &mut SimNode,
+        _: bool,
+    ) -> CellBuf {
         let task = self.tasks[spec.id];
         let root_dims = task.root.dims();
         scratch
             .cache
             .prepare(self.rel, &root_dims, self.affinity, node);
-        let mut sink = if self.collect {
-            CellBuf::collecting()
-        } else {
-            CellBuf::counting()
-        };
+        let mut sink = task_sink(self.collect);
         bpp_buc_presorted_with(
             &mut scratch.buc,
             self.rel,
@@ -375,11 +234,22 @@ impl Workload for PtWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
+    use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
-    use icecube_lattice::CuboidMask;
+
+    fn run_pt(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Pt, rel, query, config, opts)
+    }
 
     fn check(rel: &Relation, minsup: u64, nodes: usize, ratio: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
@@ -432,22 +302,24 @@ mod tests {
     }
 
     #[test]
-    fn pick_prefers_shared_root_prefix() {
-        let d = 4;
-        let mk = |dims: &[usize], from: usize| TreeTask {
-            root: CuboidMask::from_dims(dims),
-            from_dim: from,
-            d,
+    fn pick_prefers_shared_root_prefix_then_size_then_queue_order() {
+        let spec = |id, dims: &[usize], weight| TaskSpec {
+            id,
+            affinity: CuboidMask::from_dims(dims).bits() as u64,
+            weight,
         };
-        let mut remaining = vec![mk(&[1], 2), mk(&[0, 1], 2), mk(&[0], 2)];
-        // Previous root was A: prefer a root starting with A; among AB and
-        // A the shared-prefix score with [0] is 1 for both — the earlier
-        // (larger) task wins.
-        let t = pick_task(&mut remaining, Some(&[0]), true).unwrap();
-        assert_eq!(t.root, CuboidMask::from_dims(&[0, 1]));
-        // No affinity: plain largest-first.
-        let t = pick_task(&mut remaining, Some(&[0]), false).unwrap();
-        assert_eq!(t.root, CuboidMask::from_dims(&[1]));
+        let pending = [spec(0, &[1], 4), spec(1, &[0, 1], 2), spec(2, &[0], 2)];
+        // Previous root was A: AB and A both share one dimension with it
+        // and are the same size — the earlier in the queue wins.
+        assert_eq!(longest_shared_root(&pending, &[0]), 1);
+        // A longer shared prefix beats size.
+        assert_eq!(longest_shared_root(&pending, &[0, 1]), 1);
+        // Nothing sorted yet (or no affinity): plain largest-first.
+        assert_eq!(longest_shared_root(&pending, &[]), 0);
+        // A reclaimed task at the back of the queue still goes first if
+        // it is larger.
+        let requeued = [pending[2], pending[0]];
+        assert_eq!(longest_shared_root(&requeued, &[]), 1);
     }
 
     #[test]

@@ -10,65 +10,62 @@
 //! and its task granularity is coarse and uneven — the subtree rooted at
 //! `A` has `2^(d-1)` cuboids while `D`'s has one — so load balance is weak
 //! (Figure 4.1). Both weaknesses are what BPP and PT then attack.
+//!
+//! The assignment is static, so self-healing is the executor's recovery
+//! sweep: a subtree whose processor crashed is re-run on the least-loaded
+//! survivor, which re-reads its own replica — no recovery surcharge.
 
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
-use crate::algorithms::{finish, load_replicated, RunOptions, RunOutcome};
-use crate::backend::charge_replicated_load;
+use crate::algorithms::RunOptions;
+use crate::backend::{charge_replicated_load, task_sink};
 use crate::buc::{buc_depth_first_with, BucScratch};
 use crate::cell::CellBuf;
-use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::recover::TaskGuard;
-use icecube_cluster::{ClusterConfig, SimCluster, SimNode};
+use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{TaskSpec, Workload};
 use icecube_lattice::{CuboidMask, TreeTask};
 
-/// RP's task units: the processing tree's `d` subtrees, one rooted at
-/// each dimension, in dimension order. Shared by the simulator driver
-/// and the executor plan so both backends run the identical task list.
-pub(crate) fn subtree_tasks(d: usize) -> Vec<TreeTask> {
-    (0..d)
-        .map(|i| TreeTask::full_subtree(CuboidMask::from_dims(&[i]), d))
-        .collect()
-}
-
-/// RP's backend-agnostic decomposition: one task per subtree, each
-/// computed by depth-first BUC over the replicated relation.
+/// RP's decomposition: one task per processing-tree subtree, each
+/// computed by depth-first BUC over the replicated relation and pinned
+/// to processor `i mod n`.
 pub(crate) struct RpWorkload<'a> {
     rel: &'a Relation,
     minsup: u64,
     collect: bool,
-    tasks: Vec<TreeTask>,
+    dims: usize,
 }
 
-/// Builds RP's executor plan for the given query.
-pub(crate) fn exec_workload<'a>(
+/// Builds RP's plan: the `d` subtrees rooted at each dimension, in
+/// dimension order.
+pub(crate) fn plan<'a>(
     rel: &'a Relation,
     query: &IcebergQuery,
     opts: &RunOptions,
 ) -> (Vec<TaskSpec>, RpWorkload<'a>) {
-    let tasks = subtree_tasks(query.dims);
-    let specs = tasks
-        .iter()
-        .enumerate()
-        .map(|(id, task)| TaskSpec {
-            id,
-            affinity: task.root.bits() as u64,
-            weight: task.size() as u64,
-        })
-        .collect();
     let workload = RpWorkload {
         rel,
         minsup: query.minsup,
         collect: opts.collect_cells,
-        tasks,
+        dims: query.dims,
     };
+    let specs = (0..query.dims)
+        .map(|id| {
+            let task = workload.subtree(id);
+            TaskSpec {
+                id,
+                affinity: task.root.bits() as u64,
+                weight: task.size() as u64,
+            }
+        })
+        .collect();
     (specs, workload)
+}
+
+impl RpWorkload<'_> {
+    /// Task `id`: the whole subtree rooted at dimension `id`.
+    fn subtree(&self, id: usize) -> TreeTask {
+        TreeTask::full_subtree(CuboidMask::from_dims(&[id]), self.dims)
+    }
 }
 
 impl Workload for RpWorkload<'_> {
@@ -83,142 +80,44 @@ impl Workload for RpWorkload<'_> {
         charge_replicated_load(self.rel, node);
     }
 
-    fn run(&self, spec: &TaskSpec, scratch: &mut BucScratch, node: &mut SimNode) -> CellBuf {
-        let mut sink = if self.collect {
-            CellBuf::collecting()
-        } else {
-            CellBuf::counting()
-        };
-        buc_depth_first_with(
-            scratch,
-            self.rel,
-            self.minsup,
-            self.tasks[spec.id],
-            node,
-            &mut sink,
-        );
+    /// Static round-robin: with more processors than dimensions, some idle.
+    fn owner(&self, spec: &TaskSpec, workers: usize) -> Option<usize> {
+        Some(spec.id % workers)
+    }
+
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut BucScratch,
+        node: &mut SimNode,
+        _: bool,
+    ) -> CellBuf {
+        let mut sink = task_sink(self.collect);
+        let task = self.subtree(spec.id);
+        buc_depth_first_with(scratch, self.rel, self.minsup, task, node, &mut sink);
         sink
     }
-}
-
-/// Runs RP over a simulated cluster.
-///
-/// RP's assignment is static, so self-healing is a sweep afterwards: any
-/// subtree whose processor crashed (before or during the work, partial
-/// output rolled back) is re-run on the least-loaded survivor once the
-/// manager's detection timeout has passed. The data is replicated, so
-/// survivors can always re-read it locally.
-pub fn run_rp(
-    rel: &Relation,
-    query: &IcebergQuery,
-    config: &ClusterConfig,
-    opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
-    let detect = cluster.config.faults.policy.detect_timeout_ns;
-    load_replicated(&mut cluster, rel);
-    let d = query.dims;
-    let mut sinks: Vec<CellBuf> = (0..n)
-        .map(|_| {
-            if opts.collect_cells {
-                CellBuf::collecting()
-            } else {
-                CellBuf::counting()
-            }
-        })
-        .collect();
-    // Tasks lost to crashes, with the time the manager detects each loss.
-    let mut recovery: Vec<(TreeTask, u64)> = Vec::new();
-    // One arena scratch serves every subtree, including the recovery
-    // sweep: host-side reuse, invisible to the simulated cost model.
-    let mut scratch = BucScratch::new();
-    // Static round-robin assignment: subtree rooted at dimension i goes to
-    // processor i mod n. With more processors than dimensions, some idle.
-    cluster.phase_start("compute");
-    for (i, &task) in subtree_tasks(d).iter().enumerate() {
-        let node_id = i % n;
-        if cluster.nodes[node_id].is_dead() {
-            cluster.nodes[node_id].note_task_lost();
-            recovery.push((task, cluster.nodes[node_id].clock_ns() + detect));
-            continue;
-        }
-        let guard = TaskGuard::checkpoint(&cluster.nodes[node_id], &sinks[node_id]);
-        let node = &mut cluster.nodes[node_id];
-        node.charge_task_overhead_for(task.root.bits() as u64);
-        buc_depth_first_with(
-            &mut scratch,
-            rel,
-            query.minsup,
-            task,
-            node,
-            &mut sinks[node_id],
-        );
-        if cluster.nodes[node_id].is_dead() {
-            guard.rollback(&mut cluster.nodes[node_id], &mut sinks[node_id]);
-            cluster.nodes[node_id].note_task_lost();
-            recovery.push((task, cluster.nodes[node_id].clock_ns() + detect));
-        } else {
-            cluster.nodes[node_id].trace_task_end(task.root.bits() as u64);
-        }
-    }
-    cluster.phase_end("compute");
-    // Recovery sweep: FIFO over lost subtrees, each to the survivor with
-    // the smallest clock (the one a demand manager would pick).
-    cluster.phase_start("recover");
-    let mut next = 0;
-    while next < recovery.len() {
-        let (task, available_at) = recovery[next];
-        next += 1;
-        let Some(survivor) = cluster.min_clock_live() else {
-            return Err(AlgoError::ClusterExhausted { nodes: n });
-        };
-        cluster.nodes[survivor].wait_until(available_at);
-        if cluster.nodes[survivor].is_dead() {
-            // Died waiting for the handoff; nothing started, try again.
-            recovery.push((task, available_at));
-            continue;
-        }
-        let guard = TaskGuard::checkpoint(&cluster.nodes[survivor], &sinks[survivor]);
-        let node = &mut cluster.nodes[survivor];
-        node.charge_task_overhead_for(task.root.bits() as u64);
-        buc_depth_first_with(
-            &mut scratch,
-            rel,
-            query.minsup,
-            task,
-            node,
-            &mut sinks[survivor],
-        );
-        if cluster.nodes[survivor].is_dead() {
-            guard.rollback(&mut cluster.nodes[survivor], &mut sinks[survivor]);
-            cluster.nodes[survivor].note_task_lost();
-            recovery.push((task, cluster.nodes[survivor].clock_ns() + detect));
-        } else {
-            cluster.nodes[survivor].trace_task_end(task.root.bits() as u64);
-            cluster.nodes[survivor].note_task_recovered();
-        }
-    }
-    cluster.phase_end("recover");
-    // The run ends when the slowest processor finishes.
-    let end = cluster.makespan_ns();
-    for node in &mut cluster.nodes {
-        node.wait_until(end);
-    }
-    Ok(finish(
-        crate::algorithms::Algorithm::Rp,
-        &mut cluster,
-        sinks,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
+    use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
+
+    fn run_rp(
+        rel: &Relation,
+        query: &IcebergQuery,
+        config: &ClusterConfig,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, AlgoError> {
+        run_parallel_with(Algorithm::Rp, rel, query, config, opts)
+    }
 
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
@@ -314,19 +213,6 @@ mod tests {
             out.stats.total_tasks_lost()
         );
         assert!(out.stats.makespan_ns() > quiet.stats.makespan_ns());
-    }
-
-    #[test]
-    fn losing_every_node_is_a_typed_error() {
-        use icecube_cluster::FaultPlan;
-        let rel = sales();
-        let q = IcebergQuery::count_cube(3, 1);
-        let cfg = ClusterConfig::fast_ethernet(2)
-            .with_faults(FaultPlan::none().crash(0, 1_000).crash(1, 1_000));
-        match run_rp(&rel, &q, &cfg, &RunOptions::default()) {
-            Err(AlgoError::ClusterExhausted { nodes: 2 }) => {}
-            other => panic!("expected ClusterExhausted, got {other:?}"),
-        }
     }
 
     #[test]

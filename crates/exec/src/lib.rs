@@ -1,14 +1,16 @@
 //! Execution backends for cube plans.
 //!
-//! The cluster algorithms (RP, BPP, ASL, PT, AHT in `icecube-core`)
-//! decompose a cube query into lattice-subtree task units. This crate
-//! separates that decomposition from the engine that runs it:
+//! A cube algorithm is a *plan* — how the lattice is cut into tasks and
+//! what each task computes, stated once as a [`Workload`] — and an
+//! *executor* decides how the tasks reach processors:
 //!
-//! * [`SimExecutor`] drives the plan on the deterministic virtual-time
-//!   simulator (`icecube-cluster`), inheriting demand scheduling, fault
-//!   injection and lost-task recovery sweeps. It is the correctness
-//!   oracle and the only backend whose cost statistics are meaningful.
-//! * [`NativeExecutor`] drives the same plan on real host cores with a
+//! * [`SimExecutor`] runs the plan on the deterministic virtual-time
+//!   simulator (`icecube-cluster`). It owns the two scheduling loops of
+//!   the paper — static assignment with a recovery sweep (RP, BPP) and
+//!   the Section 3.3.2 manager/worker loop (ASL, PT, AHT) — plus fault
+//!   injection and lost-task recovery. It is the correctness oracle and
+//!   the only backend whose cost statistics are meaningful.
+//! * [`NativeExecutor`] runs the same plan on real host cores with a
 //!   std-only work-stealing thread pool — per-worker deques seeded by a
 //!   contiguous-block injection, idle workers stealing from the back of
 //!   their neighbours' queues. It measures wall clock, not virtual time.
@@ -29,7 +31,7 @@ pub mod sim;
 
 use std::fmt;
 
-use icecube_cluster::SimNode;
+use icecube_cluster::{RunStats, SimCluster, SimNode};
 use icecube_trace::{Registry, TraceLog};
 
 pub use native::NativeExecutor;
@@ -74,8 +76,11 @@ impl fmt::Display for Backend {
 ///
 /// The spec carries only scheduling metadata; what the task *does* lives
 /// in the [`Workload`] that interprets `id`. Plans hand the executor a
-/// slice of specs whose ids are exactly `0..len` (any order); outputs
-/// come back indexed by id.
+/// slice of specs whose ids are exactly `0..len`. The two orders mean
+/// different things: **slice order** is the order a static backend starts
+/// tasks in (the native pool injects contiguous slice blocks), **id
+/// order** is the simulated manager's pool order. Outputs come back
+/// indexed by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskSpec {
     /// Dense plan-local identifier; output slot `id` receives this
@@ -90,14 +95,19 @@ pub struct TaskSpec {
     pub weight: u64,
 }
 
-/// A backend-agnostic task decomposition: per-worker scratch plus a pure
-/// per-task function.
+/// A backend-agnostic task decomposition: per-worker scratch, a pure
+/// per-task function, and — all defaulted — what a scheduler needs to
+/// know about the algorithm to place its tasks the way the paper does.
 ///
 /// `run` must be a pure function of the plan and `spec.id` — it may use
 /// `scratch` only as a cache whose contents never change the produced
 /// output (arena reuse, affinity-held lists whose reuse is exact). That
 /// purity is load-bearing: it is what lets both backends merge outputs
 /// in task-id order and come out byte-identical.
+///
+/// The hooks other than `scratch` and `run` only shape virtual-time
+/// accounting and simulated scheduling; the native pool calls none of
+/// them but `prologue`.
 pub trait Workload: Sync {
     /// Per-worker reusable state (arenas, affinity caches). Created once
     /// per worker, threaded through every task that worker runs.
@@ -108,16 +118,64 @@ pub trait Workload: Sync {
     /// Builds worker `worker`'s scratch state.
     fn scratch(&self, worker: usize) -> Self::Scratch;
 
-    /// Per-worker setup charged once before any task runs (e.g. the
-    /// replicated-relation load). Only affects virtual-time accounting;
-    /// the default does nothing.
+    /// Cluster-level staging before anything else runs: whatever moves
+    /// data *between* nodes (sends, a barrier), under the workload's own
+    /// phase name. The default stages nothing.
+    fn stage(&self, cluster: &mut SimCluster) {
+        let _ = cluster;
+    }
+
+    /// Per-worker setup charged once before the compute phase, the same
+    /// on every worker (e.g. the replicated-relation load, under its own
+    /// phase name). The default does nothing.
     fn prologue(&self, node: &mut SimNode) {
         let _ = node;
     }
 
+    /// Per-worker setup that differs by worker, charged to worker
+    /// `worker` of `workers` as it enters the compute phase (e.g. reading
+    /// the chunks it owns). The default does nothing.
+    fn worker_prologue(&self, worker: usize, workers: usize, node: &mut SimNode) {
+        let _ = (worker, workers, node);
+    }
+
+    /// The worker (below `workers`) a statically scheduled plan pins
+    /// `spec` to. A plan is static when every task names an owner; the
+    /// default names none, which leaves placement to the demand manager.
+    fn owner(&self, spec: &TaskSpec, workers: usize) -> Option<usize> {
+        let _ = (spec, workers);
+        None
+    }
+
+    /// The manager's choice: the index into `pending` (never empty) of
+    /// the task to hand the worker whose held state is `scratch`. Tasks
+    /// reclaimed from crashed workers rejoin the back of `pending`. The
+    /// default serves the head of the queue.
+    fn pick(&self, pending: &[TaskSpec], scratch: &Self::Scratch) -> usize {
+        let _ = (pending, scratch);
+        0
+    }
+
+    /// Extra cost of re-running `spec` on `node` after its first worker
+    /// died with it (e.g. re-deriving input that lived on the dead
+    /// worker's disk). The default charges nothing.
+    fn recover(&self, spec: &TaskSpec, node: &mut SimNode) {
+        let _ = (spec, node);
+    }
+
     /// Executes one task, charging its cost to `node` (virtual time on
     /// the simulator; a throwaway accounting node on the native pool).
-    fn run(&self, spec: &TaskSpec, scratch: &mut Self::Scratch, node: &mut SimNode) -> Self::Out;
+    /// `steered` is true when a manager chose this task for this worker
+    /// through [`Workload::pick`], false when tasks simply arrive in plan
+    /// order — a worker that is steered can rely on the manager for
+    /// affinity, one that is not has to arrange its own.
+    fn run(
+        &self,
+        spec: &TaskSpec,
+        scratch: &mut Self::Scratch,
+        node: &mut SimNode,
+        steered: bool,
+    ) -> Self::Out;
 }
 
 /// Why an executor run failed. Executors never panic in library code;
@@ -135,12 +193,17 @@ pub enum ExecError {
         /// Index of the worker whose thread died.
         worker: usize,
     },
-    /// A task produced no output — possible only on the simulator when
-    /// every node dies before the task can run (hand-built fault plans;
-    /// seeded plans always leave a survivor).
+    /// A plan slot was left empty: no native worker produced the task's
+    /// output.
     TaskAbandoned {
         /// Id of the task that never completed.
         id: usize,
+    },
+    /// Every simulated node crashed before the plan finished (hand-built
+    /// fault plans only; seeded plans always leave a survivor).
+    ClusterExhausted {
+        /// Nodes the run started with.
+        nodes: usize,
     },
 }
 
@@ -154,7 +217,13 @@ impl fmt::Display for ExecError {
                 write!(f, "native worker {worker} panicked")
             }
             ExecError::TaskAbandoned { id } => {
-                write!(f, "task {id} was abandoned (all nodes dead)")
+                write!(f, "task {id} was abandoned (no worker produced it)")
+            }
+            ExecError::ClusterExhausted { nodes } => {
+                write!(
+                    f,
+                    "all {nodes} simulated nodes crashed before the plan finished"
+                )
             }
         }
     }
@@ -184,6 +253,9 @@ pub struct ExecReport {
     /// the cluster config enables tracing), host wall-clock spans on the
     /// native pool (always recorded).
     pub trace: Option<TraceLog>,
+    /// Per-node virtual-time statistics (simulator only: the native
+    /// pool's accounting nodes are thrown away).
+    pub stats: Option<RunStats>,
 }
 
 impl ExecReport {
@@ -273,6 +345,7 @@ mod tests {
             steals: 3,
             tasks_per_worker: vec![4, 1],
             trace: None,
+            stats: None,
         };
         let mut registry = Registry::new();
         report.register_into(&mut registry);
@@ -289,5 +362,6 @@ mod tests {
         assert!(format!("{}", ExecError::BadPlan { id: 7 }).contains('7'));
         assert!(format!("{}", ExecError::WorkerPanicked { worker: 3 }).contains('3'));
         assert!(format!("{}", ExecError::TaskAbandoned { id: 9 }).contains('9'));
+        assert!(format!("{}", ExecError::ClusterExhausted { nodes: 4 }).contains('4'));
     }
 }

@@ -119,7 +119,7 @@ fn worker_loop<W: Workload>(
                 task: spec.affinity,
             },
         );
-        let out = workload.run(spec, &mut scratch, &mut node);
+        let out = workload.run(spec, &mut scratch, &mut node, false);
         spans.record(
             started.elapsed().as_nanos() as u64,
             EventKind::TaskEnd {
@@ -195,6 +195,7 @@ impl Executor for NativeExecutor {
             steals: pool.steals.load(Ordering::Relaxed),
             tasks_per_worker,
             trace: Some(TraceLog::from_buffers(buffers)),
+            stats: None,
         };
         Ok((merged, report))
     }
@@ -216,7 +217,7 @@ mod tests {
             0
         }
 
-        fn run(&self, spec: &TaskSpec, scratch: &mut u64, _node: &mut SimNode) -> u64 {
+        fn run(&self, spec: &TaskSpec, scratch: &mut u64, _: &mut SimNode, _: bool) -> u64 {
             for _ in 0..spec.weight * 1000 {
                 *scratch = scratch.wrapping_add(1);
             }
@@ -285,7 +286,7 @@ mod tests {
             type Scratch = ();
             type Out = ();
             fn scratch(&self, _worker: usize) {}
-            fn run(&self, spec: &TaskSpec, _scratch: &mut (), _node: &mut SimNode) {
+            fn run(&self, spec: &TaskSpec, _: &mut (), _: &mut SimNode, _: bool) {
                 assert!(spec.id != 3, "boom");
             }
         }

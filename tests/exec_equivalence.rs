@@ -10,10 +10,12 @@
 //! the brute-force reference, and repeated native runs at 1, 2, and 8
 //! workers.
 
-use icecube::cluster::ClusterConfig;
+use icecube::cluster::{ClusterConfig, FaultPlan};
 use icecube::core::naive::naive_iceberg_cube;
 use icecube::core::verify::assert_same_cells;
-use icecube::core::{run_parallel, run_parallel_exec, Algorithm, IcebergQuery, RunOptions};
+use icecube::core::{
+    run_parallel, run_parallel_exec, AlgoError, Algorithm, IcebergQuery, RunOptions, EXEC_UNITS,
+};
 use icecube::data::{Relation, SyntheticSpec};
 use icecube::exec::{Backend, NativeExecutor, SimExecutor};
 
@@ -50,6 +52,31 @@ fn native_matches_simulator_driver_and_naive() {
                 let ctx = format!("{alg}, seed {seed}, minsup {minsup}");
                 let driver = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4)).unwrap();
                 assert_same_cells(want.clone(), driver.cells.clone(), &format!("driver {ctx}"));
+                // One driver per algorithm: on a cluster as wide as the
+                // executor plans, both simulated entry points build the
+                // same plan and must report the same run, crash or not.
+                let wide = ClusterConfig::fast_ethernet(EXEC_UNITS);
+                let by_config = run_parallel(alg, &rel, &q, &wide).unwrap();
+                let mut sim = SimExecutor::new(wide.clone());
+                let by_executor = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
+                assert_eq!(by_config.cells, by_executor.cells, "entry points: {ctx}");
+                assert_eq!(
+                    Some(&by_config.stats),
+                    by_executor.report.stats.as_ref(),
+                    "entry-point stats: {ctx}"
+                );
+                let total_loss = (0..EXEC_UNITS).fold(FaultPlan::none(), |p, n| p.crash(n, 1_000));
+                let doomed = wide.with_faults(total_loss);
+                let mut sim = SimExecutor::new(doomed.clone());
+                for lost in [
+                    run_parallel(alg, &rel, &q, &doomed).map(|out| out.total_cells),
+                    run_parallel_exec(&mut sim, alg, &rel, &q, &opts).map(|out| out.total_cells),
+                ] {
+                    assert!(
+                        matches!(lost, Err(AlgoError::ClusterExhausted { nodes: EXEC_UNITS })),
+                        "total loss: {ctx}: {lost:?}"
+                    );
+                }
                 let mut reference: Option<Vec<icecube::core::Cell>> = None;
                 for workers in [1usize, 2, 8] {
                     let mut exec = NativeExecutor::new(workers);

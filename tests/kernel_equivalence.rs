@@ -7,8 +7,6 @@
 //! call, because fault injection keys off exact virtual times).
 
 use icecube::cluster::{ClusterConfig, FaultPlan, SimCluster};
-use icecube::core::aht::{run_aht_with, AhtRunScratch};
-use icecube::core::asl::{run_asl_with, AslRunScratch};
 use icecube::core::buc::{bpp_buc, bpp_buc_with, BucScratch};
 use icecube::core::cell::CellBuf;
 use icecube::core::naive::naive_iceberg_cube;
@@ -242,44 +240,6 @@ const GOLDEN_FPS: [(Algorithm, u64, u64, u64); 96] = [
     (Algorithm::HashTree, 997, 1, 0x8da5fc799f51bbcd),
     (Algorithm::HashTree, 997, 3, 0x4a6926860b459662),
 ];
-
-#[test]
-fn asl_aht_scratch_reuse_is_invisible_and_matches_pre_arena_goldens() {
-    // One scratch per algorithm is threaded through all 16 of its runs
-    // back to back (the executor `Workload` prologue contract): the pools
-    // carry arenas from workload to workload, across dimensionalities and
-    // minsups. Every run must match the brute-force cells, reproduce the
-    // fresh-scratch run bit for bit, and hash to the fingerprint recorded
-    // before the arena rewrite.
-    let mut asl_scratch = AslRunScratch::new();
-    let mut aht_scratch = AhtRunScratch::new();
-    for (alg, seed, minsup, golden) in GOLDEN_FPS {
-        let rel = workload(seed);
-        let q = IcebergQuery::count_cube(rel.arity(), minsup);
-        let cfg = ClusterConfig::fast_ethernet(4);
-        let opts = RunOptions::default();
-        let ctx = format!("{alg}, seed {seed}, minsup {minsup}");
-        let fresh = run_parallel(alg, &rel, &q, &cfg).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        let reused = match alg {
-            Algorithm::Asl => run_asl_with(&mut asl_scratch, &rel, &q, &cfg, &opts),
-            Algorithm::Aht => run_aht_with(&mut aht_scratch, &rel, &q, &cfg, &opts),
-            _ => continue,
-        }
-        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_same_cells(
-            naive_iceberg_cube(&rel, &q),
-            reused.cells.clone(),
-            &format!("{ctx} (reused scratch)"),
-        );
-        assert_eq!(fresh.cells, reused.cells, "cell drift: {ctx}");
-        assert_eq!(fresh.stats, reused.stats, "stats drift: {ctx}");
-        let fp = fingerprint(&reused.cells, &reused.stats);
-        assert_eq!(
-            fp, golden,
-            "{ctx}: fingerprint 0x{fp:016x} != pre-arena golden 0x{golden:016x}"
-        );
-    }
-}
 
 /// Every golden row through the one public entry point, all drifted rows
 /// reported at once.
