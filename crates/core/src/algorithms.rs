@@ -1,5 +1,6 @@
-//! The algorithm catalogue: dispatch, options, outcomes, and the key
-//! features of Table 1.1.
+//! The algorithm catalogue: options, the simulated-cluster entry points
+//! and their outcome, and the key features of Table 1.1. (The dispatch
+//! from [`Algorithm`] to plans lives in [`crate::backend`].)
 
 use crate::backend::{collect, run_plan};
 use crate::cell::Cell;
@@ -171,7 +172,9 @@ impl RunOptions {
     }
 }
 
-/// The result of a parallel cube computation.
+/// The result of a parallel cube computation on the simulated cluster:
+/// the merged cells plus the statistics and trace from the executor's
+/// report.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Which algorithm ran.
@@ -217,7 +220,6 @@ pub fn run_parallel_with(
     opts: &RunOptions,
 ) -> Result<RunOutcome, AlgoError> {
     validate(rel, query)?;
-    let nodes = config.nodes.len();
     let out = match algorithm {
         // The hash-tree attempt is one fallible task on node 0, not a plan.
         Algorithm::HashTree => {
@@ -230,21 +232,15 @@ pub fn run_parallel_with(
             rel,
             query,
             opts,
-            nodes,
+            config.nodes.len(),
             config.seed,
         )?,
     };
-    // The simulator always reports statistics; a report without them
-    // would mean every node is gone.
-    let stats = out
-        .report
-        .stats
-        .ok_or(AlgoError::ClusterExhausted { nodes })?;
     Ok(RunOutcome {
         algorithm,
         cells: out.cells,
         total_cells: out.total_cells,
-        stats,
+        stats: out.report.stats,
         trace: out.report.trace,
     })
 }

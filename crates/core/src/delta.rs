@@ -26,9 +26,9 @@
 //!   all distributive over a disjoint row union, so append-only merges
 //!   lose nothing; retractions are out of scope by design.
 //! * **Fault dimension**: [`MaintainedCube::ingest_on_cluster`] runs the
-//!   delta pass through [`run_parallel`], where the PR-3 self-healing
-//!   scheduler (crash sweeps, `TaskGuard` rollback, bounded RPC retry)
-//!   already guarantees bit-identical cells under seeded fault plans. The
+//!   delta pass through [`run_parallel`], where the simulated executor's
+//!   self-healing (crash sweeps, per-task output slots, bounded RPC
+//!   retry) guarantees bit-identical cells under seeded fault plans. The
 //!   floor is only touched on a successful run, so a refresh that dies
 //!   completely ([`AlgoError::ClusterExhausted`]) leaves the previous
 //!   epoch fully intact.

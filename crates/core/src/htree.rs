@@ -192,7 +192,7 @@ pub(crate) fn run_hash_tree(
         wall_ns: end,
         steals: 0,
         tasks_per_worker,
-        stats: Some(cluster.run_stats()),
+        stats: cluster.run_stats(),
         trace: cluster.take_trace(),
     };
     Ok((sink, report))

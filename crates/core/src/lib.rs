@@ -10,7 +10,8 @@
 //! * the sequential substrate: a reference evaluator ([`naive`]), BUC
 //!   (Beyer & Ramakrishnan, [`buc`]) in both depth-first and breadth-first
 //!   writing variants, and a share-sort top-down comparator ([`topdown`]);
-//! * the paper's parallel algorithms, each against the simulated cluster:
+//! * the paper's parallel algorithms, each stated once as a plan — a task
+//!   list plus an [`icecube_exec::Workload`] — that either executor runs:
 //!   * [`rp`] — Replicated Parallel BUC (coarse static subtree tasks),
 //!   * [`bpp`] — Breadth-first-writing Partitioned Parallel BUC,
 //!   * [`asl`] — Affinity Skip List (task = cuboid, prefix/subset affinity),
@@ -20,12 +21,12 @@
 //!     failing on memory (reproduced faithfully, failure included);
 //! * the evaluation-driven algorithm-selection [`recipe`] (Figure 4.7).
 //!
-//! Entry points: [`run_parallel`] dispatches any [`Algorithm`] over a
-//! relation and a [`ClusterConfig`](icecube_cluster::ClusterConfig),
-//! returning the iceberg cells plus full virtual-time statistics;
-//! [`run_parallel_exec`] runs the same decompositions through an
-//! [`icecube_exec::Executor`] — simulated or native host threads — with
-//! byte-identical cells on every backend.
+//! Entry points: [`run_parallel`] builds any [`Algorithm`]'s plan at the
+//! width of a [`ClusterConfig`](icecube_cluster::ClusterConfig) and runs
+//! it on the simulated cluster, returning the iceberg cells plus full
+//! virtual-time statistics; [`run_parallel_exec`] runs the same plans, at
+//! a fixed width, on any [`icecube_exec::Executor`] — simulated or native
+//! host threads — with byte-identical cells on every backend.
 
 pub mod agg;
 pub mod aht;

@@ -253,9 +253,9 @@ pub struct ExecReport {
     /// the cluster config enables tracing), host wall-clock spans on the
     /// native pool (always recorded).
     pub trace: Option<TraceLog>,
-    /// Per-node virtual-time statistics (simulator only: the native
-    /// pool's accounting nodes are thrown away).
-    pub stats: Option<RunStats>,
+    /// Per-node virtual-time statistics. Empty (no nodes) on the native
+    /// pool, whose accounting nodes are thrown away.
+    pub stats: RunStats,
 }
 
 impl ExecReport {
@@ -345,7 +345,7 @@ mod tests {
             steals: 3,
             tasks_per_worker: vec![4, 1],
             trace: None,
-            stats: None,
+            stats: RunStats::default(),
         };
         let mut registry = Registry::new();
         report.register_into(&mut registry);

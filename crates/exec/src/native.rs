@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use icecube_cluster::{CpuCosts, DiskModel, EventKind, NetModel, NodeSpec, SimNode};
+use icecube_cluster::{CpuCosts, DiskModel, EventKind, NetModel, NodeSpec, RunStats, SimNode};
 use icecube_trace::{TraceBuffer, TraceLog};
 
 use crate::{validate_plan, Backend, ExecError, ExecReport, Executor, TaskSpec, Workload};
@@ -195,7 +195,7 @@ impl Executor for NativeExecutor {
             steals: pool.steals.load(Ordering::Relaxed),
             tasks_per_worker,
             trace: Some(TraceLog::from_buffers(buffers)),
-            stats: None,
+            stats: RunStats::default(),
         };
         Ok((merged, report))
     }

@@ -71,8 +71,9 @@ impl<W: Workload> Progress<'_, W> {
         self.pending.remove(at.min(self.pending.len() - 1))
     }
 
-    /// Runs `spec` on `node`. False if the node died before finishing:
-    /// nothing of the attempt counts and the task is pending again.
+    /// Runs `spec` on `node`. False if the node was dead already or died
+    /// before finishing: nothing of the attempt counts and the task is
+    /// pending again.
     fn attempt(
         &mut self,
         cluster: &mut SimCluster,
@@ -81,6 +82,10 @@ impl<W: Workload> Progress<'_, W> {
         steered: bool,
     ) -> bool {
         let sim = &mut cluster.nodes[node];
+        if sim.is_dead() {
+            self.requeue(spec);
+            return false;
+        }
         let written = (sim.stats.cells_written, sim.stats.bytes_written);
         sim.charge_task_overhead_for(spec.affinity);
         if self.requeued[spec.id] {
@@ -125,12 +130,7 @@ fn run_static<W: Workload>(
         .zip(owners)
     {
         let owner = owner % nodes;
-        // A node that is already dead loses the task without starting it.
-        let started = !cluster.nodes[owner].is_dead();
-        if !started {
-            progress.requeue(spec);
-        }
-        if !started || !progress.attempt(cluster, owner, spec, false) {
+        if !progress.attempt(cluster, owner, spec, false) {
             cluster.nodes[owner].note_task_lost();
             ready_at[spec.id] = cluster.nodes[owner].clock_ns() + detect;
         }
@@ -238,7 +238,7 @@ impl Executor for SimExecutor {
             wall_ns: cluster.makespan_ns(),
             steals: 0,
             tasks_per_worker: progress.completed,
-            stats: Some(cluster.run_stats()),
+            stats: cluster.run_stats(),
             trace: cluster.take_trace(),
         };
         Ok((outputs, report))
@@ -322,9 +322,8 @@ mod tests {
         assert_eq!(report.steals, 0);
         assert_eq!(report.tasks_per_worker.iter().sum::<u64>(), 10);
         assert!(report.wall_ns > 0);
-        let stats = report.stats.expect("the simulator reports statistics");
-        assert_eq!(stats.makespan_ns(), report.wall_ns);
-        assert_eq!(stats.total_cells(), 10);
+        assert_eq!(report.stats.makespan_ns(), report.wall_ns);
+        assert_eq!(report.stats.total_cells(), 10);
     }
 
     #[test]
@@ -345,8 +344,8 @@ mod tests {
             .unwrap();
         assert_eq!(out, squares(7));
         assert_eq!(report.tasks_per_worker, vec![3, 2, 2]);
-        let stats = report.stats.unwrap();
-        assert_eq!(stats.nodes().iter().map(|s| s.messages).sum::<u64>(), 0);
+        let messages: u64 = report.stats.nodes().iter().map(|s| s.messages).sum();
+        assert_eq!(messages, 0);
     }
 
     #[test]
@@ -357,7 +356,7 @@ mod tests {
             .run(&plan(16), &Square)
             .unwrap();
         assert_eq!(demand, squares(16));
-        let stats = report.stats.unwrap();
+        let stats = report.stats;
         assert_eq!(stats.total_tasks_lost(), 1);
         assert_eq!(stats.total_tasks_recovered(), 1);
         // The victim's partial attempt is rolled back out of the counters.
@@ -367,7 +366,7 @@ mod tests {
             .run(&plan(16), &PinnedSquare)
             .unwrap();
         assert_eq!(pinned, squares(16));
-        let stats = report.stats.unwrap();
+        let stats = &report.stats;
         // Node 1 finishes two tasks, dies inside its third and never
         // starts its fourth.
         assert_eq!(report.tasks_per_worker[1], 2);

@@ -6,9 +6,9 @@
 //! task-id order, and the plans themselves never depend on the worker
 //! count, so the merged cube is a pure function of (relation, query,
 //! options). Eight seeded workload shapes × five algorithms × two
-//! minsups, against the simulator driver, the `SimExecutor` adapter,
-//! the brute-force reference, and repeated native runs at 1, 2, and 8
-//! workers.
+//! minsups, against `run_parallel` on a four-node cluster, a
+//! `SimExecutor` handed to `run_parallel_exec`, the brute-force
+//! reference, and repeated native runs at 1, 2, and 8 workers.
 
 use icecube::cluster::{ClusterConfig, FaultPlan};
 use icecube::core::naive::naive_iceberg_cube;
@@ -37,7 +37,7 @@ fn workload(seed: u64) -> Relation {
 }
 
 /// The tentpole guarantee: native cells are byte-identical to the
-/// simulator driver's and the reference evaluator's, for all five
+/// simulated cluster's and the reference evaluator's, for all five
 /// algorithms, independent of worker count; repeated runs (different
 /// stealing interleavings) never disagree.
 #[test]
@@ -61,8 +61,7 @@ fn native_matches_simulator_driver_and_naive() {
                 let by_executor = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
                 assert_eq!(by_config.cells, by_executor.cells, "entry points: {ctx}");
                 assert_eq!(
-                    Some(&by_config.stats),
-                    by_executor.report.stats.as_ref(),
+                    by_config.stats, by_executor.report.stats,
                     "entry-point stats: {ctx}"
                 );
                 let total_loss = (0..EXEC_UNITS).fold(FaultPlan::none(), |p, n| p.crash(n, 1_000));
@@ -102,10 +101,10 @@ fn native_matches_simulator_driver_and_naive() {
     }
 }
 
-/// The `SimExecutor` adapter routes the same plans through the simulated
-/// cluster's demand scheduler; cells must match the native backend
-/// exactly (a slice of the full sweep — the adapter shares all the
-/// plan-building code the previous test exercises in full).
+/// A `SimExecutor` narrower than the plans (four nodes, `EXEC_UNITS`-wide
+/// plans) still produces the native backend's cells exactly (a slice of
+/// the full sweep — it shares all the plan-building code the previous
+/// test exercises in full).
 #[test]
 fn sim_executor_matches_native() {
     for seed in [SEEDS[0], SEEDS[3], SEEDS[6]] {

@@ -111,9 +111,9 @@ fn crash_mid_refresh_lands_bit_identical_to_a_fault_free_refresh() {
     // The incremental-maintenance dimension of the chaos suite: the delta
     // pass of a refresh runs on the cluster under every seeded fault plan,
     // and the floor it merges must be byte-identical to the one a quiet
-    // refresh produces — TaskGuard rollback and the recovery sweeps make
-    // the collected delta cells deterministic, and merge-on-Ok makes the
-    // refresh atomic.
+    // refresh produces — a lost task's output is dropped with its slot and
+    // re-run on a survivor, which makes the collected delta cells
+    // deterministic, and merge-on-Ok makes the refresh atomic.
     let whole = presets::tiny(3).generate().unwrap();
     let base = whole.slice(0, whole.len() / 2);
     let batch = whole.slice(whole.len() / 2, whole.len());
