@@ -84,9 +84,8 @@ impl NodeStats {
     }
 }
 
-/// Cluster-level summary of a run. The default is the summary of no
-/// nodes at all.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Cluster-level summary of a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     nodes: Vec<NodeStats>,
     clocks_ns: Vec<u64>,

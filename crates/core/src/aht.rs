@@ -710,22 +710,12 @@ impl Workload for AhtWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
-    use crate::error::AlgoError;
+    use crate::algorithms::{run_parallel_with, Algorithm};
     use crate::fixtures::sales;
     use crate::naive::{naive_cuboid, naive_iceberg_cube};
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
-
-    fn run_aht(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Aht, rel, query, config, opts)
-    }
 
     #[test]
     fn assign_bits_respects_target_and_minimums() {
@@ -818,7 +808,7 @@ mod tests {
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
         let cfg = ClusterConfig::fast_ethernet(nodes);
-        let out = run_aht(rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Aht, rel, &q, &cfg, &RunOptions::default()).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(want, out.cells, &format!("AHT n={nodes} minsup={minsup}"));
     }
@@ -842,7 +832,8 @@ mod tests {
     fn matches_naive_without_affinity() {
         let rel = presets::tiny(1).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let out = run_aht(
+        let out = run_parallel_with(
+            Algorithm::Aht,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(2),
@@ -864,7 +855,8 @@ mod tests {
         use icecube_cluster::FaultPlan;
         let rel = presets::tiny(8).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let quiet = run_aht(
+        let quiet = run_parallel_with(
+            Algorithm::Aht,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -875,7 +867,8 @@ mod tests {
         // cuboid) are lost; survivors rebuild and finish the lattice.
         let cfg = ClusterConfig::fast_ethernet(3)
             .with_faults(FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4));
-        let out = run_aht(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out =
+            run_parallel_with(Algorithm::Aht, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,

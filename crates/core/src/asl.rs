@@ -487,26 +487,16 @@ impl Workload for AslWorkload<'_> {
 mod tests {
     use super::*;
     use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
-    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
 
-    fn run_asl(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Asl, rel, query, config, opts)
-    }
-
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
         let cfg = ClusterConfig::fast_ethernet(nodes);
-        let out = run_asl(rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Asl, rel, &q, &cfg, &RunOptions::default()).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(want, out.cells, &format!("ASL n={nodes} minsup={minsup}"));
     }
@@ -532,7 +522,8 @@ mod tests {
         let rel = presets::tiny(4).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(3);
-        let out = run_asl(
+        let out = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &cfg,
@@ -551,8 +542,10 @@ mod tests {
         let rel = presets::tiny(4).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(2);
-        let with = run_asl(&rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let without = run_asl(
+        let with =
+            run_parallel_with(Algorithm::Asl, &rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let without = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &cfg,
@@ -666,7 +659,8 @@ mod tests {
         let rel = presets::tiny(17).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(3);
-        let out = run_asl(
+        let out = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &cfg,
@@ -688,7 +682,8 @@ mod tests {
         use icecube_cluster::FaultPlan;
         let rel = presets::tiny(9).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let quiet = run_asl(
+        let quiet = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -699,7 +694,8 @@ mod tests {
         // are lost; survivors rebuild affinity and finish the lattice.
         let cfg = ClusterConfig::fast_ethernet(3)
             .with_faults(FaultPlan::none().crash(1, quiet.stats.makespan_ns() / 4));
-        let out = run_asl(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out =
+            run_parallel_with(Algorithm::Asl, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
@@ -714,7 +710,8 @@ mod tests {
     fn single_node_runs_the_whole_lattice() {
         let rel = sales();
         let q = IcebergQuery::count_cube(3, 1);
-        let out = run_asl(
+        let out = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(1),
@@ -731,7 +728,8 @@ mod tests {
     fn load_balance_is_strong_on_skewed_data() {
         let rel = presets::tiny(12).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let out = run_asl(
+        let out = run_parallel_with(
+            Algorithm::Asl,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),

@@ -43,8 +43,10 @@ pub(crate) struct BppWorkload {
     /// count yields the same cube: partial cuboids over disjoint ranges
     /// union exactly.
     chunks: Vec<Vec<Relation>>,
-    /// The source relation's size on stable storage, and its row count.
-    source: (u64, u64),
+    /// The source relation's size on stable storage.
+    source_bytes: u64,
+    /// The source relation's row count.
+    source_rows: u64,
     minsup: u64,
     collect: bool,
     /// Charge the range-partitioning phase inside the run.
@@ -85,7 +87,8 @@ pub(crate) fn plan(
         .collect();
     let workload = BppWorkload {
         chunks,
-        source: (rel.byte_size(), rel.len() as u64),
+        source_bytes: rel.byte_size(),
+        source_rows: rel.len() as u64,
         minsup: query.minsup,
         collect: opts.collect_cells,
         partitioning: opts.include_bpp_partitioning,
@@ -111,13 +114,12 @@ impl Workload for BppWorkload {
             return;
         }
         let n = cluster.len();
-        let (bytes, rows) = self.source;
         cluster.phase_start("partition");
         for (i, parts) in self.chunks.iter().enumerate() {
             let from = i % n;
-            cluster.nodes[from].read_bytes(bytes);
-            cluster.nodes[from].charge_scan(rows);
-            cluster.nodes[from].charge_moves(rows);
+            cluster.nodes[from].read_bytes(self.source_bytes);
+            cluster.nodes[from].charge_scan(self.source_rows);
+            cluster.nodes[from].charge_moves(self.source_rows);
             for (j, part) in parts.iter().enumerate() {
                 if j % n != from && !part.is_empty() {
                     cluster.send(from, j % n, part.byte_size());
@@ -155,10 +157,9 @@ impl Workload for BppWorkload {
     /// The dead node's disk is gone: re-derive its chunk from the source
     /// relation (full scan + the chunk's worth of moves).
     fn recover(&self, spec: &TaskSpec, node: &mut SimNode) {
-        let (bytes, rows) = self.source;
         let (i, j) = self.tasks[spec.id];
-        node.read_bytes(bytes);
-        node.charge_scan(rows);
+        node.read_bytes(self.source_bytes);
+        node.charge_scan(self.source_rows);
         node.charge_moves(self.chunks[i][j].len() as u64);
     }
 
@@ -187,36 +188,17 @@ impl Workload for BppWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
-    use crate::error::AlgoError;
+    use crate::algorithms::{run_parallel_with, Algorithm};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
 
-    fn run_bpp(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Bpp, rel, query, config, opts)
-    }
-
-    fn run_rp(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Rp, rel, query, config, opts)
-    }
-
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
         let cfg = ClusterConfig::fast_ethernet(nodes);
-        let out = run_bpp(rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Bpp, rel, &q, &cfg, &RunOptions::default()).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(want, out.cells, &format!("BPP n={nodes} minsup={minsup}"));
     }
@@ -244,8 +226,9 @@ mod tests {
         let rel = presets::tiny(2).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 1);
         let cfg = ClusterConfig::fast_ethernet(4);
-        let rp = run_rp(&rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let bpp = run_bpp(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let rp = run_parallel_with(Algorithm::Rp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let bpp =
+            run_parallel_with(Algorithm::Bpp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         let rp_switches: u64 = rp.stats.nodes().iter().map(|s| s.file_switches).sum();
         let bpp_switches: u64 = bpp.stats.nodes().iter().map(|s| s.file_switches).sum();
         assert!(
@@ -262,7 +245,8 @@ mod tests {
             .with_skews(vec![1.8, 0.0, 0.0]);
         let rel = spec.generate().unwrap();
         let q = IcebergQuery::count_cube(3, 2);
-        let out = run_bpp(
+        let out = run_parallel_with(
+            Algorithm::Bpp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),
@@ -281,7 +265,8 @@ mod tests {
         use icecube_cluster::FaultPlan;
         let rel = presets::tiny(3).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let quiet = run_bpp(
+        let quiet = run_parallel_with(
+            Algorithm::Bpp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -292,7 +277,8 @@ mod tests {
         // rebuild them from the source relation and still union exactly.
         let cfg = ClusterConfig::fast_ethernet(3)
             .with_faults(FaultPlan::none().crash(1, quiet.stats.makespan_ns() / 4));
-        let out = run_bpp(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out =
+            run_parallel_with(Algorithm::Bpp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
@@ -311,8 +297,10 @@ mod tests {
         let rel = presets::tiny(6).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(3);
-        let without = run_bpp(&rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let with = run_bpp(
+        let without =
+            run_parallel_with(Algorithm::Bpp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let with = run_parallel_with(
+            Algorithm::Bpp,
             &rel,
             &q,
             &cfg,
@@ -336,14 +324,16 @@ mod tests {
         // the whole relation (Section 4.1).
         let rel = presets::tiny(8).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let bpp = run_bpp(
+        let bpp = run_parallel_with(
+            Algorithm::Bpp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),
             &RunOptions::default(),
         )
         .unwrap();
-        let rp = run_rp(
+        let rp = run_parallel_with(
+            Algorithm::Rp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),

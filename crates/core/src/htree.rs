@@ -359,22 +359,12 @@ fn emit_itemset<S: CellSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::algorithms::{run_parallel_with, Algorithm};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::NodeSpec;
     use icecube_data::presets;
-
-    /// The algorithm's one public route: the catalogue entry point.
-    fn run_hash_tree(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::HashTree, rel, query, config, opts)
-    }
 
     #[test]
     fn is_subset_handles_edges() {
@@ -389,7 +379,8 @@ mod tests {
     fn check(rel: &Relation, minsup: u64) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
         let cfg = ClusterConfig::fast_ethernet(2);
-        let out = run_hash_tree(rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out =
+            run_parallel_with(Algorithm::HashTree, rel, &q, &cfg, &RunOptions::default()).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(want, out.cells, &format!("HashTree minsup={minsup}"));
     }
@@ -419,7 +410,8 @@ mod tests {
             mhz: 500,
             mem_mb: 8,
         };
-        let err = run_hash_tree(&rel, &q, &cfg, &RunOptions::default()).unwrap_err();
+        let err = run_parallel_with(Algorithm::HashTree, &rel, &q, &cfg, &RunOptions::default())
+            .unwrap_err();
         assert!(
             matches!(err, AlgoError::MemoryExhausted { .. }),
             "expected OOM, got {err}"
@@ -443,7 +435,8 @@ mod tests {
     fn minsup_above_relation_size_yields_empty_cube() {
         let rel = sales();
         let q = IcebergQuery::count_cube(3, rel.len() as u64 + 1);
-        let out = run_hash_tree(
+        let out = run_parallel_with(
+            Algorithm::HashTree,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(1),
@@ -466,7 +459,7 @@ mod tests {
             mhz: 500,
             mem_mb: 8,
         };
-        match run_hash_tree(&rel, &q, &cfg, &RunOptions::default()) {
+        match run_parallel_with(Algorithm::HashTree, &rel, &q, &cfg, &RunOptions::default()) {
             Err(AlgoError::MemoryExhausted {
                 node,
                 required_bytes,
@@ -488,8 +481,11 @@ mod tests {
         let rel = presets::tiny(4).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(2);
-        let collected = run_hash_tree(&rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let counted = run_hash_tree(&rel, &q, &cfg, &RunOptions::counting()).unwrap();
+        let collected =
+            run_parallel_with(Algorithm::HashTree, &rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let counted =
+            run_parallel_with(Algorithm::HashTree, &rel, &q, &cfg, &RunOptions::counting())
+                .unwrap();
         assert!(counted.cells.is_empty());
         assert_eq!(counted.total_cells, collected.cells.len() as u64);
         assert_eq!(counted.stats.makespan_ns(), collected.stats.makespan_ns());
@@ -499,7 +495,8 @@ mod tests {
     fn only_node_zero_works() {
         let rel = sales();
         let q = IcebergQuery::count_cube(3, 2);
-        let out = run_hash_tree(
+        let out = run_parallel_with(
+            Algorithm::HashTree,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),

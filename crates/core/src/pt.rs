@@ -36,16 +36,8 @@ use icecube_lattice::{divide_tasks, CuboidMask, TreeTask};
 /// index is already sorted by; ties — and the no-affinity case, where
 /// `prev_root` is empty — go to the largest task, then the earliest in the
 /// queue.
-fn longest_shared_root(pending: &[TaskSpec], prev_root: &[usize]) -> usize {
-    let key = |spec: &TaskSpec| {
-        let root = CuboidMask::from_bits(spec.affinity as u32);
-        let shared = root
-            .iter_dims()
-            .zip(prev_root)
-            .take_while(|(a, b)| a == *b)
-            .count();
-        (shared, spec.weight)
-    };
+fn longest_shared_root(pending: &[TaskSpec], prev_root: CuboidMask) -> usize {
+    let key = |spec: &TaskSpec| (root_of(spec).shared_prefix_len(prev_root), spec.weight);
     let mut best = 0usize;
     for at in 1..pending.len() {
         if key(&pending[at]) > key(&pending[best]) {
@@ -53,6 +45,11 @@ fn longest_shared_root(pending: &[TaskSpec], prev_root: &[usize]) -> usize {
         }
     }
     best
+}
+
+/// The subtree root a PT task's affinity hint names.
+fn root_of(spec: &TaskSpec) -> CuboidMask {
+    CuboidMask::from_bits(spec.affinity as u32)
 }
 
 /// A worker's sorted-index cache: `idx` is grouped by `root_dims[..k]` at
@@ -164,10 +161,10 @@ pub(crate) fn plan<'a>(
         })
         .collect();
     let mut chain = Vec::with_capacity(pending.len());
-    let mut prev_root = Vec::new();
+    let mut prev_root = CuboidMask::from_bits(0);
     while !pending.is_empty() {
-        let spec = pending.remove(longest_shared_root(&pending, &prev_root));
-        prev_root = tasks[spec.id].root.dims();
+        let spec = pending.remove(longest_shared_root(&pending, prev_root));
+        prev_root = root_of(&spec);
         chain.push(spec);
     }
     let workload = PtWorkload {
@@ -196,12 +193,12 @@ impl Workload for PtWorkload<'_> {
     }
 
     fn pick(&self, pending: &[TaskSpec], scratch: &PtScratch) -> usize {
-        let prev_root: &[usize] = if self.affinity {
+        let sorted_by: &[usize] = if self.affinity {
             &scratch.cache.root_dims
         } else {
             &[]
         };
-        longest_shared_root(pending, prev_root)
+        longest_shared_root(pending, CuboidMask::from_dims(sorted_by))
     }
 
     fn run(
@@ -235,21 +232,11 @@ impl Workload for PtWorkload<'_> {
 mod tests {
     use super::*;
     use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
-    use crate::error::AlgoError;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
-
-    fn run_pt(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Pt, rel, query, config, opts)
-    }
 
     fn check(rel: &Relation, minsup: u64, nodes: usize, ratio: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
@@ -258,7 +245,7 @@ mod tests {
             pt_task_ratio: ratio,
             ..RunOptions::default()
         };
-        let out = run_pt(rel, &q, &cfg, &opts).unwrap();
+        let out = run_parallel_with(Algorithm::Pt, rel, &q, &cfg, &opts).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(
             want,
@@ -287,7 +274,8 @@ mod tests {
     fn matches_naive_without_affinity() {
         let rel = presets::tiny(2).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let out = run_pt(
+        let out = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -311,15 +299,24 @@ mod tests {
         let pending = [spec(0, &[1], 4), spec(1, &[0, 1], 2), spec(2, &[0], 2)];
         // Previous root was A: AB and A both share one dimension with it
         // and are the same size — the earlier in the queue wins.
-        assert_eq!(longest_shared_root(&pending, &[0]), 1);
+        assert_eq!(
+            longest_shared_root(&pending, CuboidMask::from_dims(&[0])),
+            1
+        );
         // A longer shared prefix beats size.
-        assert_eq!(longest_shared_root(&pending, &[0, 1]), 1);
+        assert_eq!(
+            longest_shared_root(&pending, CuboidMask::from_dims(&[0, 1])),
+            1
+        );
         // Nothing sorted yet (or no affinity): plain largest-first.
-        assert_eq!(longest_shared_root(&pending, &[]), 0);
+        assert_eq!(longest_shared_root(&pending, CuboidMask::from_dims(&[])), 0);
         // A reclaimed task at the back of the queue still goes first if
         // it is larger.
         let requeued = [pending[2], pending[0]];
-        assert_eq!(longest_shared_root(&requeued, &[]), 1);
+        assert_eq!(
+            longest_shared_root(&requeued, CuboidMask::from_dims(&[])),
+            1
+        );
     }
 
     #[test]
@@ -327,8 +324,10 @@ mod tests {
         let rel = presets::tiny(3).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 1);
         let cfg = ClusterConfig::fast_ethernet(1);
-        let with = run_pt(&rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let without = run_pt(
+        let with =
+            run_parallel_with(Algorithm::Pt, &rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let without = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &cfg,
@@ -349,7 +348,8 @@ mod tests {
         let rel = presets::tiny(7).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
         let cfg = ClusterConfig::fast_ethernet(4);
-        let coarse = run_pt(
+        let coarse = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &cfg,
@@ -359,7 +359,8 @@ mod tests {
             },
         )
         .unwrap();
-        let fine = run_pt(
+        let fine = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &cfg,
@@ -378,7 +379,8 @@ mod tests {
         use icecube_cluster::FaultPlan;
         let rel = presets::tiny(6).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let quiet = run_pt(
+        let quiet = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -389,7 +391,7 @@ mod tests {
         // lost; survivors re-sort and finish the division exactly.
         let cfg = ClusterConfig::fast_ethernet(3)
             .with_faults(FaultPlan::none().crash(2, quiet.stats.makespan_ns() / 3));
-        let out = run_pt(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Pt, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
@@ -404,7 +406,8 @@ mod tests {
     fn strong_load_balance_on_eight_nodes() {
         let rel = presets::tiny(10).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let out = run_pt(
+        let out = run_parallel_with(
+            Algorithm::Pt,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(8),

@@ -32,7 +32,6 @@ pub(crate) struct RpWorkload<'a> {
     rel: &'a Relation,
     minsup: u64,
     collect: bool,
-    dims: usize,
 }
 
 /// Builds RP's plan: the `d` subtrees rooted at each dimension, in
@@ -46,7 +45,6 @@ pub(crate) fn plan<'a>(
         rel,
         minsup: query.minsup,
         collect: opts.collect_cells,
-        dims: query.dims,
     };
     let specs = (0..query.dims)
         .map(|id| {
@@ -64,7 +62,7 @@ pub(crate) fn plan<'a>(
 impl RpWorkload<'_> {
     /// Task `id`: the whole subtree rooted at dimension `id`.
     fn subtree(&self, id: usize) -> TreeTask {
-        TreeTask::full_subtree(CuboidMask::from_dims(&[id]), self.dims)
+        TreeTask::full_subtree(CuboidMask::from_dims(&[id]), self.rel.arity())
     }
 }
 
@@ -102,27 +100,17 @@ impl Workload for RpWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
-    use crate::error::AlgoError;
+    use crate::algorithms::{run_parallel_with, Algorithm};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
 
-    fn run_rp(
-        rel: &Relation,
-        query: &IcebergQuery,
-        config: &ClusterConfig,
-        opts: &RunOptions,
-    ) -> Result<RunOutcome, AlgoError> {
-        run_parallel_with(Algorithm::Rp, rel, query, config, opts)
-    }
-
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);
         let cfg = ClusterConfig::fast_ethernet(nodes);
-        let out = run_rp(rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Rp, rel, &q, &cfg, &RunOptions::default()).unwrap();
         let want = naive_iceberg_cube(rel, &q);
         assert_same_cells(want, out.cells, &format!("RP n={nodes} minsup={minsup}"));
     }
@@ -145,7 +133,8 @@ mod tests {
         // does far more work (the paper's Figure 4.1 observation).
         let rel = presets::tiny(5).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let out = run_rp(
+        let out = run_parallel_with(
+            Algorithm::Rp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(4),
@@ -167,7 +156,8 @@ mod tests {
         // break anything.
         let rel = sales();
         let q = IcebergQuery::count_cube(3, 1);
-        let out = run_rp(
+        let out = run_parallel_with(
+            Algorithm::Rp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(8),
@@ -190,7 +180,8 @@ mod tests {
         use icecube_cluster::FaultPlan;
         let rel = presets::tiny(11).generate().unwrap();
         let q = IcebergQuery::count_cube(4, 2);
-        let quiet = run_rp(
+        let quiet = run_parallel_with(
+            Algorithm::Rp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(3),
@@ -200,7 +191,7 @@ mod tests {
         // Kill node 0 (the most loaded: subtrees A and D) mid-run.
         let cfg = ClusterConfig::fast_ethernet(3)
             .with_faults(FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4));
-        let out = run_rp(&rel, &q, &cfg, &RunOptions::default()).unwrap();
+        let out = run_parallel_with(Algorithm::Rp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
@@ -219,7 +210,8 @@ mod tests {
     fn counting_mode_tracks_without_retaining() {
         let rel = sales();
         let q = IcebergQuery::count_cube(3, 1);
-        let counted = run_rp(
+        let counted = run_parallel_with(
+            Algorithm::Rp,
             &rel,
             &q,
             &ClusterConfig::fast_ethernet(2),

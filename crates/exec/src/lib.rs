@@ -345,7 +345,7 @@ mod tests {
             steals: 3,
             tasks_per_worker: vec![4, 1],
             trace: None,
-            stats: RunStats::default(),
+            stats: RunStats::new(Vec::new(), Vec::new()),
         };
         let mut registry = Registry::new();
         report.register_into(&mut registry);

@@ -195,7 +195,7 @@ impl Executor for NativeExecutor {
             steals: pool.steals.load(Ordering::Relaxed),
             tasks_per_worker,
             trace: Some(TraceLog::from_buffers(buffers)),
-            stats: RunStats::default(),
+            stats: RunStats::new(Vec::new(), Vec::new()),
         };
         Ok((merged, report))
     }
