@@ -17,7 +17,7 @@
 //! [`run_parallel_with`]: crate::algorithms::run_parallel_with
 
 use crate::algorithms::{validate, Algorithm, RunOptions};
-use crate::cell::{sort_cells, Cell, CellBuf};
+use crate::cell::{collect_cells, Cell, CellBuf};
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
 use crate::{aht, asl, bpp, pt, rp};
@@ -119,23 +119,18 @@ pub(crate) fn run_plan<E: Executor>(
 }
 
 /// Merges per-task sinks — in task-id order, the only order executors
-/// are allowed to return — into one sorted cube.
+/// are allowed to return — into one sorted cube ([`collect_cells`]: runs
+/// concatenated per cuboid, sorted only where a kernel emitted out of key
+/// order).
 pub(crate) fn collect(
     algorithm: Algorithm,
     sinks: Vec<CellBuf>,
     report: ExecReport,
 ) -> ExecOutcome {
-    let mut cells = Vec::new();
-    let mut total = 0u64;
-    for sink in sinks {
-        total += sink.count;
-        cells.extend(sink.into_cells());
-    }
-    sort_cells(&mut cells);
     ExecOutcome {
         algorithm,
-        cells,
-        total_cells: total,
+        total_cells: sinks.iter().map(|sink| sink.count).sum(),
+        cells: collect_cells(sinks),
         report,
     }
 }

@@ -9,10 +9,12 @@
 //!
 //! * **Ingest** counting-sorts just the batch (a BUC pass at minsup 1, no
 //!   pruning — the floor needs every partial so sub-threshold cells can be
-//!   promoted later) and merges the resulting cells into the floor with
-//!   [`CubeStore::merge_cells`]. The merge touches exactly the lattice
-//!   region the batch's cells project into (`Σ_g |π_g(batch)|` cells over
-//!   the cuboids with at least one delta cell) — never the whole cube.
+//!   promoted later) and merges the pass's per-cuboid blocks into the
+//!   floor, block against block (`merge_rows`, the step progressive folds
+//!   share; [`CubeStore::merge_cells`] adapts precomputed cells to the
+//!   same merge). The merge touches exactly the lattice region the
+//!   batch's cells project into (`Σ_g |π_g(batch)|` cells over the
+//!   cuboids with at least one delta cell) — never the whole cube.
 //! * **Promotion/demotion is tombstone-free.** The floor always holds the
 //!   truth; [`MaintainedCube::visible`] simply does not copy cells below
 //!   the serving threshold. A cell crossing minsup upward (ingest) appears,
@@ -42,7 +44,7 @@ use crate::algorithms::{run_parallel, Algorithm};
 use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::sequential::{run_sequential, SeqAlgorithm};
+use crate::sequential::{run_sequential_sink, SeqAlgorithm};
 use crate::store::{CubeStore, MergeStats};
 use icecube_cluster::ClusterConfig;
 use icecube_data::{DeltaBatch, Relation};
@@ -146,12 +148,8 @@ impl MaintainedCube {
         if batch.is_empty() {
             return Ok(self.noop_report());
         }
-        let query = IcebergQuery {
-            dims: self.dims,
-            minsup: 1,
-        };
-        let out = run_sequential(SeqAlgorithm::BppBuc, batch, &query, config)?;
-        self.merge(out.cells, out.clock_ns)
+        let (stats, clock_ns) = merge_rows(&mut self.floor, batch, self.minsup, config)?;
+        Ok(self.published(stats, clock_ns))
     }
 
     /// Ingests a dictionary-aware [`DeltaBatch`] (built against the base
@@ -230,23 +228,44 @@ impl MaintainedCube {
     }
 
     fn merge(&mut self, cells: Vec<Cell>, clock_ns: u64) -> Result<DeltaReport, AlgoError> {
-        let MergeStats {
-            updated,
-            inserted,
-            promoted,
-            touched_cuboids,
-        } = self.floor.merge_cells(cells, self.minsup)?;
-        self.epoch += 1;
-        Ok(DeltaReport {
-            epoch: self.epoch,
-            updated,
-            inserted,
-            promoted,
-            retired: 0,
-            touched_cuboids,
-            clock_ns,
-        })
+        let stats = self.floor.merge_cells(cells, self.minsup)?;
+        Ok(self.published(stats, clock_ns))
     }
+
+    /// Bumps the epoch for a successful merge and reports it.
+    fn published(&mut self, stats: MergeStats, clock_ns: u64) -> DeltaReport {
+        self.epoch += 1;
+        DeltaReport {
+            epoch: self.epoch,
+            updated: stats.updated,
+            inserted: stats.inserted,
+            promoted: stats.promoted,
+            retired: 0,
+            touched_cuboids: stats.touched_cuboids,
+            clock_ns,
+        }
+    }
+}
+
+/// The maintenance step streaming ingest and progressive folds share:
+/// aggregate `rows` at minimum support 1 (BPP-BUC on one simulated node
+/// under `config`, which is what the step's virtual time is), then merge
+/// the partials into `floor` block against block — no `Vec<Cell>` on the
+/// way. Returns the merge counters (promotions judged at `watch_minsup`)
+/// and the pass's virtual nanoseconds; on error `floor` is unchanged.
+pub(crate) fn merge_rows(
+    floor: &mut CubeStore,
+    rows: &Relation,
+    watch_minsup: u64,
+    config: &ClusterConfig,
+) -> Result<(MergeStats, u64), AlgoError> {
+    let query = IcebergQuery {
+        dims: floor.dims(),
+        minsup: 1,
+    };
+    let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, rows, &query, config)?;
+    let stats = floor.merge_blocks(sink.into_sorted_blocks(), watch_minsup);
+    Ok((stats, clock_ns))
 }
 
 #[cfg(test)]

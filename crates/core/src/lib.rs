@@ -33,6 +33,7 @@ pub mod aht;
 pub mod algorithms;
 pub mod asl;
 pub mod backend;
+pub mod block;
 pub mod bpp;
 pub mod buc;
 pub mod cell;
@@ -60,6 +61,7 @@ pub use algorithms::{
     run_parallel, run_parallel_with, AlgoFeatures, Algorithm, RunOptions, RunOutcome,
 };
 pub use backend::{run_parallel_exec, ExecOutcome, EXEC_UNITS};
+pub use block::CellBlock;
 pub use cell::{Cell, CellBuf, CellSink};
 pub use delta::{DeltaReport, MaintainedCube};
 pub use error::AlgoError;

@@ -24,8 +24,11 @@
 //! use the tight per-range envelope instead of the global one.
 
 use crate::cell::Cell;
+use crate::delta::merge_rows;
 use crate::error::AlgoError;
 use crate::store::{CubeStore, MergeStats};
+use icecube_cluster::ClusterConfig;
+use icecube_data::Relation;
 use icecube_lattice::CuboidMask;
 
 /// Static description of one planned chunk: who owns it and the slack it
@@ -228,9 +231,34 @@ impl ProgressiveCube {
     /// Folds chunk `index`'s minimum-support-1 cells into the floor.
     ///
     /// `cells` must be the complete cube of exactly that chunk's rows;
-    /// merging is the same `merge_cells` path streaming ingest uses, so
-    /// fold order cannot change the final bytes.
+    /// merging is the same block merge streaming ingest uses, so fold
+    /// order cannot change the final bytes.
     pub fn fold(&mut self, index: usize, cells: Vec<Cell>) -> Result<MergeStats, AlgoError> {
+        let meta = self.unfolded(index)?;
+        let stats = self.floor.merge_cells(cells, self.minsup)?;
+        self.mark_folded(index, meta);
+        Ok(stats)
+    }
+
+    /// Aggregates chunk `index`'s `rows` at minimum support 1 on one
+    /// simulated node under `config` and folds the partials into the
+    /// floor — the step [`MaintainedCube`](crate::MaintainedCube) ingest
+    /// takes, with an envelope update where ingest bumps an epoch.
+    /// Returns the merge counters and the pass's virtual nanoseconds.
+    pub fn fold_rows(
+        &mut self,
+        index: usize,
+        rows: &Relation,
+        config: &ClusterConfig,
+    ) -> Result<(MergeStats, u64), AlgoError> {
+        let meta = self.unfolded(index)?;
+        let done = merge_rows(&mut self.floor, rows, self.minsup, config)?;
+        self.mark_folded(index, meta);
+        Ok(done)
+    }
+
+    /// Chunk `index`'s plan entry, provided it exists and has not folded.
+    fn unfolded(&self, index: usize) -> Result<ChunkMeta, AlgoError> {
         let Some(meta) = self.chunks.get(index).copied() else {
             return Err(AlgoError::ChunkOutOfRange {
                 index,
@@ -240,13 +268,15 @@ impl ProgressiveCube {
         if self.folded.get(index).copied().unwrap_or(false) {
             return Err(AlgoError::ChunkAlreadyFolded { index });
         }
-        let stats = self.floor.merge_cells(cells, self.minsup)?;
+        Ok(meta)
+    }
+
+    fn mark_folded(&mut self, index: usize, meta: ChunkMeta) {
         if let Some(slot) = self.folded.get_mut(index) {
             *slot = true;
         }
         self.chunks_folded += 1;
         self.rows_folded = self.rows_folded.saturating_add(meta.rows);
-        Ok(stats)
     }
 
     /// The serving threshold the build converges to.

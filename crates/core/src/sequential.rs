@@ -7,7 +7,7 @@
 //! depth-first on I/O regardless of the traversal direction.
 
 use crate::buc::{bpp_buc, buc_depth_first};
-use crate::cell::{sort_cells, Cell, CellBuf, CellSink};
+use crate::cell::{Cell, CellBuf, CellSink};
 use crate::error::AlgoError;
 use crate::naive::naive_iceberg_cube;
 use crate::pipehash::pipehash;
@@ -95,6 +95,24 @@ pub fn run_sequential(
     query: &IcebergQuery,
     config: &ClusterConfig,
 ) -> Result<SeqOutcome, AlgoError> {
+    let (sink, stats, clock_ns) = run_sequential_sink(algorithm, rel, query, config)?;
+    Ok(SeqOutcome {
+        algorithm,
+        cells: sink.into_cells(),
+        stats,
+        clock_ns,
+    })
+}
+
+/// [`run_sequential`] up to the sink: the emitted blocks, the node's
+/// accounting and its final virtual clock. The delta path stops here and
+/// merges the blocks without ever building a `Vec<Cell>`.
+pub(crate) fn run_sequential_sink(
+    algorithm: SeqAlgorithm,
+    rel: &Relation,
+    query: &IcebergQuery,
+    config: &ClusterConfig,
+) -> Result<(CellBuf, NodeStats, u64), AlgoError> {
     crate::algorithms::validate(rel, query)?;
     let mut cluster = SimCluster::new(config.clone());
     // check:allow(panic-path): ClusterConfig asserts at least one node at
@@ -142,17 +160,10 @@ pub fn run_sequential(
             pipehash(rel, query, budget, node, &mut sink);
         }
     }
-    let mut cells = sink.into_cells();
-    sort_cells(&mut cells);
     // check:allow(panic-path): ClusterConfig asserts at least one node at
     // construction, so node 0 always exists.
     let node0 = &cluster.nodes[0];
-    Ok(SeqOutcome {
-        algorithm,
-        cells,
-        stats: node0.stats.clone(),
-        clock_ns: node0.clock_ns(),
-    })
+    Ok((sink, node0.stats.clone(), node0.clock_ns()))
 }
 
 #[cfg(test)]

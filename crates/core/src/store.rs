@@ -10,14 +10,10 @@
 //! queries with threshold `>= s` (anything lower needs recomputation or
 //! online aggregation — see `icecube-online`).
 
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
 use crate::agg::Aggregate;
 use crate::algorithms::RunOutcome;
-use crate::cell::Cell;
+use crate::block::CellBlock;
+use crate::cell::{Cell, CellBuf, CellSink};
 use crate::error::AlgoError;
 use icecube_lattice::CuboidMask;
 use std::collections::BTreeMap;
@@ -25,40 +21,8 @@ use std::collections::BTreeMap;
 /// File magic for the persisted store format.
 const MAGIC: &[u8; 8] = b"ICECUBE1";
 
-/// One cuboid's cells, sorted by key for binary search.
-#[derive(Debug, Clone, Default)]
-struct StoredCuboid {
-    /// Concatenated keys, stride = cuboid arity.
-    keys: Vec<u32>,
-    aggs: Vec<Aggregate>,
-    arity: usize,
-}
-
-impl StoredCuboid {
-    fn key(&self, i: usize) -> &[u32] {
-        &self.keys[i * self.arity..(i + 1) * self.arity]
-    }
-
-    fn len(&self) -> usize {
-        self.aggs.len()
-    }
-
-    fn find(&self, key: &[u32]) -> Option<usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.key(mid).cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-}
-
-/// Counters from one [`CubeStore::merge_cells`] delta merge.
+/// Counters from one delta merge ([`CubeStore::merge_cells`] and the
+/// block merge behind it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Existing cells whose aggregate absorbed at least one delta cell.
@@ -97,28 +61,29 @@ pub struct MergeStats {
 pub struct CubeStore {
     dims: usize,
     minsup: u64,
-    cuboids: BTreeMap<CuboidMask, StoredCuboid>,
+    /// One block per materialized cuboid, strictly ascending by key.
+    cuboids: BTreeMap<CuboidMask, CellBlock>,
 }
 
 impl CubeStore {
-    /// Builds a store from canonically sortable cells computed at
-    /// `minsup` over a `dims`-dimensional cube.
-    pub fn from_cells(dims: usize, minsup: u64, mut cells: Vec<Cell>) -> Self {
-        crate::cell::sort_cells(&mut cells);
-        let mut cuboids: BTreeMap<CuboidMask, StoredCuboid> = BTreeMap::new();
-        for cell in cells {
-            let entry = cuboids.entry(cell.cuboid).or_insert_with(|| StoredCuboid {
-                arity: cell.cuboid.dim_count(),
-                ..StoredCuboid::default()
-            });
-            entry.keys.extend_from_slice(&cell.key);
-            entry.aggs.push(cell.agg);
-        }
+    /// A store holding no cell yet.
+    fn empty(dims: usize, minsup: u64) -> Self {
         CubeStore {
             dims,
             minsup,
-            cuboids,
+            cuboids: BTreeMap::new(),
         }
+    }
+
+    /// Builds a store from cells, in any order, computed at `minsup` over
+    /// a `dims`-dimensional cube. Cells sharing a `(cuboid, key)` are
+    /// merged with [`Aggregate::merge`], exactly as
+    /// [`CubeStore::merge_cells`] into an empty store would — both group
+    /// the cells into blocks and run the one block merge.
+    pub fn from_cells(dims: usize, minsup: u64, cells: Vec<Cell>) -> Self {
+        let mut store = CubeStore::empty(dims, minsup);
+        store.merge_blocks(blocks_of(cells), minsup);
+        store
     }
 
     /// Builds a store from a parallel run's outcome (which must have been
@@ -140,7 +105,7 @@ impl CubeStore {
 
     /// Total stored cells.
     pub fn len(&self) -> usize {
-        self.cuboids.values().map(StoredCuboid::len).sum()
+        self.cuboids.values().map(CellBlock::len).sum()
     }
 
     /// True when the cube held no qualifying cells at all.
@@ -156,7 +121,7 @@ impl CubeStore {
         minsup >= self.minsup
     }
 
-    fn cuboid_or_err(&self, g: CuboidMask) -> Result<Option<&StoredCuboid>, AlgoError> {
+    fn cuboid_or_err(&self, g: CuboidMask) -> Result<Option<&CellBlock>, AlgoError> {
         if g.max_dim().is_some_and(|m| m >= self.dims) {
             return Err(AlgoError::DimensionMismatch {
                 query_dims: g.max_dim().unwrap_or(0) + 1,
@@ -168,8 +133,7 @@ impl CubeStore {
 
     /// Point lookup: the aggregate of one cell.
     pub fn get(&self, g: CuboidMask, key: &[u32]) -> Option<&Aggregate> {
-        let stored = self.cuboids.get(&g)?;
-        stored.find(key).map(|i| &stored.aggs[i])
+        self.cuboids.get(&g)?.find(key)
     }
 
     /// All qualifying cells of one group-by at threshold `minsup`.
@@ -193,9 +157,10 @@ impl CubeStore {
         let Some(stored) = self.cuboid_or_err(g)? else {
             return Ok(Vec::new());
         };
-        Ok((0..stored.len())
-            .filter(|&i| stored.aggs[i].meets(minsup))
-            .map(|i| (stored.key(i).to_vec(), stored.aggs[i]))
+        Ok(stored
+            .iter()
+            .filter(|(_, agg)| agg.meets(minsup))
+            .map(|(key, agg)| (key.to_vec(), *agg))
             .collect())
     }
 
@@ -216,9 +181,10 @@ impl CubeStore {
         let Some(stored) = self.cuboid_or_err(g)? else {
             return Ok(Vec::new());
         };
-        Ok((0..stored.len())
-            .filter(|&i| stored.key(i)[pos] == value)
-            .map(|i| (stored.key(i).to_vec(), stored.aggs[i]))
+        Ok(stored
+            .iter()
+            .filter(|(key, _)| key.get(pos) == Some(&value))
+            .map(|(key, agg)| (key.to_vec(), *agg))
             .collect())
     }
 
@@ -252,12 +218,15 @@ impl CubeStore {
             .filter(|&(_, d)| g.contains(*d))
             .map(|(p, _)| p)
             .collect();
-        Ok((0..stored.len())
-            .filter(|&i| {
-                let ck = stored.key(i);
-                positions.iter().zip(key).all(|(&p, &v)| ck[p] == v)
+        Ok(stored
+            .iter()
+            .filter(|(ck, _)| {
+                positions
+                    .iter()
+                    .zip(key)
+                    .all(|(&p, v)| ck.get(p) == Some(v))
             })
-            .map(|i| (stored.key(i).to_vec(), stored.aggs[i]))
+            .map(|(ck, agg)| (ck.to_vec(), *agg))
             .collect())
     }
 
@@ -281,12 +250,16 @@ impl CubeStore {
         if parent.is_all() {
             return Ok(None);
         }
-        let mut pkey = key.to_vec();
-        pkey.remove(pos);
+        let pkey: Vec<u32> = key
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| p != pos)
+            .map(|(_, &v)| v)
+            .collect();
         let Some(stored) = self.cuboid_or_err(parent)? else {
             return Ok(None);
         };
-        Ok(stored.find(&pkey).map(|i| (pkey, stored.aggs[i])))
+        Ok(stored.find(&pkey).map(|agg| (pkey, *agg)))
     }
 
     /// Serializes the store into a writer (a small versioned binary
@@ -306,10 +279,10 @@ impl CubeStore {
         for (mask, stored) in &self.cuboids {
             w64(out, mask.bits() as u64)?;
             w64(out, stored.len() as u64)?;
-            for &k in &stored.keys {
+            for &k in stored.flat_keys() {
                 out.write_all(&k.to_le_bytes())?;
             }
-            for a in &stored.aggs {
+            for a in stored.aggs() {
                 w64(out, a.count)?;
                 wi64(out, a.sum)?;
                 wi64(out, a.min)?;
@@ -394,18 +367,16 @@ impl CubeStore {
                     max: ri64(input)?,
                 });
             }
+            let Some(block) = CellBlock::from_parts(mask, keys, aggs) else {
+                return Err(bad("corrupt cell count"));
+            };
             // Binary search over a cuboid requires strictly ascending keys;
             // enforce it here so a length-consistent but scrambled file
             // cannot produce a store that silently misses cells.
-            for i in 1..cells {
-                if keys[(i - 1) * arity..i * arity] >= keys[i * arity..(i + 1) * arity] {
-                    return Err(bad("cuboid keys not strictly ascending"));
-                }
+            if !block.is_strictly_ascending() {
+                return Err(bad("cuboid keys not strictly ascending"));
             }
-            if cuboids
-                .insert(mask, StoredCuboid { keys, aggs, arity })
-                .is_some()
-            {
+            if cuboids.insert(mask, block).is_some() {
                 return Err(bad("duplicate cuboid mask"));
             }
         }
@@ -420,10 +391,10 @@ impl CubeStore {
     /// key within each cuboid — a fully deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = Cell> + '_ {
         self.cuboids.iter().flat_map(|(&cuboid, stored)| {
-            (0..stored.len()).map(move |i| Cell {
+            stored.iter().map(move |(key, agg)| Cell {
                 cuboid,
-                key: stored.key(i).to_vec(),
-                agg: stored.aggs[i],
+                key: key.to_vec(),
+                agg: *agg,
             })
         })
     }
@@ -436,7 +407,7 @@ impl CubeStore {
 
     /// Number of cells stored for one cuboid (0 when absent).
     pub fn cuboid_len(&self, g: CuboidMask) -> usize {
-        self.cuboids.get(&g).map_or(0, StoredCuboid::len)
+        self.cuboids.get(&g).map_or(0, CellBlock::len)
     }
 
     /// Whether cuboid `g` was materialized in this store.
@@ -450,29 +421,19 @@ impl CubeStore {
         self.cuboids
             .get(&g)
             .into_iter()
-            .flat_map(|s| (0..s.len()).map(move |i| (s.key(i), s.aggs[i])))
+            .flat_map(|block| block.iter().map(|(key, agg)| (key, *agg)))
     }
 
-    /// Merges delta cells into the store, cuboid by cuboid.
-    ///
-    /// This is the incremental-maintenance kernel: the delta-BUC pass
-    /// aggregates just an append batch (at minimum support 1) and this
-    /// merge folds the resulting partials into the stored cuboids with
-    /// [`Aggregate::merge`]. COUNT/SUM/MIN/MAX are all distributive over
-    /// a disjoint row union, so for append-only ingest the merged store is
-    /// byte-identical to recomputing from the concatenated relation.
-    ///
-    /// Work is bounded to exactly the lattice region the batch touches:
-    /// only cuboids with at least one delta cell are rebuilt (a linear
-    /// two-pointer merge each); untouched cuboids are not visited.
+    /// Merges delta cells into the store: validates every cell, groups
+    /// them into per-cuboid blocks and runs the block merge the delta and
+    /// progressive paths use directly.
     ///
     /// `watch_minsup` is the serving threshold used for the promotion
-    /// counter in the returned [`MergeStats`] (merging appends can only
-    /// grow counts, so cells cross it upward only). Every cell is
-    /// validated before any mutation — on error the store is unchanged.
+    /// counter in the returned [`MergeStats`]. Every cell is validated
+    /// before any mutation — on error the store is unchanged.
     pub fn merge_cells(
         &mut self,
-        mut cells: Vec<Cell>,
+        cells: Vec<Cell>,
         watch_minsup: u64,
     ) -> Result<MergeStats, AlgoError> {
         for cell in &cells {
@@ -489,74 +450,68 @@ impl CubeStore {
                 });
             }
         }
-        crate::cell::sort_cells(&mut cells);
+        Ok(self.merge_blocks(blocks_of(cells), watch_minsup))
+    }
+
+    /// Merges delta blocks into the store, cuboid by cuboid.
+    ///
+    /// This is the incremental-maintenance kernel: the delta-BUC pass
+    /// aggregates just an append batch (at minimum support 1) and this
+    /// merge folds the resulting partials into the stored cuboids with
+    /// [`Aggregate::merge`]. COUNT/SUM/MIN/MAX are all distributive over
+    /// a disjoint row union, so for append-only ingest the merged store is
+    /// byte-identical to recomputing from the concatenated relation.
+    ///
+    /// Each delta block must ascend by key; equal keys may repeat and are
+    /// absorbed into one cell (a well-formed delta pass emits unique
+    /// cells, but the merge does not rely on it). Work is bounded to
+    /// exactly the lattice region the batch touches: only cuboids with a
+    /// delta block are rebuilt (a linear two-pointer merge each);
+    /// untouched cuboids are not visited.
+    ///
+    /// `watch_minsup` is the serving threshold used for the promotion
+    /// counter in the returned [`MergeStats`] (merging appends can only
+    /// grow counts, so cells cross it upward only).
+    pub(crate) fn merge_blocks(&mut self, delta: Vec<CellBlock>, watch_minsup: u64) -> MergeStats {
         let mut stats = MergeStats::default();
-        let mut i = 0usize;
-        while i < cells.len() {
-            let cuboid = cells[i].cuboid;
-            let mut j = i;
-            while j < cells.len() && cells[j].cuboid == cuboid {
-                j += 1;
-            }
-            let run = &cells[i..j];
+        for run in &delta {
             stats.touched_cuboids += 1;
-            let arity = cuboid.dim_count();
-            let entry = self.cuboids.entry(cuboid).or_insert_with(|| StoredCuboid {
-                arity,
-                ..StoredCuboid::default()
-            });
-            let old_len = entry.len();
-            let mut keys = Vec::with_capacity(entry.keys.len() + run.len() * arity);
-            let mut aggs = Vec::with_capacity(old_len + run.len());
-            let (mut oi, mut di) = (0usize, 0usize);
-            while oi < old_len || di < run.len() {
-                let take_old = match (oi < old_len, di < run.len()) {
-                    (true, true) => entry.key(oi) <= run[di].key.as_slice(),
-                    (has_old, _) => has_old,
+            let old = self
+                .cuboids
+                .remove(&run.cuboid())
+                .unwrap_or_else(|| CellBlock::new(run.cuboid()));
+            let mut merged = CellBlock::with_capacity(run.cuboid(), old.len() + run.len());
+            let mut olds = old.iter().peekable();
+            let mut news = run.iter().peekable();
+            loop {
+                let take_old = match (olds.peek(), news.peek()) {
+                    (Some((old_key, _)), Some((new_key, _))) => old_key <= new_key,
+                    (Some(_), None) => true,
+                    (None, Some(_)) => false,
+                    (None, None) => break,
                 };
-                if take_old {
-                    let key = entry.key(oi);
-                    let before = entry.aggs[oi];
-                    let mut agg = before;
-                    let mut absorbed = false;
-                    while di < run.len() && run[di].key.as_slice() == key {
-                        agg.merge(&run[di].agg);
-                        absorbed = true;
-                        di += 1;
-                    }
-                    if absorbed {
-                        stats.updated += 1;
-                        if !before.meets(watch_minsup) && agg.meets(watch_minsup) {
-                            stats.promoted += 1;
-                        }
-                    }
-                    keys.extend_from_slice(key);
-                    aggs.push(agg);
-                    oi += 1;
-                } else {
-                    let cell = &run[di];
-                    let mut agg = cell.agg;
-                    di += 1;
-                    // Absorb duplicate keys within the delta itself (a
-                    // well-formed delta pass emits unique cells, but the
-                    // merge must not rely on it).
-                    while di < run.len() && run[di].key == cell.key {
-                        agg.merge(&run[di].agg);
-                        di += 1;
-                    }
-                    stats.inserted += 1;
-                    if agg.meets(watch_minsup) {
-                        stats.promoted += 1;
-                    }
-                    keys.extend_from_slice(&cell.key);
-                    aggs.push(agg);
+                let Some((key, first)) = (if take_old { olds.next() } else { news.next() }) else {
+                    break;
+                };
+                let mut agg = *first;
+                let mut absorbed = false;
+                while let Some((_, more)) = news.next_if(|(k, _)| *k == key) {
+                    agg.merge(more);
+                    absorbed = true;
                 }
+                if !take_old {
+                    stats.inserted += 1;
+                    stats.promoted += usize::from(agg.meets(watch_minsup));
+                } else if absorbed {
+                    stats.updated += 1;
+                    stats.promoted +=
+                        usize::from(!first.meets(watch_minsup) && agg.meets(watch_minsup));
+                }
+                merged.push(key, agg);
             }
-            entry.keys = keys;
-            entry.aggs = aggs;
-            i = j;
+            self.cuboids.insert(run.cuboid(), merged);
         }
-        Ok(stats)
+        stats
     }
 
     /// A thresholded snapshot: the cells meeting `minsup`, as a standalone
@@ -569,32 +524,17 @@ impl CubeStore {
     /// byte-identical to a from-scratch [`CubeStore::from_cells`] build
     /// over the same relation at `minsup`.
     pub fn thresholded(&self, minsup: u64) -> CubeStore {
-        let mut cuboids = BTreeMap::new();
+        let mut snapshot = CubeStore::empty(self.dims, minsup);
         for (&mask, stored) in &self.cuboids {
-            let mut keys = Vec::new();
-            let mut aggs = Vec::new();
-            for i in 0..stored.len() {
-                if stored.aggs[i].meets(minsup) {
-                    keys.extend_from_slice(stored.key(i));
-                    aggs.push(stored.aggs[i]);
-                }
+            let mut kept = CellBlock::new(mask);
+            for (key, agg) in stored.iter().filter(|(_, agg)| agg.meets(minsup)) {
+                kept.push(key, *agg);
             }
-            if !aggs.is_empty() {
-                cuboids.insert(
-                    mask,
-                    StoredCuboid {
-                        keys,
-                        aggs,
-                        arity: stored.arity,
-                    },
-                );
+            if !kept.is_empty() {
+                snapshot.cuboids.insert(mask, kept);
             }
         }
-        CubeStore {
-            dims: self.dims,
-            minsup,
-            cuboids,
-        }
+        snapshot
     }
 
     /// Even-quantile split keys dividing cuboid `g`'s cells into `parts`
@@ -622,6 +562,17 @@ impl CubeStore {
         }
         splits
     }
+}
+
+/// Groups cells, in any order, into per-cuboid blocks ascending by mask
+/// and key (equal keys kept side by side) — the form
+/// [`CubeStore::merge_blocks`] takes.
+fn blocks_of(cells: Vec<Cell>) -> Vec<CellBlock> {
+    let mut sink = CellBuf::collecting();
+    for cell in cells {
+        sink.emit(cell.cuboid, &cell.key, &cell.agg);
+    }
+    sink.into_sorted_blocks()
 }
 
 #[cfg(test)]
@@ -898,6 +849,40 @@ mod tests {
         assert_eq!(again.len(), s.len());
         let g = CuboidMask::from_dims(&[0, 1]);
         assert_eq!(again.query(g, 2).unwrap(), s.query(g, 2).unwrap());
+    }
+
+    #[test]
+    fn from_cells_merges_duplicates_like_merge_cells() {
+        let g = CuboidMask::from_dims(&[0, 1]);
+        let cell = |cuboid: CuboidMask, key: &[u32], m: i64| Cell {
+            cuboid,
+            key: key.to_vec(),
+            agg: Aggregate::of(m),
+        };
+        let cells = vec![
+            cell(g, &[1, 2], 5),
+            cell(g, &[0, 7], 1),
+            cell(g, &[1, 2], -3),
+            cell(CuboidMask::from_dims(&[2]), &[4], 2),
+            cell(g, &[1, 2], 9),
+        ];
+        let built = CubeStore::from_cells(3, 1, cells.clone());
+        let mut merged = CubeStore::from_cells(3, 1, Vec::new());
+        let stats = merged.merge_cells(cells, 1).unwrap();
+        assert_eq!((stats.inserted, stats.updated), (3, 0));
+        // One cell per key, holding all three partials.
+        assert_eq!(built.len(), 3);
+        let agg = built.get(g, &[1, 2]).unwrap();
+        assert_eq!((agg.count, agg.sum, agg.min, agg.max), (3, 11, -3, 9));
+        let bytes = |s: &CubeStore| {
+            let mut buf = Vec::new();
+            s.write_to(&mut buf).unwrap();
+            buf
+        };
+        assert_eq!(bytes(&built), bytes(&merged));
+        // Side-by-side duplicates used to write a file `read_from` refused.
+        let again = CubeStore::read_from(&mut bytes(&built).as_slice()).unwrap();
+        assert_eq!(bytes(&again), bytes(&built));
     }
 
     proptest! {

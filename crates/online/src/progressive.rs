@@ -27,9 +27,8 @@ use crate::boundaries::Boundaries;
 use crate::pol::TaskArray;
 use icecube_cluster::ClusterConfig;
 use icecube_core::progressive::{ChunkMeta, Progress, ProgressiveCube};
-use icecube_core::sequential::{run_sequential, SeqAlgorithm};
 use icecube_core::store::{CubeStore, MergeStats};
-use icecube_core::{AlgoError, IcebergQuery};
+use icecube_core::AlgoError;
 use icecube_data::Relation;
 use icecube_lattice::CuboidMask;
 use rand::rngs::SmallRng;
@@ -232,13 +231,8 @@ impl ProgressiveBuild {
         let Some(chunk) = self.plan.chunks.get(self.next) else {
             return Ok(None);
         };
-        let query = IcebergQuery {
-            dims: chunk.rows.arity(),
-            minsup: 1,
-        };
-        let outcome = run_sequential(SeqAlgorithm::BppBuc, &chunk.rows, &query, &self.config)?;
-        self.virtual_ns = self.virtual_ns.saturating_add(outcome.clock_ns);
-        let merge = self.cube.fold(self.next, outcome.cells)?;
+        let (merge, clock_ns) = self.cube.fold_rows(self.next, &chunk.rows, &self.config)?;
+        self.virtual_ns = self.virtual_ns.saturating_add(clock_ns);
         let report = FoldReport {
             chunk: self.next,
             source: chunk.source,
@@ -286,6 +280,8 @@ impl ProgressiveBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icecube_core::sequential::{run_sequential, SeqAlgorithm};
+    use icecube_core::IcebergQuery;
     use icecube_data::presets;
 
     #[test]
