@@ -250,12 +250,8 @@ impl CubeStore {
         if parent.is_all() {
             return Ok(None);
         }
-        let pkey: Vec<u32> = key
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != pos)
-            .map(|(_, &v)| v)
-            .collect();
+        let mut pkey = key.to_vec();
+        pkey.remove(pos);
         let Some(stored) = self.cuboid_or_err(parent)? else {
             return Ok(None);
         };
@@ -474,7 +470,7 @@ impl CubeStore {
     /// grow counts, so cells cross it upward only).
     pub(crate) fn merge_blocks(&mut self, delta: Vec<CellBlock>, watch_minsup: u64) -> MergeStats {
         let mut stats = MergeStats::default();
-        for run in &delta {
+        for run in delta {
             stats.touched_cuboids += 1;
             let old = self
                 .cuboids
