@@ -1,31 +1,26 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>... [--scale f] [--out dir] [--backend sim|native|both]
-//! experiments all [--scale f] [--out dir]
+//! experiments <id>... [--scale f] [--max-dims d] [--out dir]
+//! experiments all [--scale f] [--max-dims d] [--out dir]
 //! experiments list
 //! ```
 //!
 //! Each experiment prints an aligned table plus shape notes comparing the
 //! measurement against the paper's reported behaviour, and writes
-//! `<id>.csv` into the output directory (default `results/`).
+//! `<id>.csv` into the output directory (default `results/`); a CSV that
+//! cannot be written is a non-zero exit.
 //!
 //! Argument parsing is typed: every malformed invocation maps to a
 //! [`CliError`] variant, printed with the usage string on a non-zero
 //! exit — the binary never panics on bad input.
 
 use icecube_bench::experiments::{all_ids, run_by_id};
-use icecube_bench::{BackendSel, Ctx};
+use icecube_bench::Ctx;
 use std::fmt;
 use std::process::ExitCode;
 
-/// Counting allocator so the `bench` experiment can report each kernel's
-/// peak host-memory footprint (see `icecube_bench::alloc_track`).
-#[global_allocator]
-static ALLOC: icecube_bench::alloc_track::CountingAlloc = icecube_bench::alloc_track::CountingAlloc;
-
-const USAGE: &str = "usage: experiments <id>...|all|list [--scale f] [--max-dims d] [--out dir] \
-     [--backend sim|native|both] [--smoke]";
+const USAGE: &str = "usage: experiments <id>...|all|list [--scale f] [--max-dims d] [--out dir]";
 
 /// Every way an invocation can be malformed.
 #[derive(Debug, PartialEq, Eq)]
@@ -93,32 +88,17 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
             "--max-dims" => {
                 i += 1;
                 let given = args.get(i).ok_or(CliError::MissingValue("--max-dims"))?;
-                let v = given.parse::<usize>().map_err(|_| CliError::InvalidValue {
+                let v = given.parse::<usize>().ok().filter(|v| (5..=13).contains(v));
+                ctx.max_dims = v.ok_or_else(|| CliError::InvalidValue {
                     flag: "--max-dims",
                     given: given.clone(),
-                    want: "an integer",
+                    want: "an integer in 5..=13",
                 })?;
-                ctx.max_dims = v.clamp(5, 13);
             }
             "--out" => {
                 i += 1;
                 let given = args.get(i).ok_or(CliError::MissingValue("--out"))?;
                 ctx.out_dir = given.into();
-            }
-            "--backend" => {
-                i += 1;
-                let given = args.get(i).ok_or(CliError::MissingValue("--backend"))?;
-                ctx.backend = BackendSel::parse(given).ok_or_else(|| CliError::InvalidValue {
-                    flag: "--backend",
-                    given: given.clone(),
-                    want: "sim, native, or both",
-                })?;
-            }
-            "--smoke" => {
-                // CI's structural check: tiny datasets, one sample per
-                // wall-clock benchmark — seconds, not minutes.
-                ctx.smoke = true;
-                ctx.scale = ctx.scale.min(0.02);
             }
             "list" => list = true,
             "all" => ids.extend(all_ids().into_iter().map(String::from)),
@@ -177,7 +157,10 @@ fn main() -> ExitCode {
                 path.display(),
                 started.elapsed()
             ),
-            Err(e) => eprintln!("  (csv write failed: {e})"),
+            Err(e) => {
+                eprintln!("experiments: {id}: csv write failed: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     ExitCode::SUCCESS
@@ -193,32 +176,15 @@ mod tests {
 
     #[test]
     fn valid_invocations_parse() {
-        let cli = parse_args(&argv("bench --scale 0.5 --backend native")).unwrap();
-        assert_eq!(cli.ids, ["bench"]);
+        let cli = parse_args(&argv("fig4_4 --scale 0.5 --max-dims 9 --out figs")).unwrap();
+        assert_eq!(cli.ids, ["fig4_4"]);
         assert_eq!(cli.ctx.scale, 0.5);
-        assert_eq!(cli.ctx.backend, BackendSel::Native);
-        let cli = parse_args(&argv("all --smoke")).unwrap();
-        assert!(cli.ids.len() > 5);
-        assert!(cli.ctx.smoke);
-        assert_eq!(cli.ctx.backend, BackendSel::Both);
+        assert_eq!(cli.ctx.max_dims, 9);
+        assert_eq!(cli.ctx.out_dir, std::path::PathBuf::from("figs"));
+        let cli = parse_args(&argv("all")).unwrap();
+        assert_eq!(cli.ids, all_ids());
         let cli = parse_args(&argv("list")).unwrap();
         assert!(cli.list);
-    }
-
-    #[test]
-    fn unknown_backend_is_a_typed_error() {
-        assert_eq!(
-            parse_args(&argv("bench --backend warp")).unwrap_err(),
-            CliError::InvalidValue {
-                flag: "--backend",
-                given: "warp".to_string(),
-                want: "sim, native, or both",
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("bench --backend")).unwrap_err(),
-            CliError::MissingValue("--backend")
-        );
     }
 
     #[test]
@@ -229,17 +195,27 @@ mod tests {
             CliError::UnknownFlag("--frobnicate".to_string())
         );
         assert_eq!(
-            parse_args(&argv("bench --scale")).unwrap_err(),
+            parse_args(&argv("fig4_2 --scale")).unwrap_err(),
             CliError::MissingValue("--scale")
         );
         assert_eq!(
-            parse_args(&argv("bench --scale 2.0")).unwrap_err(),
+            parse_args(&argv("fig4_2 --scale 2.0")).unwrap_err(),
             CliError::InvalidValue {
                 flag: "--scale",
                 given: "2.0".to_string(),
                 want: "a number in (0, 1]",
             }
         );
+        for dims in ["4", "40"] {
+            assert_eq!(
+                parse_args(&argv(&format!("fig4_4 --max-dims {dims}"))).unwrap_err(),
+                CliError::InvalidValue {
+                    flag: "--max-dims",
+                    given: dims.to_string(),
+                    want: "an integer in 5..=13",
+                }
+            );
+        }
         assert_eq!(
             parse_args(&argv("fig9_99")).unwrap_err(),
             CliError::UnknownExperiment("fig9_99".to_string())

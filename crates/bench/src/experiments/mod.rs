@@ -2,14 +2,12 @@
 //! experiment identifiers used throughout `DESIGN.md` and `EXPERIMENTS.md`.
 
 pub mod ablations;
-pub mod bench;
 pub mod chapter3;
 pub mod chapter4;
 pub mod chapter5;
 pub mod fault;
 pub mod ingest;
 pub mod progressive;
-pub mod serve;
 pub mod trace;
 
 use crate::report::Report;
@@ -34,7 +32,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "table5_1",
         "fig5_3",
         "fig5_4",
-        "serve",
         "fault",
         "ingest",
         "progressive",
@@ -45,7 +42,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "ablation_pol",
         "ablation_sequential",
         "ablation_improvements",
-        "bench",
     ]
 }
 
@@ -65,7 +61,6 @@ pub fn run_by_id(id: &str, ctx: &Ctx) -> Option<Report> {
         "table5_1" => chapter5::table5_1(),
         "fig5_3" => chapter5::fig5_3(ctx),
         "fig5_4" => chapter5::fig5_4(ctx),
-        "serve" => serve::serve(ctx),
         "fault" => fault::fault(ctx),
         "ingest" => ingest::ingest(ctx),
         "progressive" => progressive::progressive(ctx),
@@ -76,7 +71,6 @@ pub fn run_by_id(id: &str, ctx: &Ctx) -> Option<Report> {
         "ablation_pol" => ablations::pol_stealing(ctx),
         "ablation_sequential" => ablations::sequential(ctx),
         "ablation_improvements" => ablations::improvements(ctx),
-        "bench" => bench::bench(ctx),
         _ => return None,
     })
 }
@@ -151,5 +145,17 @@ mod tests {
     #[test]
     fn unknown_id_is_none() {
         assert!(run_by_id("fig9_9", &Ctx::quick()).is_none());
+    }
+
+    /// Every experiment reports virtual time, so every one is pinned by a
+    /// committed `--scale 0.05` golden that CI diffs a fresh pass against.
+    #[test]
+    fn every_experiment_has_a_golden() {
+        let golden =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden_0.05");
+        for id in all_ids() {
+            let path = golden.join(format!("{id}.csv"));
+            assert!(path.is_file(), "{id} has no golden at {}", path.display());
+        }
     }
 }

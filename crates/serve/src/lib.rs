@@ -18,9 +18,8 @@
 //!   on the fly otherwise (flagging inexactness over pruned cubes).
 //! - [`Metrics`]/[`ServerStats`] expose lock-free counters and
 //!   fixed-bucket latency histograms (p50/p95/p99).
-//! - [`NavigationWorkload`]/[`run_closed_loop`] generate seeded,
-//!   reproducible request streams and measure closed-loop throughput —
-//!   the engine behind `experiments serve`.
+//! - [`NavigationWorkload`] generates seeded, reproducible request
+//!   streams over a cube's real cells.
 
 #![warn(missing_docs)]
 
@@ -38,4 +37,4 @@ pub use metrics::{LatencyHistogram, Metrics, ServerStats};
 pub use request::{CellEstimate, Request, RequestError, Response, RollUpPlan};
 pub use server::{Answer, ClientHandle, CubeServer, EpochSnapshot};
 pub use shard::ShardedCube;
-pub use workload::{run_closed_loop, LoadReport, NavigationWorkload};
+pub use workload::NavigationWorkload;

@@ -1,28 +1,23 @@
 //! Deterministic load generation: a seeded analyst "navigation walk" over
-//! a real cube, and a closed-loop driver measuring served throughput.
+//! a real cube.
 //!
 //! The walk mirrors Section 2.1's workflow — mostly point lookups with
 //! interleaved slices, roll-ups, drill-downs, full-cuboid scans and small
 //! pipelined batches — but every choice comes from a seeded PRNG over the
 //! cube's *actual* cells, so the same `(store, count, seed)` always yields
-//! the same request stream. That determinism is what lets the `serve`
-//! experiment rerun identical workloads while sweeping shard and worker
-//! counts.
+//! the same request stream. That determinism is what lets the wall-clock
+//! benchmark and the serving oracle suite replay identical workloads.
 
 // check:allow-file(panic-path): slice indexing and asserts in this
 // module guard simulation-internal invariants over indices the module
 // itself constructs; a violation is a bug, not runtime input. Tracked
 // by the panic-path triage note in DESIGN section 12.
 
-use crate::error::ServeError;
-use crate::metrics::ServerStats;
-use crate::request::{Request, Response};
-use crate::server::CubeServer;
+use crate::request::Request;
 use icecube_core::CubeStore;
 use icecube_lattice::CuboidMask;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 /// A pre-generated, deterministic stream of navigation requests.
 #[derive(Debug, Clone)]
@@ -141,78 +136,11 @@ fn pick<'s, T>(rng: &mut SmallRng, items: &'s [T]) -> Option<&'s T> {
     }
 }
 
-/// What one closed-loop run measured.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Wall-clock time from first submission to last answer.
-    pub elapsed: Duration,
-    /// Leaf requests answered.
-    pub requests: u64,
-    /// Leaf requests answered per second.
-    pub throughput: f64,
-    /// The server's counters and latency quantiles after the run.
-    pub stats: ServerStats,
-}
-
-/// Drives `workload` through `server` with `clients` closed-loop client
-/// threads (each submits its next request only after the previous answer
-/// arrives). Requests are dealt round-robin, so the per-client streams —
-/// and the aggregate mix — are deterministic for a given client count.
-/// Zero clients is treated as one.
-///
-/// # Errors
-/// [`ServeError::ShutDown`] when the server shuts down mid-run (no
-/// client gets an answer for an accepted job).
-pub fn run_closed_loop(
-    server: &CubeServer,
-    workload: &NavigationWorkload,
-    clients: usize,
-) -> Result<LoadReport, ServeError> {
-    let clients = clients.max(1);
-    let before = server.stats().requests;
-    let start = Instant::now();
-    std::thread::scope(|scope| -> Result<(), ServeError> {
-        let mut joins = Vec::with_capacity(clients);
-        for c in 0..clients {
-            let handle = server.handle()?;
-            let requests = &workload.requests;
-            // check:allow(spawn-site): scoped benchmark clients driving the
-            // server; they cannot outlive this function, unlike worker pools.
-            joins.push(scope.spawn(move || -> Result<(), ServeError> {
-                for req in requests.iter().skip(c).step_by(clients) {
-                    let resp = handle.call(req.clone())?;
-                    debug_assert!(
-                        !matches!(resp, Response::Error(_)),
-                        "workloads over real cells never err: {resp:?}"
-                    );
-                }
-                Ok(())
-            }));
-        }
-        for j in joins {
-            match j.join() {
-                Ok(client_result) => client_result?,
-                // A client thread can only unwind via its debug_assert;
-                // surface that verbatim instead of masking it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        Ok(())
-    })?;
-    let elapsed = start.elapsed();
-    let stats = server.stats();
-    let requests = stats.requests - before;
-    Ok(LoadReport {
-        elapsed,
-        requests,
-        throughput: requests as f64 / elapsed.as_secs_f64().max(1e-9),
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Response;
+    use crate::server::CubeServer;
     use crate::shard::ShardedCube;
     use icecube_cluster::ClusterConfig;
     use icecube_core::fixtures::sales;
@@ -261,15 +189,21 @@ mod tests {
         assert!(kinds.iter().all(|&k| k > 0), "all kinds present: {kinds:?}");
     }
 
+    /// One closed-loop client replays a walk over real cells: every leaf
+    /// is answered and none errs.
     #[test]
     fn closed_loop_answers_everything() {
         let s = store();
         let w = NavigationWorkload::generate(&s, 40, 3);
         let server = CubeServer::start(ShardedCube::new(&s, 2), 2).expect("workers > 0");
-        let report = run_closed_loop(&server, &w, 3).expect("server stays up");
-        assert_eq!(report.requests, w.leaf_count() as u64);
-        assert_eq!(report.stats.errors, 0);
-        assert!(report.throughput > 0.0);
-        assert!(report.stats.p99_ns >= report.stats.p50_ns);
+        let handle = server.handle().expect("server is running");
+        for req in &w.requests {
+            let resp = handle.call(req.clone()).expect("server stays up");
+            assert!(!matches!(resp, Response::Error(_)), "{req:?} -> {resp:?}");
+        }
+        let stats = server.stats();
+        assert_eq!(stats.requests, w.leaf_count() as u64);
+        assert_eq!(stats.errors, 0);
+        assert!(stats.p99_ns >= stats.p50_ns);
     }
 }

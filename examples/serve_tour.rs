@@ -1,6 +1,6 @@
 //! A tour of `icecube-serve`: shard a precomputed iceberg cube, start a
-//! worker pool, navigate it through typed requests from several client
-//! threads, and read the latency histogram back.
+//! worker pool, navigate it through typed requests, replay a seeded
+//! navigation walk, and read the latency histogram back.
 //!
 //! ```text
 //! cargo run --example serve_tour
@@ -10,9 +10,7 @@ use icecube::cluster::ClusterConfig;
 use icecube::core::{run_parallel, Algorithm, CubeStore, IcebergQuery};
 use icecube::data::SyntheticSpec;
 use icecube::lattice::CuboidMask;
-use icecube::serve::{
-    run_closed_loop, CubeServer, NavigationWorkload, Request, Response, ShardedCube,
-};
+use icecube::serve::{CubeServer, NavigationWorkload, Request, Response, ShardedCube};
 
 fn main() {
     // Precompute an iceberg cube once (PT over 4 simulated nodes)…
@@ -76,17 +74,17 @@ fn main() {
     }) {
         println!("malformed request answered with: {e}");
     }
-    drop(handle);
 
-    // Replay a deterministic navigation workload from 8 closed-loop clients.
+    // Replay a deterministic navigation workload through the same handle.
     let workload = NavigationWorkload::generate(&store, 2_000, 42);
-    let report = run_closed_loop(&server, &workload, 8).expect("server stays up");
-    let s = &report.stats;
+    println!("\nworkload: {} leaf requests", workload.leaf_count());
+    for req in workload.requests {
+        ask(req);
+    }
+    let s = server.stats();
     println!(
-        "\nworkload: {} leaf requests in {:.1} ms → {:.0} req/s",
-        report.requests,
-        report.elapsed.as_secs_f64() * 1e3,
-        report.throughput
+        "served: {} leaf requests, the probes above included",
+        s.requests
     );
     println!(
         "latency: mean {:.1} us, p50 {:.1} us, p95 {:.1} us, p99 {:.1} us",

@@ -205,8 +205,6 @@ fn fault_experiment_csv_bytes_are_identical_across_runs() {
         scale: 0.01,
         max_dims: 7,
         out_dir: std::env::temp_dir().join(dir),
-        smoke: true,
-        backend: icecube_bench::BackendSel::Both,
     };
     let save = |dir: &str| {
         let ctx = ctx(dir);
