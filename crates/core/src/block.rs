@@ -16,6 +16,7 @@
 use crate::agg::Aggregate;
 use icecube_lattice::CuboidMask;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// One cuboid's cells in columnar form: a stride-`arity` key arena and
 /// the aggregates beside it, in the same order.
@@ -68,6 +69,47 @@ impl CellBlock {
         debug_assert_eq!(key.len(), self.arity, "key arity for {}", self.cuboid);
         self.keys.extend_from_slice(key);
         self.aggs.push(agg);
+    }
+
+    /// Appends cells `range` of `other`, a block of the same cuboid, with
+    /// one slice copy per column. An empty or out-of-bounds range appends
+    /// nothing.
+    pub(crate) fn extend_from(&mut self, other: &CellBlock, range: Range<usize>) {
+        debug_assert_eq!(self.cuboid, other.cuboid, "runs of one cuboid");
+        let keys = other
+            .keys
+            .get(range.start * self.arity..range.end * self.arity);
+        if let (Some(keys), Some(aggs)) = (keys, other.aggs.get(range)) {
+            self.keys.extend_from_slice(keys);
+            self.aggs.extend_from_slice(aggs);
+        }
+    }
+
+    /// The first position at or after `from` whose key is not below
+    /// `key` (`len()` when there is none); the block must ascend by key.
+    /// An exponential probe from `from` brackets the position before the
+    /// binary search, so a merge walking ascending keys pays `O(log gap)`
+    /// per key rather than `O(log len)`.
+    pub(crate) fn lower_bound_from(&self, from: usize, key: &[u32]) -> usize {
+        let n = self.len();
+        // Every key before `lo` is below `key`; `hi` is `n` or a
+        // position whose key is not.
+        let (mut lo, mut hi) = (from.min(n), from.min(n));
+        let mut step = 1usize;
+        while hi < n && self.key(hi) < key {
+            lo = hi + 1;
+            hi = hi.saturating_add(step).min(n);
+            step = step.saturating_mul(2);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// The cuboid every cell of this block belongs to.

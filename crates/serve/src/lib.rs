@@ -4,8 +4,8 @@
 //! The computation crates build an iceberg cube once; this crate answers
 //! analyst navigation against it at high request rates:
 //!
-//! - [`ShardedCube`] is one flat copy of a
-//!   [`CubeStore`](icecube_core::CubeStore) plus the split keys that
+//! - [`ShardedCube`] is a [`CubeStore`](icecube_core::CubeStore),
+//!   sharing its immutable cuboid blocks, plus the split keys that
 //!   range-partition every cuboid into N logical shards. Routing
 //!   (`shard_of`) is deterministic and feeds the per-shard counters;
 //!   reads go straight to the store's sorted keys — the unsharded answer

@@ -265,7 +265,8 @@ impl CubeServer {
                 offered: store.dims(),
             });
         }
-        // The expensive part — copying the store — happens outside the lock.
+        // Routing the new cube happens outside the lock; its cells are
+        // shared with `store`, not copied.
         let cube = ShardedCube::new(store, shards);
         let mut cur = self
             .current
@@ -1170,6 +1171,72 @@ mod tests {
             assert_eq!(got.est_count, agg.count);
             assert_eq!(got.est_sum, agg.sum);
         }
+    }
+
+    #[test]
+    fn a_pinned_progressive_epoch_keeps_its_cells_through_later_folds() {
+        // Published epochs share cuboid blocks with the build's floor;
+        // this pins one mid-build epoch and checks that no later fold or
+        // publish reaches its cells.
+        let rel = icecube_data::presets::tiny(9).generate().unwrap();
+        let minsup = 3u64;
+        let cfg = ClusterConfig::fast_ethernet(3);
+        let mut build = icecube_online::ProgressiveBuild::new(&rel, minsup, 3, 40, 64, &cfg)
+            .expect("non-empty relation");
+        let srv =
+            CubeServer::start_progressive(ShardedCube::new(build.floor(), 2), 1, build.progress())
+                .expect("workers > 0");
+        build.step().expect("fold succeeds");
+        srv.publish_progressive(build.floor(), build.progress())
+            .expect("floor stays minsup 1");
+        let pinned = srv.snapshot();
+
+        let req = Request::EstimateCuboid {
+            cuboid: CuboidMask::full(rel.arity()),
+            minsup,
+        };
+        let answer = |snap: &EpochSnapshot| {
+            let metrics = Metrics::new(snap.cube().shard_count());
+            execute(
+                snap.cube(),
+                snap.progress(),
+                &metrics,
+                &req,
+                &mut Instant::now(),
+            )
+        };
+        // The epoch's cells, serialized through a store rebuilt from them.
+        let bytes = |snap: &EpochSnapshot| {
+            let cube = snap.cube();
+            let mut cells = Vec::new();
+            for g in cube.materialized_cuboids() {
+                for (key, agg) in cube.query(g, cube.minsup()).expect("stored cuboid") {
+                    cells.push(icecube_core::Cell {
+                        cuboid: g,
+                        key,
+                        agg,
+                    });
+                }
+            }
+            let mut buf = Vec::new();
+            CubeStore::from_cells(cube.dims(), cube.minsup(), cells)
+                .write_to(&mut buf)
+                .expect("in-memory write");
+            buf
+        };
+        let (answer0, bytes0) = (answer(&pinned), bytes(&pinned));
+
+        while build.step().expect("fold succeeds").is_some() {
+            srv.publish_progressive(build.floor(), build.progress())
+                .expect("floor stays minsup 1");
+        }
+        assert!(build.converged());
+        assert_eq!(answer(&pinned), answer0, "a later fold reached the pin");
+        assert_eq!(bytes(&pinned), bytes0, "a later fold reached the pin");
+        let last = srv.snapshot();
+        assert!(last.epoch() > pinned.epoch());
+        assert_ne!(answer(&last), answer0, "the folds changed the estimate");
+        assert_ne!(bytes(&last), bytes0, "the folds changed the cells");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A [`CubeStore`] with a logical N-way range partition over its keys.
 //!
 //! The cells stay where the store already keeps them — one flat, sorted
-//! key arena per cuboid — and sharding adds only a routing table: every
+//! key arena per cuboid, shared with the store by reference count rather
+//! than copied — and sharding adds only a routing table: every
 //! cuboid is split independently at even key quantiles (via
 //! [`CubeStore::split_points`], the same convention
 //! `icecube-core::partition` and POL's `Boundaries` use: range `j` owns
@@ -29,9 +30,10 @@ pub struct ShardedCube {
 }
 
 impl ShardedCube {
-    /// Range-partitions `store` into `shard_count` logical shards: one
-    /// flat copy of the store plus the split keys of every cuboid. Zero
-    /// shards is treated as one, as [`CubeStore::split_points`] does.
+    /// Range-partitions `store` into `shard_count` logical shards: a clone
+    /// of the store, which shares its immutable cuboid blocks rather than
+    /// copying cells, plus the split keys of every cuboid. Zero shards is
+    /// treated as one, as [`CubeStore::split_points`] does.
     pub fn new(store: &CubeStore, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
         let routes = store

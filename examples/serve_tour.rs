@@ -27,8 +27,8 @@ fn main() {
     .expect("valid query");
     let store = CubeStore::from_outcome(rel.arity(), 1, outcome);
 
-    // …then range-partition it into 4 logical shards (one flat copy of the
-    // store plus split keys) and start 4 workers over it.
+    // …then range-partition it into 4 logical shards (the store's cuboid
+    // blocks, shared, plus split keys) and start 4 workers over it.
     let sharded = ShardedCube::new(&store, 4);
     println!(
         "sharded cube: {} cells over {} cuboids, per shard {:?}",
