@@ -16,7 +16,7 @@
 //! All times are virtual and every seed is fixed, so the emitted CSV is
 //! bit-for-bit reproducible — CI regenerates it twice and `cmp`s.
 //!
-//! [`Progress`]: icecube_core::progressive::Progress
+//! [`Progress`]: icecube_online::Progress
 
 use crate::report::{f2, Report, Table};
 use crate::Ctx;

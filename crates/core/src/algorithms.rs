@@ -9,6 +9,7 @@ use crate::query::IcebergQuery;
 use icecube_cluster::{ClusterConfig, RunStats, TraceLog};
 use icecube_data::Relation;
 use icecube_exec::SimExecutor;
+use icecube_lattice::MAX_DIMS;
 use std::fmt;
 
 /// The parallel iceberg-cube algorithms the paper develops and evaluates.
@@ -254,6 +255,17 @@ pub(crate) fn validate(rel: &Relation, query: &IcebergQuery) -> Result<(), AlgoE
         return Err(AlgoError::DimensionMismatch {
             query_dims: query.dims,
             relation_dims: rel.arity(),
+        });
+    }
+    check_dims(rel.arity())
+}
+
+/// Rejects a cube wider than the lattice supports.
+pub(crate) fn check_dims(dims: usize) -> Result<(), AlgoError> {
+    if dims > MAX_DIMS {
+        return Err(AlgoError::TooManyDimensions {
+            dims,
+            max: MAX_DIMS,
         });
     }
     Ok(())

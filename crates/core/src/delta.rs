@@ -10,9 +10,10 @@
 //! * **Ingest** counting-sorts just the batch (a BUC pass at minsup 1, no
 //!   pruning — the floor needs every partial so sub-threshold cells can be
 //!   promoted later) and merges the pass's per-cuboid blocks into the
-//!   floor, block against block (`merge_rows`, the step progressive folds
-//!   share; [`CubeStore::merge_cells`] adapts precomputed cells to the
-//!   same merge). The merge touches exactly the lattice region the
+//!   floor, block against block ([`MaintainedCube::ingest_with`]; every
+//!   fold of a progressive build is one such ingest, and
+//!   [`CubeStore::merge_cells`] adapts precomputed cells to the same
+//!   merge). The merge touches exactly the lattice region the
 //!   batch's cells project into (`Σ_g |π_g(batch)|` cells over the
 //!   cuboids with at least one delta cell) — never the whole cube.
 //! * **Promotion/demotion is tombstone-free.** The floor always holds the
@@ -40,7 +41,7 @@
 //! recomputation — the classic iceberg space saving moves from the store
 //! to the serving snapshot.
 
-use crate::algorithms::{run_parallel, Algorithm};
+use crate::algorithms::{check_dims, run_parallel, Algorithm};
 use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
@@ -88,6 +89,7 @@ impl MaintainedCube {
         if dims == 0 {
             return Err(AlgoError::NoDimensions);
         }
+        check_dims(dims)?;
         Ok(MaintainedCube {
             dims,
             minsup: minsup.max(1),
@@ -139,7 +141,13 @@ impl MaintainedCube {
     }
 
     /// [`MaintainedCube::ingest`] with an explicit cost model for the
-    /// single-node delta pass (the refresh-latency sweep varies this).
+    /// single-node delta pass (the refresh-latency sweep varies this; a
+    /// progressive build folds each chunk through here).
+    ///
+    /// The pass is BPP-BUC at minsup 1 on one simulated node under
+    /// `config`, so `clock_ns` is that node's virtual time; its sink
+    /// blocks merge into the floor as they are, with no `Vec<Cell>` on the
+    /// way. On error the floor is unchanged.
     pub fn ingest_with(
         &mut self,
         batch: &Relation,
@@ -148,7 +156,14 @@ impl MaintainedCube {
         if batch.is_empty() {
             return Ok(self.noop_report());
         }
-        let (stats, clock_ns) = merge_rows(&mut self.floor, batch, self.minsup, config)?;
+        let query = IcebergQuery {
+            dims: self.dims,
+            minsup: 1,
+        };
+        let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, batch, &query, config)?;
+        let stats = self
+            .floor
+            .merge_blocks(sink.into_sorted_blocks(), self.minsup);
         Ok(self.published(stats, clock_ns))
     }
 
@@ -245,27 +260,6 @@ impl MaintainedCube {
             clock_ns,
         }
     }
-}
-
-/// The maintenance step streaming ingest and progressive folds share:
-/// aggregate `rows` at minimum support 1 (BPP-BUC on one simulated node
-/// under `config`, which is what the step's virtual time is), then merge
-/// the partials into `floor` block against block — no `Vec<Cell>` on the
-/// way. Returns the merge counters (promotions judged at `watch_minsup`)
-/// and the pass's virtual nanoseconds; on error `floor` is unchanged.
-pub(crate) fn merge_rows(
-    floor: &mut CubeStore,
-    rows: &Relation,
-    watch_minsup: u64,
-    config: &ClusterConfig,
-) -> Result<(MergeStats, u64), AlgoError> {
-    let query = IcebergQuery {
-        dims: floor.dims(),
-        minsup: 1,
-    };
-    let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, rows, &query, config)?;
-    let stats = floor.merge_blocks(sink.into_sorted_blocks(), watch_minsup);
-    Ok((stats, clock_ns))
 }
 
 #[cfg(test)]

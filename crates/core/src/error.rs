@@ -78,28 +78,14 @@ pub enum AlgoError {
         /// Key length the cell actually carried.
         got: usize,
     },
-    /// A progressive fold named a chunk index outside the build's plan.
-    ChunkOutOfRange {
-        /// The chunk index the fold named.
-        index: usize,
-        /// Chunks the plan actually has.
-        chunks: usize,
-    },
-    /// A progressive fold named a chunk that was already folded; folding
-    /// it twice would double-count its tuples in every touched cell.
-    ChunkAlreadyFolded {
-        /// The offending chunk index.
-        index: usize,
-    },
-    /// A progressive plan routed a chunk to an owner outside `0..parts`;
-    /// its slack could never be retired and bounds would never converge.
-    ChunkOwnerOutOfRange {
-        /// The offending chunk index.
-        chunk: usize,
-        /// The owner the chunk named.
-        owner: usize,
-        /// Owner ranges the plan has.
-        parts: usize,
+    /// The relation has more dimensions than the cube lattice supports
+    /// ([`icecube_lattice::MAX_DIMS`]), so its `2^d` group-bys cannot be
+    /// enumerated.
+    TooManyDimensions {
+        /// Dimensions the relation has.
+        dims: usize,
+        /// The most the lattice supports.
+        max: usize,
     },
     /// An execution backend failed to complete the plan.
     Exec(icecube_exec::ExecError),
@@ -153,22 +139,9 @@ impl fmt::Display for AlgoError {
                 f,
                 "delta cell key has {got} values but its cuboid implies {expected}"
             ),
-            AlgoError::ChunkOutOfRange { index, chunks } => {
-                write!(f, "chunk {index} is out of range for a {chunks}-chunk plan")
-            }
-            AlgoError::ChunkAlreadyFolded { index } => {
-                write!(
-                    f,
-                    "chunk {index} was already folded; refolding double-counts"
-                )
-            }
-            AlgoError::ChunkOwnerOutOfRange {
-                chunk,
-                owner,
-                parts,
-            } => write!(
+            AlgoError::TooManyDimensions { dims, max } => write!(
                 f,
-                "chunk {chunk} names owner {owner} but the plan has {parts} ranges"
+                "the relation has {dims} dimensions but a cube supports at most {max}"
             ),
             AlgoError::Exec(e) => write!(f, "execution backend failed: {e}"),
             AlgoError::Data(e) => write!(f, "data error: {e}"),
@@ -242,5 +215,8 @@ mod tests {
         assert!(AlgoError::NoDimensions
             .to_string()
             .contains("at least one dimension"));
+        let e = AlgoError::TooManyDimensions { dims: 33, max: 26 };
+        assert!(e.to_string().contains("33 dimensions"));
+        assert!(e.to_string().contains("at most 26"));
     }
 }

@@ -19,7 +19,10 @@
 //!   * [`aht`] — Affinity Hash Table (collapsible bit-indexed tables),
 //!   * [`htree`] — the Apriori-style hash-tree attempt the paper reports as
 //!     failing on memory (reproduced faithfully, failure included);
-//! * the evaluation-driven algorithm-selection [`recipe`] (Figure 4.7).
+//! * the evaluation-driven algorithm-selection [`recipe`] (Figure 4.7);
+//! * the live cube, [`delta::MaintainedCube`]: a minimum-support-1 floor
+//!   kept current by merging each batch's cells into it, the one
+//!   mechanism behind both streaming ingest and progressive folds.
 //!
 //! Entry points: [`run_parallel`] builds any [`Algorithm`]'s plan at the
 //! width of a [`ClusterConfig`](icecube_cluster::ClusterConfig) and runs
@@ -46,7 +49,6 @@ pub mod overlap;
 pub mod partition;
 pub mod pipehash;
 pub mod pipesort;
-pub mod progressive;
 pub mod pt;
 pub mod query;
 pub mod recipe;
@@ -65,7 +67,6 @@ pub use block::CellBlock;
 pub use cell::{Cell, CellBuf, CellSink};
 pub use delta::{DeltaReport, MaintainedCube};
 pub use error::AlgoError;
-pub use progressive::{ChunkMeta, Envelope, Progress, ProgressiveCube};
 pub use query::IcebergQuery;
 pub use recipe::{recommend, Choice, CubeProfile};
 pub use sequential::{run_sequential, SeqAlgorithm, SeqOutcome};

@@ -22,6 +22,10 @@ pub mod tree;
 pub use mask::CuboidMask;
 pub use tree::{divide_tasks, TreeTask};
 
+/// The most dimensions a cube may have: masks are 32-bit and dimension
+/// names run `A..Z`.
+pub const MAX_DIMS: usize = 26;
+
 /// The cube lattice over `d` dimensions.
 ///
 /// Dimensions are indexed `0..d` and, when displayed, named `A`, `B`, `C`, …
@@ -35,11 +39,14 @@ impl Lattice {
     /// Creates the lattice for `d` dimensions.
     ///
     /// # Panics
-    /// Panics unless `1 <= d <= 26` (masks are 32-bit; names run A..Z).
+    /// Panics unless `1 <= d <= MAX_DIMS`.
     pub fn new(d: usize) -> Self {
         // check:allow(panic-path): constructor contract documented in the
         // `# Panics` section; dimensionality is fixed at configuration time.
-        assert!((1..=26).contains(&d), "supported dimensionality is 1..=26");
+        assert!(
+            (1..=MAX_DIMS).contains(&d),
+            "supported dimensionality is 1..={MAX_DIMS}"
+        );
         Lattice { d }
     }
 

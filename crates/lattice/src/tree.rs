@@ -14,6 +14,7 @@
 //! exactly equal node count.
 
 use crate::mask::CuboidMask;
+use crate::MAX_DIMS;
 use std::collections::BinaryHeap;
 
 /// A subtree of the BUC processing tree, PT's task granule.
@@ -34,7 +35,10 @@ impl TreeTask {
     pub fn whole_lattice(d: usize) -> Self {
         // check:allow(panic-path): constructor contract — dimensionality is
         // fixed at configuration time, not per-tuple runtime input.
-        assert!((1..=26).contains(&d), "supported dimensionality is 1..=26");
+        assert!(
+            (1..=MAX_DIMS).contains(&d),
+            "supported dimensionality is 1..={MAX_DIMS}"
+        );
         TreeTask {
             root: CuboidMask::ALL,
             from_dim: 0,

@@ -1,6 +1,9 @@
 //! Estimator arithmetic shared by POL snapshots and progressive serving:
 //! exact integer threshold scaling, linear extrapolation, and the
-//! deterministic bound algebra of DESIGN §14.
+//! deterministic bound algebra of DESIGN §14 — the slack a progressive
+//! build still owes ([`Envelope`] per key range, published as a
+//! [`Progress`]) and the interval it puts around a partial aggregate
+//! ([`AggBound::over`]).
 //!
 //! Everything here is integer-only. The original POL snapshot scaled the
 //! support threshold in `f64` (`(minsup as f64 * fraction).round()`),
@@ -12,7 +15,156 @@
 //! does not support at the pro-rated threshold.
 
 use icecube_core::agg::Aggregate;
-use icecube_core::progressive::Envelope;
+use icecube_lattice::CuboidMask;
+
+/// What the unfolded remainder of a region can still contribute: at most
+/// `rows` more tuples, each with a measure in `[measure_min, measure_max]`.
+///
+/// The empty envelope (`rows == 0`) uses the same sentinels as
+/// [`Aggregate::empty`] so envelopes compose with `absorb` exactly like
+/// aggregates do with `merge`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Unseen rows that could still land in the region.
+    pub rows: u64,
+    /// Lower bound on any unseen measure (`i64::MAX` when `rows == 0`).
+    pub measure_min: i64,
+    /// Upper bound on any unseen measure (`i64::MIN` when `rows == 0`).
+    pub measure_max: i64,
+}
+
+impl Envelope {
+    /// The envelope of a fully-folded region: nothing can change.
+    pub fn empty() -> Envelope {
+        Envelope {
+            rows: 0,
+            measure_min: i64::MAX,
+            measure_max: i64::MIN,
+        }
+    }
+
+    /// True when the region is fully folded.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Widens this envelope to also cover `other` (an unfolded chunk's).
+    pub fn absorb(&mut self, other: &Envelope) {
+        if other.rows == 0 {
+            return;
+        }
+        self.rows = self.rows.saturating_add(other.rows);
+        self.measure_min = self.measure_min.min(other.measure_min);
+        self.measure_max = self.measure_max.max(other.measure_max);
+    }
+}
+
+/// An immutable view of how far a progressive build has come, published
+/// alongside each epoch so queries can bound their answers.
+///
+/// Ownership follows POL's range partitioning: `splits` are the surviving
+/// boundary keys of the anchor group-by, and every row of a chunk owned
+/// by range `j` has an anchor key that routes to `j` under them (the
+/// `partition_point` rule of `Boundaries::owner`). That contract is what
+/// lets anchor-cuboid cells use their range's tight envelope instead of
+/// the global one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Progress {
+    anchor: CuboidMask,
+    splits: Vec<Vec<u32>>,
+    remaining: Vec<Envelope>,
+    total: Envelope,
+    chunks_total: usize,
+    chunks_folded: usize,
+    rows_total: u64,
+    rows_folded: u64,
+}
+
+impl Progress {
+    /// The slack of a build over `rows_total` rows in `chunks_total`
+    /// chunks, whose still-unfolded chunks are `pending` — each an owner
+    /// range under `splits` and the chunk's envelope.
+    pub(crate) fn new(
+        anchor: CuboidMask,
+        splits: &[Vec<u32>],
+        pending: impl IntoIterator<Item = (usize, Envelope)>,
+        chunks_total: usize,
+        rows_total: u64,
+    ) -> Progress {
+        let mut remaining = vec![Envelope::empty(); splits.len() + 1];
+        let mut total = Envelope::empty();
+        let mut chunks_pending = 0usize;
+        for (owner, env) in pending {
+            if let Some(range) = remaining.get_mut(owner) {
+                range.absorb(&env);
+            }
+            total.absorb(&env);
+            chunks_pending += 1;
+        }
+        Progress {
+            anchor,
+            splits: splits.to_vec(),
+            remaining,
+            total,
+            chunks_total,
+            chunks_folded: chunks_total.saturating_sub(chunks_pending),
+            rows_total,
+            rows_folded: rows_total.saturating_sub(total.rows),
+        }
+    }
+
+    /// The anchor group-by whose keys the splits partition (the full
+    /// group-by over every dimension).
+    pub fn anchor(&self) -> CuboidMask {
+        self.anchor
+    }
+
+    /// Chunks the plan has in total.
+    pub fn chunks_total(&self) -> usize {
+        self.chunks_total
+    }
+
+    /// Chunks folded so far.
+    pub fn chunks_folded(&self) -> usize {
+        self.chunks_folded
+    }
+
+    /// Rows the plan covers in total.
+    pub fn rows_total(&self) -> u64 {
+        self.rows_total
+    }
+
+    /// Rows folded so far.
+    pub fn rows_folded(&self) -> u64 {
+        self.rows_folded
+    }
+
+    /// True when every chunk is folded: bounds are exact and the floor is
+    /// byte-identical to the batch build.
+    pub fn converged(&self) -> bool {
+        self.chunks_folded == self.chunks_total
+    }
+
+    /// The slack envelope over everything not yet folded, regardless of
+    /// region.
+    pub fn total_envelope(&self) -> Envelope {
+        self.total
+    }
+
+    /// The slack envelope for one cell of `cuboid` at `key`.
+    ///
+    /// Anchor-cuboid cells route to their owning range (the ownership
+    /// contract guarantees no other range's chunks can touch them) and get
+    /// that range's tight envelope; any other cuboid aggregates across
+    /// ranges, so it gets the global envelope.
+    pub fn envelope_for(&self, cuboid: CuboidMask, key: &[u32]) -> Envelope {
+        if cuboid != self.anchor {
+            return self.total;
+        }
+        let idx = self.splits.partition_point(|s| s.as_slice() <= key);
+        self.remaining.get(idx).copied().unwrap_or(self.total)
+    }
+}
 
 /// The support threshold pro-rated to the fraction of data processed:
 /// `ceil(minsup * processed / total)`, floored at 1.

@@ -21,6 +21,11 @@
 //! resulting `n × n` chunk tasks so that every node starts with its local
 //! chunk and wraps around ([`pol::TaskArray`], Table 5.1), with idle nodes
 //! stealing local-input tasks and shipping side skip lists to the owner.
+//!
+//! [`progressive`] carries the same schedule to the whole cube: its chunks
+//! fold one by one into a core `MaintainedCube` (each fold is an ingest),
+//! and [`estimate`] turns the unfolded chunks' [`Envelope`]s, published as
+//! a [`Progress`], into sound bounds on every partial aggregate.
 
 pub mod boundaries;
 pub mod estimate;
@@ -29,7 +34,7 @@ pub mod pol;
 pub mod progressive;
 
 pub use boundaries::Boundaries;
-pub use estimate::{scaled_count, scaled_sum, scaled_threshold, AggBound};
+pub use estimate::{scaled_count, scaled_sum, scaled_threshold, AggBound, Envelope, Progress};
 pub use materialize::SelectiveMaterialization;
 pub use pol::{run_pol, PolOutcome, PolQuery, Snapshot, TaskArray};
 pub use progressive::{ChunkPlan, FoldReport, PlannedChunk, ProgressiveBuild};

@@ -34,7 +34,7 @@ use crate::boundaries::Boundaries;
 use crate::estimate::scaled_threshold;
 use icecube_cluster::{ClusterConfig, EventKind, RunStats, SimCluster, TraceLog};
 use icecube_core::agg::Aggregate;
-use icecube_core::cell::{Cell, CellSink};
+use icecube_core::cell::Cell;
 use icecube_core::error::AlgoError;
 use icecube_data::Relation;
 use icecube_lattice::CuboidMask;
@@ -439,14 +439,6 @@ pub fn exact_answer(rel: &Relation, query: &PolQuery) -> Vec<Cell> {
     icecube_core::naive::naive_cuboid(rel, query.dims, query.minsup, &mut out);
     icecube_core::cell::sort_cells(&mut out);
     out
-}
-
-/// Emits a [`PolOutcome`]'s cells into a sink (bridges to the offline
-/// tooling).
-pub fn emit_outcome<S: CellSink>(outcome: &PolOutcome, sink: &mut S) {
-    for c in &outcome.cells {
-        sink.emit(c.cuboid, &c.key, &c.agg);
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Progressive cube building: the paper's n×n chunk schedule driving a
-//! [`ProgressiveCube`] toward the batch iceberg answer (DESIGN §14).
+//! Progressive cube building: the paper's n×n chunk schedule folding the
+//! relation into a [`MaintainedCube`] toward the batch iceberg answer
+//! (DESIGN §14).
 //!
 //! POL (Chapter 5) refines *one* group-by online; this module refines the
 //! *whole cube*. The plan reuses POL's machinery end to end:
@@ -14,23 +15,23 @@
 //!   chunk, so all owners refine in lockstep and no single source is
 //!   drained first — the paper's request-spreading argument turned into a
 //!   refresh schedule;
-//! * every chunk is aggregated at minimum support 1 by the sequential
-//!   BPP-BUC kernel (mergeable partial cells) and folded into a
-//!   [`ProgressiveCube`], whose envelopes bound what the unfolded
-//!   remainder can still change.
+//! * every fold is an ingest: [`MaintainedCube::ingest_with`] aggregates
+//!   the chunk at minimum support 1 with the sequential BPP-BUC kernel
+//!   and merges the partial cells into the floor, while each unfolded
+//!   chunk's [`Envelope`] bounds what the remainder can still change.
 //!
 //! Chunk aggregation runs on the virtual-time simulator, so the
 //! cumulative `virtual_ns` after each fold — the x-axis of the
 //! `experiments progressive` sweep — is byte-deterministic.
 
 use crate::boundaries::Boundaries;
+use crate::estimate::{Envelope, Progress};
 use crate::pol::TaskArray;
 use icecube_cluster::ClusterConfig;
-use icecube_core::progressive::{ChunkMeta, Progress, ProgressiveCube};
-use icecube_core::store::{CubeStore, MergeStats};
-use icecube_core::AlgoError;
+use icecube_core::store::CubeStore;
+use icecube_core::{AlgoError, MaintainedCube};
 use icecube_data::Relation;
-use icecube_lattice::CuboidMask;
+use icecube_lattice::{CuboidMask, MAX_DIMS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -46,6 +47,8 @@ pub struct PlannedChunk {
     pub step: usize,
     /// The chunk's rows.
     pub rows: Relation,
+    /// The slack the chunk contributes while unfolded.
+    envelope: Envelope,
 }
 
 /// The full chunk schedule for one relation: ownership boundaries plus
@@ -75,6 +78,12 @@ impl ChunkPlan {
         }
         if rel.arity() == 0 {
             return Err(AlgoError::NoDimensions);
+        }
+        if rel.arity() > MAX_DIMS {
+            return Err(AlgoError::TooManyDimensions {
+                dims: rel.arity(),
+                max: MAX_DIMS,
+            });
         }
         let nodes = nodes.max(1);
         let buffer = buffer_tuples.max(1);
@@ -128,6 +137,7 @@ impl ChunkPlan {
                         source,
                         owner,
                         step,
+                        envelope: envelope_of(&rows),
                         rows,
                     });
                 }
@@ -160,16 +170,16 @@ impl ChunkPlan {
     pub fn rows_total(&self) -> u64 {
         self.rows_total
     }
+}
 
-    /// The per-chunk slack metadata the [`ProgressiveCube`] accounts.
-    pub fn metas(&self) -> Vec<ChunkMeta> {
-        self.chunks
-            .iter()
-            .map(|c| {
-                let measures: Vec<i64> = (0..c.rows.len()).map(|t| c.rows.measure(t)).collect();
-                ChunkMeta::describe(c.owner, &measures)
-            })
-            .collect()
+/// The slack a chunk contributes while unfolded: its row count and the
+/// range of its measures.
+fn envelope_of(rows: &Relation) -> Envelope {
+    let measures = (0..rows.len()).map(|t| rows.measure(t));
+    Envelope {
+        rows: rows.len() as u64,
+        measure_min: measures.clone().min().unwrap_or(i64::MAX),
+        measure_max: measures.max().unwrap_or(i64::MIN),
     }
 }
 
@@ -178,27 +188,21 @@ impl ChunkPlan {
 pub struct FoldReport {
     /// Index of the folded chunk in arrival order.
     pub chunk: usize,
-    /// Source node the chunk came from.
-    pub source: usize,
     /// Owner range the chunk belongs to.
     pub owner: usize,
     /// Schedule step the chunk arrived in.
     pub step: usize,
-    /// Rows the chunk carried.
-    pub rows: u64,
     /// Cumulative virtual time after this fold.
     pub virtual_ns: u64,
-    /// The floor merge's statistics.
-    pub merge: MergeStats,
 }
 
-/// Drives a [`ChunkPlan`] through a [`ProgressiveCube`]: each
-/// [`ProgressiveBuild::step`] aggregates the next chunk at minimum
-/// support 1 on the simulator and folds it in.
+/// Drives a [`ChunkPlan`] through a [`MaintainedCube`]: each
+/// [`ProgressiveBuild::step`] ingests the next chunk, aggregating it at
+/// minimum support 1 on the simulator and merging it into the floor.
 #[derive(Debug, Clone)]
 pub struct ProgressiveBuild {
     plan: ChunkPlan,
-    cube: ProgressiveCube,
+    cube: MaintainedCube,
     config: ClusterConfig,
     next: usize,
     virtual_ns: u64,
@@ -215,8 +219,8 @@ impl ProgressiveBuild {
         sample_size: usize,
         config: &ClusterConfig,
     ) -> Result<ProgressiveBuild, AlgoError> {
+        let cube = MaintainedCube::new(rel.arity(), minsup)?;
         let plan = ChunkPlan::new(rel, nodes, buffer_tuples, sample_size, config.seed)?;
-        let cube = ProgressiveCube::new(rel.arity(), minsup, plan.splits.clone(), plan.metas())?;
         Ok(ProgressiveBuild {
             plan,
             cube,
@@ -226,21 +230,18 @@ impl ProgressiveBuild {
         })
     }
 
-    /// Aggregates and folds the next chunk; `Ok(None)` once converged.
+    /// Ingests the next chunk; `Ok(None)` once converged.
     pub fn step(&mut self) -> Result<Option<FoldReport>, AlgoError> {
         let Some(chunk) = self.plan.chunks.get(self.next) else {
             return Ok(None);
         };
-        let (merge, clock_ns) = self.cube.fold_rows(self.next, &chunk.rows, &self.config)?;
-        self.virtual_ns = self.virtual_ns.saturating_add(clock_ns);
+        let ingested = self.cube.ingest_with(&chunk.rows, &self.config)?;
+        self.virtual_ns = self.virtual_ns.saturating_add(ingested.clock_ns);
         let report = FoldReport {
             chunk: self.next,
-            source: chunk.source,
             owner: chunk.owner,
             step: chunk.step,
-            rows: chunk.rows.len() as u64,
             virtual_ns: self.virtual_ns,
-            merge,
         };
         self.next += 1;
         Ok(Some(report))
@@ -251,9 +252,17 @@ impl ProgressiveBuild {
         &self.plan
     }
 
-    /// The build's current slack snapshot, for publishing with an epoch.
+    /// The build's current slack snapshot, for publishing with an epoch:
+    /// the envelopes of the chunks not yet folded.
     pub fn progress(&self) -> Progress {
-        self.cube.progress()
+        let pending = self.plan.chunks.get(self.next..).unwrap_or_default();
+        Progress::new(
+            CuboidMask::full(self.cube.dims()),
+            &self.plan.splits,
+            pending.iter().map(|c| (c.owner, c.envelope)),
+            self.plan.chunks.len(),
+            self.plan.rows_total,
+        )
     }
 
     /// The minimum-support-1 floor (every partial cell).
@@ -261,14 +270,9 @@ impl ProgressiveBuild {
         self.cube.floor()
     }
 
-    /// The cells currently at or above the serving threshold.
-    pub fn visible(&self) -> CubeStore {
-        self.cube.visible()
-    }
-
     /// True once every chunk has folded.
     pub fn converged(&self) -> bool {
-        self.cube.converged()
+        self.next == self.plan.chunks.len()
     }
 
     /// Cumulative virtual time across every fold so far.
@@ -281,8 +285,56 @@ impl ProgressiveBuild {
 mod tests {
     use super::*;
     use icecube_core::sequential::{run_sequential, SeqAlgorithm};
-    use icecube_core::IcebergQuery;
-    use icecube_data::presets;
+    use icecube_core::{Aggregate, Cell, IcebergQuery};
+    use icecube_data::{presets, Schema};
+
+    /// The envelope of a one-dimension chunk with these measures.
+    fn chunk_envelope(measures: &[i64]) -> Envelope {
+        let mut rows = Relation::new(Schema::from_cardinalities(&[2]).unwrap());
+        for &m in measures {
+            rows.push_row(&[0], m).unwrap();
+        }
+        envelope_of(&rows)
+    }
+
+    #[test]
+    fn describe_uses_aggregate_sentinels_when_empty() {
+        let e = chunk_envelope(&[]);
+        assert_eq!(e, Envelope::empty());
+        assert!(e.is_empty());
+        let agg = Aggregate::empty();
+        assert_eq!((e.measure_min, e.measure_max), (agg.min, agg.max));
+        let e = chunk_envelope(&[3, -2, 7]);
+        assert_eq!((e.rows, e.measure_min, e.measure_max), (3, -2, 7));
+    }
+
+    #[test]
+    fn envelopes_absorb_like_aggregates_merge() {
+        let mut e = Envelope::empty();
+        e.absorb(&chunk_envelope(&[]));
+        assert!(e.is_empty(), "empty chunks leave the envelope empty");
+        e.absorb(&chunk_envelope(&[5, -1]));
+        e.absorb(&chunk_envelope(&[9]));
+        assert_eq!((e.rows, e.measure_min, e.measure_max), (3, -1, 9));
+    }
+
+    #[test]
+    fn anchor_cells_get_their_range_envelope_others_the_total() {
+        // Two ranges split at key [5, 0]: range 0 owns keys below it.
+        let anchor = CuboidMask::full(2);
+        let (low, high) = (chunk_envelope(&[10, 20]), chunk_envelope(&[-3]));
+        let p = Progress::new(anchor, &[vec![5, 0]], [(0, low), (1, high)], 2, 3);
+        assert_eq!(p.envelope_for(anchor, &[1, 9]), low);
+        assert_eq!(p.envelope_for(anchor, &[5, 0]), high);
+        // A coarser cuboid aggregates across ranges: global envelope.
+        let coarse = p.envelope_for(CuboidMask::from_dims(&[0]), &[1]);
+        assert_eq!(
+            (coarse.rows, coarse.measure_min, coarse.measure_max),
+            (3, -3, 20)
+        );
+        assert_eq!(p.total_envelope(), coarse);
+        assert_eq!((p.chunks_folded(), p.rows_folded()), (0, 0));
+    }
 
     #[test]
     fn plan_covers_every_row_exactly_once() {
@@ -345,6 +397,62 @@ mod tests {
         build.floor().write_to(&mut got).unwrap();
         scratch.write_to(&mut want).unwrap();
         assert_eq!(got, want, "converged floor must match the batch build");
+    }
+
+    #[test]
+    fn folding_tightens_the_published_envelope() {
+        let rel = presets::tiny(44).generate().unwrap();
+        let cfg = ClusterConfig::fast_ethernet(3);
+        let mut build = ProgressiveBuild::new(&rel, 2, 3, 25, 64, &cfg).unwrap();
+        let mut before = build.progress();
+        assert_eq!(before.total_envelope().rows, rel.len() as u64);
+        while let Some(fold) = build.step().unwrap() {
+            let after = build.progress();
+            let rows = build.plan().chunks()[fold.chunk].rows.len() as u64;
+            assert_eq!(
+                after.total_envelope().rows + rows,
+                before.total_envelope().rows
+            );
+            assert_eq!(after.rows_folded(), before.rows_folded() + rows);
+            assert_eq!(after.chunks_folded(), fold.chunk + 1);
+            let (was, now) = (before.total_envelope(), after.total_envelope());
+            assert!(now.is_empty() || now.measure_min >= was.measure_min);
+            assert!(now.is_empty() || now.measure_max <= was.measure_max);
+            before = after;
+        }
+        assert!(before.converged());
+        assert!(before.total_envelope().is_empty());
+    }
+
+    #[test]
+    fn converged_floor_matches_direct_store() {
+        // One source reading one row per step: two single-row chunks
+        // touching the same key. The floor must equal a store built from
+        // the merged cell.
+        let mut rel = Relation::new(Schema::from_cardinalities(&[4]).unwrap());
+        rel.push_row(&[3], 4).unwrap();
+        rel.push_row(&[3], 6).unwrap();
+        let cfg = ClusterConfig::fast_ethernet(1);
+        let mut build = ProgressiveBuild::new(&rel, 2, 1, 1, 4, &cfg).unwrap();
+        assert_eq!(build.plan().chunks().len(), 2);
+        while build.step().unwrap().is_some() {}
+        assert!(build.converged());
+        let mut merged = Aggregate::of(4);
+        merged.update(6);
+        let want = CubeStore::from_cells(
+            1,
+            1,
+            vec![Cell {
+                cuboid: CuboidMask::full(1),
+                key: vec![3],
+                agg: merged,
+            }],
+        );
+        let mut got_bytes = Vec::new();
+        let mut want_bytes = Vec::new();
+        build.floor().write_to(&mut got_bytes).unwrap();
+        want.write_to(&mut want_bytes).unwrap();
+        assert_eq!(got_bytes, want_bytes);
     }
 
     #[test]

@@ -36,9 +36,8 @@ use crate::request::{CellEstimate, Request, RequestError, Response, RollUpPlan};
 use crate::shard::ShardedCube;
 use crate::sync::mpsc::{self, Receiver, Sender};
 use crate::sync::{thread, Arc, Instant, Mutex};
-use icecube_core::progressive::Progress;
 use icecube_core::{Aggregate, CubeStore};
-use icecube_online::{scaled_count, scaled_sum, AggBound};
+use icecube_online::{scaled_count, scaled_sum, AggBound, Progress};
 
 /// One immutable published generation of the served cube.
 ///

@@ -12,10 +12,11 @@
 //!    match the oracle of exactly the epoch they are tagged with.
 
 use icecube::cluster::ClusterConfig;
-use icecube::core::{run_sequential, Aggregate, CubeStore, IcebergQuery, SeqAlgorithm};
-use icecube::data::presets;
+use icecube::core::naive::naive_iceberg_cube;
+use icecube::core::{run_sequential, Aggregate, Cell, CubeStore, IcebergQuery, SeqAlgorithm};
+use icecube::data::{presets, Relation};
 use icecube::lattice::CuboidMask;
-use icecube::online::{AggBound, ProgressiveBuild};
+use icecube::online::{AggBound, Envelope, ProgressiveBuild};
 use icecube::serve::{CubeServer, Request, Response, ShardedCube};
 use std::collections::HashMap;
 
@@ -219,5 +220,70 @@ fn estimates_racing_a_publish_storm_match_their_epochs_oracle() {
     for (cell, (key, agg)) in cells.iter().zip(&batch) {
         assert_eq!(&cell.key, key);
         assert_eq!(cell.bound, AggBound::exact(agg));
+    }
+}
+
+/// The `(rows, min, max)` of every measure in `rows`, computed straight
+/// from the raw tuples (the empty aggregate's sentinels when none).
+fn raw_envelope<'a>(rows: impl Iterator<Item = &'a Relation>) -> Envelope {
+    let mut env = Envelope::empty();
+    for rel in rows {
+        for t in 0..rel.len() {
+            env.rows += 1;
+            env.measure_min = env.measure_min.min(rel.measure(t));
+            env.measure_max = env.measure_max.max(rel.measure(t));
+        }
+    }
+    env
+}
+
+#[test]
+fn every_fold_prefix_is_the_naive_cube_of_its_chunks() {
+    for seed in SEEDS {
+        for minsup in [2u64, 5] {
+            let rel = presets::tiny(seed).generate().expect("valid preset");
+            let cfg = ClusterConfig::fast_ethernet(NODES);
+            let anchor = CuboidMask::full(rel.arity());
+            let query = IcebergQuery::count_cube(rel.arity(), 1);
+            let mut build = ProgressiveBuild::new(&rel, minsup, NODES, BUFFER, SAMPLE, &cfg)
+                .expect("non-empty relation");
+            let chunks = build.plan().chunks().to_vec();
+            let mut folded = Relation::new(rel.schema().clone());
+            for k in 0..=chunks.len() {
+                if let Some(chunk) = k.checked_sub(1).map(|i| &chunks[i]) {
+                    let fold = build.step().expect("chunks fold cleanly");
+                    assert_eq!(fold.map(|f| f.chunk), Some(k - 1), "folds in plan order");
+                    folded
+                        .extend_from(&chunk.rows)
+                        .expect("chunks share the schema");
+                }
+                // The floor is the naive minsup-1 cube of the folded rows;
+                // the oracle never runs the block merge.
+                let got: Vec<Cell> = build.floor().iter().collect();
+                assert_eq!(
+                    got,
+                    naive_iceberg_cube(&folded, &query),
+                    "seed {seed} minsup {minsup}: floor after {k} folds"
+                );
+                // The slack is exactly what the unfolded rows can add.
+                let progress = build.progress();
+                let pending = &chunks[k..];
+                for c in pending {
+                    let owned = pending.iter().filter(|o| o.owner == c.owner);
+                    assert_eq!(
+                        progress.envelope_for(anchor, c.rows.row(0)),
+                        raw_envelope(owned.map(|o| &o.rows)),
+                        "seed {seed} minsup {minsup}: owner {} after {k} folds",
+                        c.owner
+                    );
+                }
+                assert_eq!(
+                    progress.total_envelope(),
+                    raw_envelope(pending.iter().map(|c| &c.rows))
+                );
+                assert_eq!(progress.rows_folded(), folded.len() as u64);
+            }
+            assert!(build.step().expect("converged").is_none());
+        }
     }
 }
