@@ -17,7 +17,9 @@ use icecube::core::{
 };
 use icecube::data::{Relation, SyntheticSpec};
 use icecube::exec::{Backend, ExecError, ExecReport, Executor, TaskSpec, Workload};
-use icecube::lattice::TreeTask;
+use icecube::lattice::{CuboidMask, TreeTask};
+use icecube::online::pol::exact_answer;
+use icecube::online::{run_pol, PolQuery};
 use icecube::trace::{chrome_trace_json, phase_cost_csv};
 
 const SEEDS: [u64; 8] = [3, 11, 29, 47, 101, 211, 499, 997];
@@ -434,4 +436,87 @@ fn native_plans_match_their_golden_fingerprints() {
         }
     }
     assert!(drifted.is_empty(), "plan drift:\n{}", drifted.join("\n"));
+}
+
+/// Golden fingerprints of POL (Sections 5.3–5.4) on four traced
+/// Fast-Ethernet nodes: every seed's workload grouped by its first and
+/// last dimension at minimum support 2, with work stealing on and off,
+/// at an 8-tuple buffer (ten steps per node) and a 64-tuple buffer (two
+/// steps). Each fingerprint covers the answer, the snapshots, the run
+/// statistics, the stolen-task and skip-list-node counts, and both trace
+/// exports, so a rewrite of POL's schedule must keep every sample, fetch,
+/// fold, steal and barrier where it was.
+const GOLDEN_POL_FPS: [(u64, bool, usize, u64); 32] = [
+    (3, true, 8, 0x4c5e1805e6a15d82),
+    (3, true, 64, 0xd93859717aa2ba35),
+    (3, false, 8, 0xe4cebfcd20592745),
+    (3, false, 64, 0xd93859717aa2ba35),
+    (11, true, 8, 0xf0dca4f16d887588),
+    (11, true, 64, 0x5ab5fd3af5b6e590),
+    (11, false, 8, 0xbf1827995160f467),
+    (11, false, 64, 0x5ab5fd3af5b6e590),
+    (29, true, 8, 0xcea944e3948b0ead),
+    (29, true, 64, 0x0262a42401a2c0d3),
+    (29, false, 8, 0x48d86559306e9ba7),
+    (29, false, 64, 0xeb268516039fa348),
+    (47, true, 8, 0x9ee4cd0fb2fd7bb6),
+    (47, true, 64, 0x56c2c831c18cd2c5),
+    (47, false, 8, 0x57e944a4ff39b4d2),
+    (47, false, 64, 0x56c2c831c18cd2c5),
+    (101, true, 8, 0xbbd3da02a14de5ce),
+    (101, true, 64, 0xc394b6f0e58d6f4c),
+    (101, false, 8, 0x6658b22c1ee9acf6),
+    (101, false, 64, 0xc394b6f0e58d6f4c),
+    (211, true, 8, 0x180a23e8a624523e),
+    (211, true, 64, 0xefba386ee0d60fdd),
+    (211, false, 8, 0x68389b6c1b061fb7),
+    (211, false, 64, 0xefba386ee0d60fdd),
+    (499, true, 8, 0x5556e81920bf8b37),
+    (499, true, 64, 0x7f250aa1d99b73a2),
+    (499, false, 8, 0x3de36e3c5c7c3336),
+    (499, false, 64, 0x7f250aa1d99b73a2),
+    (997, true, 8, 0x1dcd5967cae48f8a),
+    (997, true, 64, 0x9bc2c3bf9fa3cacd),
+    (997, false, 8, 0x482b2a2758de231c),
+    (997, false, 64, 0x809e076be5b80506),
+];
+
+#[test]
+fn pol_runs_match_their_golden_fingerprints() {
+    let cfg = ClusterConfig::fast_ethernet(4).with_trace();
+    let mut drifted = Vec::new();
+    let mut stolen = 0u64;
+    for (seed, work_stealing, buffer_tuples, golden) in GOLDEN_POL_FPS {
+        let rel = workload(seed);
+        let query = PolQuery {
+            buffer_tuples,
+            work_stealing,
+            ..PolQuery::new(CuboidMask::from_dims(&[0, rel.arity() - 1]), 2)
+        };
+        let ctx = format!("seed {seed}, stealing {work_stealing}, buffer {buffer_tuples}");
+        let out = run_pol(&rel, &query, &cfg).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(out.cells, exact_answer(&rel, &query), "{ctx}: wrong answer");
+        stolen += out.stolen_tasks;
+        let log = out.trace.as_ref().expect("tracing was enabled");
+        let exports = chrome_trace_json(log) + &phase_cost_csv(log);
+        let fp = fingerprint(
+            &out.cells,
+            &(
+                &out.snapshots,
+                &out.stats,
+                out.stolen_tasks,
+                out.total_list_nodes,
+                exports,
+            ),
+        );
+        if fp != golden {
+            drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
+        }
+    }
+    assert!(stolen > 0, "no golden configuration steals a task");
+    assert!(
+        drifted.is_empty(),
+        "fingerprint drift:\n{}",
+        drifted.join("\n")
+    );
 }
