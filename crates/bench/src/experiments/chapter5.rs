@@ -7,7 +7,7 @@ use icecube_core::cell::CellBuf;
 use icecube_core::{run_parallel_with, Algorithm, IcebergQuery, RunOptions};
 use icecube_data::presets;
 use icecube_lattice::CuboidMask;
-use icecube_online::{run_pol, PolQuery, SelectiveMaterialization, TaskArray};
+use icecube_online::{run_pol, wrap_order, PolQuery, SelectiveMaterialization};
 
 /// Section 5.1 — selective materialization: recomputing the whole iceberg
 /// cube vs precomputing only the leaf cuboid (at support 1) and answering
@@ -81,12 +81,9 @@ pub fn sec5_1(ctx: &Ctx) -> Report {
 
 /// Table 5.1 — the n×n task array for 4 processors.
 pub fn table5_1() -> Report {
-    let array = TaskArray::new(4);
     let mut t = Table::new(["owner", "processing order (source nodes)"]);
     for j in 0..4 {
-        let order: Vec<String> = array
-            .order_for(j)
-            .iter()
+        let order: Vec<String> = wrap_order(j, 4)
             .map(|i| format!("Chunk_{}{}", j + 1, i + 1))
             .collect();
         t.row([format!("P{}", j + 1), order.join(" → ")]);

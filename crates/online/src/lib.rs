@@ -14,18 +14,21 @@
 //!   online-aggregation framework of Hellerstein, Haas and Wang — an
 //!   instant rough answer that refines progressively as blocks stream in.
 //!
-//! POL's machinery: the data is range-partitioned across nodes unsorted;
-//! the result skip list is *also* range-partitioned, with boundaries drawn
-//! from an initial sample ([`boundaries`]); each synchronized step loads
-//! one block per node, buckets its tuples by boundary, and schedules the
-//! resulting `n × n` chunk tasks so that every node starts with its local
-//! chunk and wraps around ([`pol::TaskArray`], Table 5.1), with idle nodes
-//! stealing local-input tasks and shipping side skip lists to the owner.
+//! The Chapter 5 schedule is one type, [`ChunkPlan`] (Table 5.1): the
+//! data is range-partitioned across nodes unsorted; the result key space
+//! is *also* range-partitioned, with boundaries drawn from an initial
+//! sample of the group-by ([`boundaries`]); each step loads one block per
+//! node and buckets its tuples by boundary into `n × n` chunks, which
+//! arrive in [`wrap_order`] — every owner starts with its local chunk and
+//! wraps around. It has two consumers:
 //!
-//! [`progressive`] carries the same schedule to the whole cube: its chunks
-//! fold one by one into a core `MaintainedCube` (each fold is an ingest),
-//! and [`estimate`] turns the unfolded chunks' [`Envelope`]s, published as
-//! a [`Progress`], into sound bounds on every partial aggregate.
+//! * [`pol`] serves each step's chunks on the simulated cluster into
+//!   range-partitioned skip lists, with idle nodes stealing local-input
+//!   tasks and shipping side skip lists to the owner;
+//! * [`progressive`] plans on the full cuboid and folds the chunks one by
+//!   one into a core `MaintainedCube` (each fold is an ingest), and
+//!   [`estimate`] turns the unfolded chunks' [`Envelope`]s, published as
+//!   a [`Progress`], into sound bounds on every partial aggregate.
 
 pub mod boundaries;
 pub mod estimate;
@@ -36,5 +39,5 @@ pub mod progressive;
 pub use boundaries::Boundaries;
 pub use estimate::{scaled_count, scaled_sum, scaled_threshold, AggBound, Envelope, Progress};
 pub use materialize::SelectiveMaterialization;
-pub use pol::{run_pol, PolOutcome, PolQuery, Snapshot, TaskArray};
-pub use progressive::{ChunkPlan, FoldReport, PlannedChunk, ProgressiveBuild};
+pub use pol::{run_pol, PolOutcome, PolQuery, Snapshot};
+pub use progressive::{wrap_order, ChunkPlan, FoldReport, PlannedChunk, ProgressiveBuild};

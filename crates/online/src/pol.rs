@@ -11,11 +11,10 @@
 //!   from an initial sample, so every node owns one sorted range of the
 //!   answer;
 //! * within a step, each node buckets its block into `n` chunks by those
-//!   boundaries, defining the `n × n` task array of Table 5.1:
+//!   boundaries — the `n × n` task array of Table 5.1, where
 //!   `task(Chunk_ji)` folds the chunk *located on* node `i` into node
-//!   `j`'s skip-list partition. Node `j` processes its row starting with
-//!   the local chunk and wrapping (`j, j+1, …, n-1, 0, …`), which spreads
-//!   remote fetches so no single node is swamped with requests;
+//!   `j`'s partition. Node `j` serves its row in [`wrap_order`] (`j, j+1,
+//!   …, n-1, 0, …`), spreading remote fetches so no node is swamped;
 //! * a node that finishes early *steals* an untouched task whose chunk is
 //!   local to it, builds a side skip list, and ships the list to the
 //!   owner, who merges it — load balancing without extra raw-data
@@ -24,14 +23,13 @@
 //!   the cells qualifying under the support threshold scaled to the
 //!   fraction of data seen so far — the progressive refinement of the
 //!   online-aggregation framework.
+//!
+//! The sample, the split and the bucketing are [`ChunkPlan`]'s: the one
+//! Chapter 5 schedule, which the progressive cube build folds too. This
+//! module serves each step's chunks on the simulated cluster.
 
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
-use crate::boundaries::Boundaries;
 use crate::estimate::scaled_threshold;
+use crate::progressive::{wrap_order, ChunkPlan, PlannedChunk};
 use icecube_cluster::{ClusterConfig, EventKind, RunStats, SimCluster, TraceLog};
 use icecube_core::agg::Aggregate;
 use icecube_core::cell::Cell;
@@ -39,8 +37,6 @@ use icecube_core::error::AlgoError;
 use icecube_data::Relation;
 use icecube_lattice::CuboidMask;
 use icecube_skiplist::SkipList;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// The online iceberg query POL answers.
@@ -69,8 +65,10 @@ impl PolQuery {
     pub fn new(dims: CuboidMask, minsup: u64) -> Self {
         // check:allow(panic-in-lib): constructor contract — a zero
         // support threshold is a programming error, not runtime input.
+        // check:allow(panic-path): same constructor contract.
         assert!(minsup > 0, "minimum support must be at least 1");
         // check:allow(panic-in-lib): same constructor contract as above.
+        // check:allow(panic-path): same constructor contract.
         assert!(!dims.is_all(), "POL aggregates a non-empty group-by");
         PolQuery {
             dims,
@@ -80,43 +78,6 @@ impl PolQuery {
             snapshot_every: 1,
             work_stealing: true,
         }
-    }
-}
-
-/// The `n × n` per-step task array of Table 5.1.
-///
-/// `task(j, i)` processes the chunk located on node `i` destined for node
-/// `j`'s skip-list partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskArray {
-    n: usize,
-}
-
-impl TaskArray {
-    /// Builds the array for an `n`-node cluster.
-    pub fn new(n: usize) -> Self {
-        // check:allow(panic-in-lib): constructor contract — a zero-node
-        // cluster is a configuration bug, not runtime input.
-        assert!(n > 0, "need at least one node");
-        TaskArray { n }
-    }
-
-    /// Node `j`'s processing order over source nodes: local first, then
-    /// wrapping — "this sequence maximizes the possibility of each
-    /// processor working on data located on different processors at one
-    /// time, thus reducing the possibility of a burst of data requests".
-    pub fn order_for(&self, j: usize) -> Vec<usize> {
-        (0..self.n).map(|k| (j + k) % self.n).collect()
-    }
-
-    /// Total tasks per step.
-    pub fn len(&self) -> usize {
-        self.n * self.n
-    }
-
-    /// True for the degenerate single-node array.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -153,126 +114,95 @@ pub struct PolOutcome {
     pub trace: Option<TraceLog>,
 }
 
-/// One bucketed chunk: projected keys and measures, ready to fold.
-struct Chunk {
-    keys: Vec<u32>,
-    measures: Vec<i64>,
-    arity: usize,
-}
-
-impl Chunk {
-    fn new(arity: usize) -> Self {
-        Chunk {
-            keys: Vec::new(),
-            measures: Vec::new(),
-            arity,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.measures.len()
-    }
-
-    fn key(&self, t: usize) -> &[u32] {
-        &self.keys[t * self.arity..(t + 1) * self.arity]
-    }
-
-    /// Transfer size: 4 bytes per key element plus the measure.
-    fn byte_size(&self) -> u64 {
-        (self.keys.len() * 4 + self.measures.len() * 8) as u64
-    }
-}
-
-/// Runs POL over a simulated cluster.
+/// Runs POL over a simulated cluster, consuming the [`ChunkPlan`] of
+/// `query.dims`: each step's chunks are the blocks the nodes load, bucketed
+/// by owner.
 pub fn run_pol(
     rel: &Relation,
     query: &PolQuery,
     config: &ClusterConfig,
 ) -> Result<PolOutcome, AlgoError> {
-    if rel.is_empty() {
-        return Err(AlgoError::EmptyInput);
-    }
-    if query.dims.max_dim().is_some_and(|m| m >= rel.arity()) {
-        return Err(AlgoError::DimensionMismatch {
-            query_dims: query.dims.max_dim().unwrap_or(0) + 1,
-            relation_dims: rel.arity(),
-        });
-    }
-    let buffer = query.buffer_tuples.max(1);
+    let n = config.nodes.len();
+    let sample = query.sample_size.max(1);
+    let plan = ChunkPlan::new(rel, query.dims, n, query.buffer_tuples, sample, config.seed)?;
     let arity = query.dims.dim_count();
+    // A fetched row ships its projected key and its measure.
+    let fetch_row_bytes = 4 * arity as u64 + 8;
     let mut cluster = SimCluster::new(config.clone());
-    let n = cluster.len();
 
     // The manager samples and fixes the skip-list partition boundaries.
-    let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x90);
-    let boundaries =
-        Boundaries::sample_relation(rel, query.dims, n, query.sample_size.max(1), &mut rng);
-    cluster.nodes[0].charge_scan(query.sample_size.max(1) as u64);
+    if let Some(manager) = cluster.nodes.first_mut() {
+        manager.charge_scan(sample as u64);
+    }
     cluster.barrier(); // boundaries broadcast
 
-    // Horizontal data distribution: node i's local partition, unsorted.
-    let partitions = rel.split_even(n);
-    let mut cursors = vec![0usize; n];
     let mut lists: Vec<SkipList<Aggregate>> = (0..n)
         .map(|j| SkipList::new(arity, config.seed ^ ((j as u64) << 40)))
         .collect();
-    let tasks = TaskArray::new(n);
     let mut snapshots = Vec::new();
     let mut stolen_tasks = 0u64;
-    let mut processed = 0usize;
+    let mut processed = 0u64;
+    let total = plan.rows_total();
     let mut step = 0usize;
 
-    while (0..n).any(|i| cursors[i] < partitions[i].len()) {
+    for block in plan.chunks().chunk_by(|a, b| a.step == b.step) {
         step += 1;
-        // (a) Each node loads one block and buckets it by boundary.
-        let mut chunks: Vec<Vec<Chunk>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let part = &partitions[i];
-            let start = cursors[i];
-            let end = (start + buffer).min(part.len());
-            cursors[i] = end;
-            processed += end - start;
-            let node = &mut cluster.nodes[i];
-            node.read_bytes((end - start) as u64 * part.row_bytes());
-            node.charge_scan((end - start) as u64);
-            let mut bucketed: Vec<Chunk> = (0..n).map(|_| Chunk::new(arity)).collect();
-            let mut key = vec![0u32; arity];
-            for t in start..end {
-                query.dims.project_row(part.row(t), &mut key);
-                let owner = boundaries.owner(&key);
-                bucketed[owner].keys.extend_from_slice(&key);
-                bucketed[owner].measures.push(part.measure(t));
-            }
-            node.charge_moves((end - start) as u64);
-            chunks.push(bucketed);
+        // A (source, owner) pair the plan dropped is an empty chunk.
+        let chunk = |s: usize, o: usize| block.iter().find(|c| (c.source, c.owner) == (s, o));
+        // (a) Each node loads one block from its local partition — the
+        // step's chunks it is the source of, none once the partition is
+        // exhausted — and pays for bucketing it by boundary.
+        for (i, node) in cluster.nodes.iter_mut().enumerate() {
+            let rows: u64 = block
+                .iter()
+                .filter(|c| c.source == i)
+                .map(|c| c.rows.len() as u64)
+                .sum();
+            processed += rows;
+            node.read_bytes(rows * rel.row_bytes());
+            node.charge_scan(rows);
+            node.charge_moves(rows);
         }
 
         // (b) Schedule the n×n tasks: owners in wrap order, idlers steal.
-        let mut pending: Vec<VecDeque<usize>> = (0..n)
-            .map(|j| tasks.order_for(j).into_iter().collect())
-            .collect();
+        let mut pending: Vec<VecDeque<usize>> =
+            (0..n).map(|j| wrap_order(j, n).collect()).collect();
         let mut active = vec![true; n];
-        while active.iter().any(|&a| a) {
-            let Some(node_id) = (0..n)
-                .filter(|&i| active[i])
-                .min_by_key(|&i| (cluster.nodes[i].clock_ns(), i))
-            else {
-                break; // unreachable: the loop condition saw an active node
-            };
-            if let Some(src) = pending[node_id].pop_front() {
+        while let Some(node_id) = cluster
+            .nodes
+            .iter()
+            .zip(&active)
+            .filter(|&(_, &a)| a)
+            .min_by_key(|(node, _)| (node.clock_ns(), node.id()))
+            .map(|(node, _)| node.id())
+        {
+            if let Some(src) = pending.get_mut(node_id).and_then(VecDeque::pop_front) {
                 // Own task: fetch the chunk if remote, fold it in.
-                let chunk = &chunks[src][node_id];
-                if src != node_id && chunk.len() > 0 {
-                    fetch(&mut cluster, src, node_id, chunk.byte_size());
+                let (Some(c), Some(list)) = (chunk(src, node_id), lists.get_mut(node_id)) else {
+                    continue;
+                };
+                if src != node_id {
+                    fetch(
+                        &mut cluster,
+                        src,
+                        node_id,
+                        c.rows.len() as u64 * fetch_row_bytes,
+                    );
                 }
-                fold_chunk(&mut cluster, node_id, chunk, &mut lists[node_id]);
-            } else if let Some(owner) = (0..n).filter(|_| query.work_stealing).find(|&j| {
-                j != node_id && pending[j].contains(&node_id) && chunks[node_id][j].len() > 0
-            }) {
+                fold_chunk(&mut cluster, node_id, c, query.dims, list);
+            } else if let Some((owner, c)) = (0..n)
+                .filter(|&j| {
+                    query.work_stealing
+                        && j != node_id
+                        && pending.get(j).is_some_and(|q| q.contains(&node_id))
+                })
+                .find_map(|j| chunk(node_id, j).map(|c| (j, c)))
+            {
                 // Steal: this node's local chunk destined for a busy owner.
-                pending[owner].retain(|&s| s != node_id);
+                if let Some(q) = pending.get_mut(owner) {
+                    q.retain(|&s| s != node_id);
+                }
                 stolen_tasks += 1;
-                let chunk = &chunks[node_id][owner];
                 // Build a side skip list locally. The seed mixes the
                 // running steal counter so a node stealing twice in one
                 // step builds two *independently* levelled lists — with
@@ -282,22 +212,22 @@ pub fn run_pol(
                 let side_seed =
                     config.seed ^ ((step as u64) << 16) ^ (node_id as u64) ^ (stolen_tasks << 40);
                 let mut side: SkipList<Aggregate> = SkipList::new(arity, side_seed);
-                fold_chunk(&mut cluster, node_id, chunk, &mut side);
+                fold_chunk(&mut cluster, node_id, c, query.dims, &mut side);
                 // …ship it to the owner, who merges it into its partition.
-                let side_bytes = side.memory_bytes();
-                cluster.send(node_id, owner, side_bytes);
-                let owner_node = &mut cluster.nodes[owner];
-                let mut merged = 0u64;
+                cluster.send(node_id, owner, side.memory_bytes());
+                let (Some(list), Some(owner_node)) =
+                    (lists.get_mut(owner), cluster.nodes.get_mut(owner))
+                else {
+                    continue;
+                };
                 for (key, agg) in side.iter() {
-                    lists[owner].insert_or_update(key, || *agg, |a| a.merge(agg));
-                    merged += 1;
+                    list.insert_or_update(key, || *agg, |a| a.merge(agg));
                 }
-                owner_node.charge_agg_updates(merged);
-                let cmp = lists[owner].take_comparisons();
-                cluster.nodes[owner].charge_comparisons(cmp);
-            } else {
+                owner_node.charge_agg_updates(side.len() as u64);
+                owner_node.charge_comparisons(list.take_comparisons());
+            } else if let Some(a) = active.get_mut(node_id) {
                 // Drop empty remaining tasks silently, then retire.
-                active[node_id] = false;
+                *a = false;
             }
         }
         // (c) Synchronize: the block may be discarded only when everyone is
@@ -312,7 +242,7 @@ pub fn run_pol(
                 query,
                 step,
                 processed,
-                rel.len(),
+                total,
             ));
         }
     }
@@ -323,14 +253,14 @@ pub fn run_pol(
             query,
             step,
             processed,
-            rel.len(),
+            total,
         ));
     }
 
     // Final exact answer: each node writes its sorted range.
     let mut cells = Vec::new();
     let total_list_nodes = lists.iter().map(|l| l.len() as u64).sum();
-    for (j, list) in lists.iter().enumerate() {
+    for (list, node) in lists.iter().zip(cluster.nodes.iter_mut()) {
         let mut qualifying = 0u64;
         for (key, agg) in list.iter() {
             if agg.meets(query.minsup) {
@@ -343,7 +273,7 @@ pub fn run_pol(
             }
         }
         if qualifying > 0 {
-            cluster.nodes[j].write_cells(
+            node.write_cells(
                 query.dims.bits() as u64,
                 qualifying * Cell::disk_bytes(arity),
                 qualifying,
@@ -372,31 +302,35 @@ pub fn run_pol(
 /// line 26).
 fn fetch(cluster: &mut SimCluster, from: usize, to: usize, bytes: u64) {
     let cost = cluster.config.net.transfer_ns(bytes);
-    cluster.nodes[to].charge_net(cost);
-    let sender = &mut cluster.nodes[from];
-    sender.stats.bytes_sent += bytes;
-    sender.stats.messages += 1;
-    sender.trace_event(EventKind::MsgSend { to, bytes });
-    cluster.nodes[to].trace_event(EventKind::MsgRecv { from, bytes });
+    if let Some(sender) = cluster.nodes.get_mut(from) {
+        sender.stats.bytes_sent += bytes;
+        sender.stats.messages += 1;
+        sender.trace_event(EventKind::MsgSend { to, bytes });
+    }
+    if let Some(receiver) = cluster.nodes.get_mut(to) {
+        receiver.charge_net(cost);
+        receiver.trace_event(EventKind::MsgRecv { from, bytes });
+    }
 }
 
-/// Folds a chunk into a skip list, charging the insert comparisons.
+/// Folds a chunk's keys, projected on `dims` in row order, into a skip
+/// list, charging the insert comparisons.
 fn fold_chunk(
     cluster: &mut SimCluster,
     node_id: usize,
-    chunk: &Chunk,
+    chunk: &PlannedChunk,
+    dims: CuboidMask,
     list: &mut SkipList<Aggregate>,
 ) {
-    if chunk.len() == 0 {
-        return;
+    let mut key = vec![0u32; dims.dim_count()];
+    for (row, m) in chunk.rows.rows() {
+        dims.project_row(row, &mut key);
+        list.insert_or_update(&key, || Aggregate::of(m), |a| a.update(m));
     }
-    for t in 0..chunk.len() {
-        let m = chunk.measures[t];
-        list.insert_or_update(chunk.key(t), || Aggregate::of(m), |a| a.update(m));
+    if let Some(node) = cluster.nodes.get_mut(node_id) {
+        node.charge_agg_updates(chunk.rows.len() as u64);
+        node.charge_comparisons(list.take_comparisons());
     }
-    let node = &mut cluster.nodes[node_id];
-    node.charge_agg_updates(chunk.len() as u64);
-    node.charge_comparisons(list.take_comparisons());
 }
 
 /// Collects a progress report: every worker scans its partition and sends
@@ -406,21 +340,20 @@ fn snapshot(
     lists: &[SkipList<Aggregate>],
     query: &PolQuery,
     step: usize,
-    processed: usize,
-    total: usize,
+    processed: u64,
+    total: u64,
 ) -> Snapshot {
     let fraction = processed as f64 / total as f64;
     // Exact integer pro-rating (never the old f64 round), and the same
     // `meets` predicate the final answer uses — the estimator and the
     // exact answer cannot disagree on the qualifying rule.
-    let estimated_threshold = scaled_threshold(query.minsup, processed as u64, total as u64);
+    let estimated_threshold = scaled_threshold(query.minsup, processed, total);
     let mut qualifying = 0u64;
-    for (j, list) in lists.iter().enumerate() {
+    for (list, node) in lists.iter().zip(cluster.nodes.iter_mut()) {
         qualifying += list
             .iter()
             .filter(|(_, agg)| agg.meets(estimated_threshold))
             .count() as u64;
-        let node = &mut cluster.nodes[j];
         node.charge_scan(list.len() as u64);
         node.charge_rpc();
     }
@@ -455,11 +388,10 @@ mod tests {
 
     #[test]
     fn task_array_matches_table_5_1() {
-        let t = TaskArray::new(4);
-        assert_eq!(t.len(), 16);
-        assert_eq!(t.order_for(0), vec![0, 1, 2, 3]);
-        assert_eq!(t.order_for(1), vec![1, 2, 3, 0]);
-        assert_eq!(t.order_for(3), vec![3, 0, 1, 2]);
+        let order = |j| wrap_order(j, 4).collect::<Vec<_>>();
+        assert_eq!(order(0), vec![0, 1, 2, 3]);
+        assert_eq!(order(1), vec![1, 2, 3, 0]);
+        assert_eq!(order(3), vec![3, 0, 1, 2]);
     }
 
     fn check(rel: &Relation, query: &PolQuery, nodes: usize) -> PolOutcome {
@@ -641,6 +573,21 @@ mod tests {
         assert!(matches!(
             run_pol(&empty, &q(&[0], 1, 10), &ClusterConfig::fast_ethernet(2)),
             Err(AlgoError::EmptyInput)
+        ));
+    }
+
+    #[test]
+    fn rejects_an_empty_group_by() {
+        // The fields are public, so the constructor's assert is not the
+        // only way in: the run must refuse before building a skip list.
+        let rel = presets::tiny(27).generate().unwrap();
+        let query = PolQuery {
+            dims: CuboidMask::ALL,
+            ..q(&[0], 1, 10)
+        };
+        assert!(matches!(
+            run_pol(&rel, &query, &ClusterConfig::fast_ethernet(2)),
+            Err(AlgoError::NoDimensions)
         ));
     }
 

@@ -1,20 +1,21 @@
-//! Progressive cube building: the paper's n×n chunk schedule folding the
-//! relation into a [`MaintainedCube`] toward the batch iceberg answer
+//! The Chapter 5 chunk schedule and the progressive cube build that
+//! folds it into a [`MaintainedCube`] toward the batch iceberg answer
 //! (DESIGN §14).
 //!
-//! POL (Chapter 5) refines *one* group-by online; this module refines the
-//! *whole cube*. The plan reuses POL's machinery end to end:
+//! [`ChunkPlan`] is POL's schedule (Section 5.3, Table 5.1), made once
+//! and consumed twice. POL ([`crate::run_pol`]) refines *one* group-by
+//! from it; [`ProgressiveBuild`] refines the *whole cube* by planning on
+//! the full cuboid:
 //!
-//! * [`Boundaries`] from an initial sample fix the key-range ownership,
-//!   exactly as they partition POL's result skip list;
+//! * [`Boundaries`] from an initial sample of the group-by fix the
+//!   key-range ownership — the partition of POL's result skip list;
 //! * the relation is split evenly across `nodes` sources, read one
 //!   buffer-sized block per step, and each block is bucketed by owner —
-//!   the same `n × n` task array of Table 5.1;
-//! * [`TaskArray::order_for`]'s wrap order fixes the arrival schedule:
-//!   within a step, position `k` delivers every owner its `k`-th source's
-//!   chunk, so all owners refine in lockstep and no single source is
-//!   drained first — the paper's request-spreading argument turned into a
-//!   refresh schedule;
+//!   the `n × n` task array of Table 5.1;
+//! * [`wrap_order`] fixes the arrival schedule: within a step, position
+//!   `k` delivers every owner its `k`-th source's chunk, so all owners
+//!   refine in lockstep and no single source is drained first — the
+//!   paper's request-spreading argument turned into a refresh schedule;
 //! * every fold is an ingest: [`MaintainedCube::ingest_with`] aggregates
 //!   the chunk at minimum support 1 with the sequential BPP-BUC kernel
 //!   and merges the partial cells into the floor, while each unfolded
@@ -26,7 +27,6 @@
 
 use crate::boundaries::Boundaries;
 use crate::estimate::{Envelope, Progress};
-use crate::pol::TaskArray;
 use icecube_cluster::ClusterConfig;
 use icecube_core::store::CubeStore;
 use icecube_core::{AlgoError, MaintainedCube};
@@ -34,6 +34,14 @@ use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, MAX_DIMS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Owner `owner`'s processing order over the `n` sources (Table 5.1):
+/// local first, then wrapping — "this sequence maximizes the possibility
+/// of each processor working on data located on different processors at
+/// one time, thus reducing the possibility of a burst of data requests".
+pub fn wrap_order(owner: usize, n: usize) -> impl Iterator<Item = usize> {
+    (0..n).map(move |k| (owner + k) % n)
+}
 
 /// One chunk of the plan: a source node's block rows owned by one key
 /// range, scheduled at one (step, position) of the n×n array.
@@ -62,12 +70,14 @@ pub struct ChunkPlan {
 }
 
 impl ChunkPlan {
-    /// Plans the chunk schedule: sample boundaries with `seed`, split the
-    /// relation evenly across `nodes` sources, bucket each step's blocks
-    /// by owner, and order arrivals by the wrap schedule. Empty chunks
-    /// are dropped — they carry no rows and no slack.
+    /// Plans the chunk schedule: sample boundaries over `group_by` with
+    /// `seed`, split the relation evenly across `nodes` sources, bucket
+    /// each step's blocks by the owner of their projected keys, and order
+    /// arrivals by the wrap schedule. Empty chunks are dropped — they
+    /// carry no rows and no slack.
     pub fn new(
         rel: &Relation,
+        group_by: CuboidMask,
         nodes: usize,
         buffer_tuples: usize,
         sample_size: usize,
@@ -76,8 +86,14 @@ impl ChunkPlan {
         if rel.is_empty() {
             return Err(AlgoError::EmptyInput);
         }
-        if rel.arity() == 0 {
+        if group_by.is_all() {
             return Err(AlgoError::NoDimensions);
+        }
+        if let Some(max) = group_by.max_dim().filter(|&m| m >= rel.arity()) {
+            return Err(AlgoError::DimensionMismatch {
+                query_dims: max + 1,
+                relation_dims: rel.arity(),
+            });
         }
         if rel.arity() > MAX_DIMS {
             return Err(AlgoError::TooManyDimensions {
@@ -87,45 +103,34 @@ impl ChunkPlan {
         }
         let nodes = nodes.max(1);
         let buffer = buffer_tuples.max(1);
-        let anchor = CuboidMask::full(rel.arity());
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x90);
         let boundaries =
-            Boundaries::sample_relation(rel, anchor, nodes, sample_size.max(1), &mut rng);
+            Boundaries::sample_relation(rel, group_by, nodes, sample_size.max(1), &mut rng);
         let partitions = rel.split_even(nodes);
-        let tasks = TaskArray::new(nodes);
-        let mut cursors = vec![0usize; nodes];
+        let steps = partitions.iter().map(|p| p.len().div_ceil(buffer)).max();
+        let mut key = vec![0u32; group_by.dim_count()];
         let mut chunks = Vec::new();
-        let mut step = 0usize;
-        while cursors
-            .iter()
-            .zip(&partitions)
-            .any(|(&cur, part)| cur < part.len())
-        {
-            step += 1;
+        for step in 1..=steps.unwrap_or(0) {
             // Bucket each source's block by owner, as POL does per step.
+            let start = (step - 1) * buffer;
             let mut bucketed: Vec<Vec<Relation>> = Vec::with_capacity(nodes);
-            for (cursor, part) in cursors.iter_mut().zip(&partitions) {
-                let start = *cursor;
-                let end = (start + buffer).min(part.len());
-                *cursor = end;
+            for part in &partitions {
                 let mut by_owner: Vec<Relation> = (0..nodes)
                     .map(|_| Relation::new(part.schema().clone()))
                     .collect();
-                for t in start..end {
-                    let owner = boundaries.owner(part.row(t));
-                    if let Some(dest) = by_owner.get_mut(owner) {
+                for t in start..(start + buffer).min(part.len()) {
+                    group_by.project_row(part.row(t), &mut key);
+                    if let Some(dest) = by_owner.get_mut(boundaries.owner(&key)) {
                         dest.push_row_unchecked(part.row(t), part.measure(t));
                     }
                 }
                 bucketed.push(by_owner);
             }
-            // Arrival order: position k hands every owner its k-th source
-            // in wrap order, so owners refine in lockstep.
+            // Arrival order: position `k` hands every owner `o` its `k`-th
+            // source in wrap order, `(o + k) mod n` — across owners, the wrap
+            // order starting at `k` — so owners refine in lockstep.
             for k in 0..nodes {
-                for owner in 0..nodes {
-                    let Some(&source) = tasks.order_for(owner).get(k) else {
-                        continue;
-                    };
+                for (owner, source) in (0..nodes).zip(wrap_order(k, nodes)) {
                     let Some(slot) = bucketed.get_mut(source).and_then(|b| b.get_mut(owner)) else {
                         continue;
                     };
@@ -220,7 +225,8 @@ impl ProgressiveBuild {
         config: &ClusterConfig,
     ) -> Result<ProgressiveBuild, AlgoError> {
         let cube = MaintainedCube::new(rel.arity(), minsup)?;
-        let plan = ChunkPlan::new(rel, nodes, buffer_tuples, sample_size, config.seed)?;
+        let all = CuboidMask::full(rel.arity());
+        let plan = ChunkPlan::new(rel, all, nodes, buffer_tuples, sample_size, config.seed)?;
         Ok(ProgressiveBuild {
             plan,
             cube,
@@ -339,7 +345,7 @@ mod tests {
     #[test]
     fn plan_covers_every_row_exactly_once() {
         let rel = presets::tiny(41).generate().unwrap();
-        let plan = ChunkPlan::new(&rel, 4, 30, 64, 7).unwrap();
+        let plan = ChunkPlan::new(&rel, CuboidMask::full(rel.arity()), 4, 30, 64, 7).unwrap();
         let total: usize = plan.chunks().iter().map(|c| c.rows.len()).sum();
         assert_eq!(total, rel.len());
         assert_eq!(plan.rows_total(), rel.len() as u64);
@@ -362,7 +368,7 @@ mod tests {
     #[test]
     fn arrival_interleaves_owners_within_a_step() {
         let rel = presets::tiny(42).generate().unwrap();
-        let plan = ChunkPlan::new(&rel, 3, 1000, 64, 7).unwrap();
+        let plan = ChunkPlan::new(&rel, CuboidMask::full(rel.arity()), 3, 1000, 64, 7).unwrap();
         // Single step: owners must not arrive in source-major blocks.
         assert!(plan.chunks().iter().all(|c| c.step == 1));
         let owners: Vec<usize> = plan.chunks().iter().map(|c| c.owner).collect();
@@ -459,7 +465,7 @@ mod tests {
     fn planning_rejects_empty_input() {
         let empty = Relation::new(icecube_data::Schema::from_cardinalities(&[2]).unwrap());
         assert!(matches!(
-            ChunkPlan::new(&empty, 2, 10, 16, 1),
+            ChunkPlan::new(&empty, CuboidMask::full(1), 2, 10, 16, 1),
             Err(AlgoError::EmptyInput)
         ));
     }

@@ -10,7 +10,7 @@ use icecube::core::{
 };
 use icecube::data::{Relation, Schema};
 use icecube::exec::SimExecutor;
-use icecube::lattice::MAX_DIMS;
+use icecube::lattice::{CuboidMask, MAX_DIMS};
 use icecube::online::{ChunkPlan, ProgressiveBuild};
 
 /// A few rows over `dims` binary dimensions.
@@ -65,7 +65,8 @@ fn every_entry_point_rejects_more_than_26_dimensions() {
             dims,
             "ProgressiveBuild::new",
         );
-        is_too_wide(ChunkPlan::new(&rel, 2, 2, 4, 1), dims, "ChunkPlan::new");
+        let plan = ChunkPlan::new(&rel, CuboidMask::from_dims(&[0]), 2, 2, 4, 1);
+        is_too_wide(plan, dims, "ChunkPlan::new");
     }
     // The limit itself is still a cube.
     assert!(MaintainedCube::new(MAX_DIMS, 2).is_ok());
