@@ -112,6 +112,12 @@ impl CellBlock {
         lo
     }
 
+    /// Reserved room of the key and aggregate columns.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize) {
+        (self.keys.capacity(), self.aggs.capacity())
+    }
+
     /// The cuboid every cell of this block belongs to.
     pub fn cuboid(&self) -> CuboidMask {
         self.cuboid

@@ -10,11 +10,13 @@
 //! * **Ingest** counting-sorts just the batch (a BUC pass at minsup 1, no
 //!   pruning — the floor needs every partial so sub-threshold cells can be
 //!   promoted later) and merges the pass's per-cuboid blocks into the
-//!   floor, block against block ([`MaintainedCube::ingest_with`]; every
-//!   fold of a progressive build is one such ingest, and
+//!   floor, block against block ([`MaintainedCube::ingest_with`];
 //!   [`CubeStore::merge_cells`] adapts precomputed cells to the same
-//!   merge). The merge touches exactly the lattice region the
-//!   batch's cells project into (`Σ_g |π_g(batch)|` cells over the
+//!   merge). A progressive build splits each ingest in its halves
+//!   ([`MaintainedCube::aggregate`], [`MaintainedCube::fold`]) and merges
+//!   its cuboids on the native pool while the next chunk aggregates.
+//!   The merge touches exactly the lattice region the batch's cells
+//!   project into (`Σ_g |π_g(batch)|` cells over the
 //!   cuboids with at least one delta cell) — never the whole cube.
 //! * **Promotion/demotion is tombstone-free.** The floor always holds the
 //!   truth; [`MaintainedCube::visible`] simply does not copy cells below
@@ -42,13 +44,16 @@
 //! to the serving snapshot.
 
 use crate::algorithms::{check_dims, run_parallel, Algorithm};
+use crate::block::CellBlock;
 use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
 use crate::sequential::{run_sequential_sink, SeqAlgorithm};
-use crate::store::{CubeStore, MergeStats};
-use icecube_cluster::ClusterConfig;
+use crate::store::{merge_cuboid, CubeStore, MergeStats};
+use icecube_cluster::{ClusterConfig, SimNode};
 use icecube_data::{DeltaBatch, Relation};
+use icecube_exec::{NativeExecutor, TaskSpec, Workload};
+use std::sync::{Mutex, PoisonError};
 
 /// What one maintenance step did: merge counters, the new epoch and the
 /// virtual time the delta pass cost.
@@ -141,30 +146,100 @@ impl MaintainedCube {
     }
 
     /// [`MaintainedCube::ingest`] with an explicit cost model for the
-    /// single-node delta pass (the refresh-latency sweep varies this; a
-    /// progressive build folds each chunk through here).
+    /// single-node delta pass (the refresh-latency sweep varies this).
     ///
-    /// The pass is BPP-BUC at minsup 1 on one simulated node under
-    /// `config`, so `clock_ns` is that node's virtual time; its sink
+    /// [`MaintainedCube::aggregate`] then the merge, on the calling
+    /// thread: the pass is BPP-BUC at minsup 1 on one simulated node
+    /// under `config`, so `clock_ns` is that node's virtual time; its sink
     /// blocks merge into the floor as they are, with no `Vec<Cell>` on the
-    /// way. On error the floor is unchanged.
+    /// way, each touched cuboid's successor installed before the next is
+    /// allocated. On error the floor is unchanged.
     pub fn ingest_with(
         &mut self,
         batch: &Relation,
         config: &ClusterConfig,
     ) -> Result<DeltaReport, AlgoError> {
-        if batch.is_empty() {
+        let delta = self.aggregate(batch, config)?;
+        if delta.blocks.is_empty() {
             return Ok(self.noop_report());
         }
-        let query = IcebergQuery {
-            dims: self.dims,
-            minsup: 1,
+        let stats = self.floor.merge_blocks(delta.blocks, self.minsup);
+        Ok(self.published(stats, delta.clock_ns))
+    }
+
+    /// The aggregate half of an ingest: BPP-BUC at minsup 1 over `batch`
+    /// on one simulated node under `config`. Reads and writes no floor,
+    /// so it can run beside a fold of an earlier batch; an empty batch
+    /// aggregates to an empty delta that costs no virtual time.
+    pub fn aggregate(
+        &self,
+        batch: &Relation,
+        config: &ClusterConfig,
+    ) -> Result<ChunkDelta, AlgoError> {
+        aggregate(self.dims, batch, config)
+    }
+
+    /// Merges an aggregated `delta` into the floor on the host's native
+    /// pool, one task per touched cuboid, while the calling thread
+    /// aggregates `next`, if any, and then joins the merges
+    /// ([`NativeExecutor::run_beside`]). Returns the merge's report and
+    /// `next`'s delta (or the error its aggregation hit, which leaves the
+    /// floor alone).
+    ///
+    /// The floor, report and epoch come out byte-identical to
+    /// [`MaintainedCube::ingest_with`] on the same batch: each cuboid's
+    /// merge is a pure function of its old block and its delta run, and
+    /// the successors install in mask order after the plan returns. They
+    /// are allocated at their exact bound on the calling thread before
+    /// the plan runs, so pool workers only fill them, and the next delta
+    /// is allocated on the calling thread as well. The old blocks stay
+    /// alive until the plan returns, which costs nothing when a served
+    /// epoch shares them anyway, as a progressive build's does. On error
+    /// the floor is unchanged.
+    pub fn fold(
+        &mut self,
+        delta: ChunkDelta,
+        next: Option<&Relation>,
+        config: &ClusterConfig,
+    ) -> Result<(DeltaReport, Option<Result<ChunkDelta, AlgoError>>), AlgoError> {
+        self.fold_on(&mut NativeExecutor::host_parallelism(), delta, next, config)
+    }
+
+    /// [`MaintainedCube::fold`] on a given pool.
+    pub(crate) fn fold_on(
+        &mut self,
+        pool: &mut NativeExecutor,
+        delta: ChunkDelta,
+        next: Option<&Relation>,
+        config: &ClusterConfig,
+    ) -> Result<(DeltaReport, Option<Result<ChunkDelta, AlgoError>>), AlgoError> {
+        let ChunkDelta { blocks, clock_ns } = delta;
+        let dims = self.dims;
+        let (merged, aggregated) = {
+            let plan = FoldPlan {
+                floor: &self.floor,
+                runs: &blocks,
+                successors: blocks
+                    .iter()
+                    .map(|run| Mutex::new(Some(self.floor.successor(run))))
+                    .collect(),
+                watch_minsup: self.minsup,
+            };
+            let aggregate_next = || next.map(|batch| aggregate(dims, batch, config));
+            let (merged, aggregated, _) = pool.run_beside(&plan.tasks(), &plan, aggregate_next)?;
+            (merged, aggregated)
         };
-        let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, batch, &query, config)?;
-        let stats = self
-            .floor
-            .merge_blocks(sink.into_sorted_blocks(), self.minsup);
-        Ok(self.published(stats, clock_ns))
+        let mut stats = MergeStats::default();
+        for (block, cuboid_stats) in merged.into_iter().flatten() {
+            stats.absorb(cuboid_stats);
+            self.floor.install(block);
+        }
+        let report = if blocks.is_empty() {
+            self.noop_report()
+        } else {
+            self.published(stats, clock_ns)
+        };
+        Ok((report, aggregated))
     }
 
     /// Ingests a dictionary-aware [`DeltaBatch`] (built against the base
@@ -259,6 +334,89 @@ impl MaintainedCube {
             touched_cuboids: stats.touched_cuboids,
             clock_ns,
         }
+    }
+}
+
+/// A batch aggregated at minimum support 1 and not yet merged: its
+/// per-cuboid blocks, ascending by mask and key, and the virtual time the
+/// pass cost. [`MaintainedCube::aggregate`] makes one and
+/// [`MaintainedCube::fold`] merges it.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkDelta {
+    blocks: Vec<CellBlock>,
+    clock_ns: u64,
+}
+
+impl ChunkDelta {
+    /// Virtual time of the aggregation pass in nanoseconds.
+    pub fn clock_ns(&self) -> u64 {
+        self.clock_ns
+    }
+}
+
+/// BPP-BUC at minsup 1 over `batch` under `config`, as a delta.
+fn aggregate(
+    dims: usize,
+    batch: &Relation,
+    config: &ClusterConfig,
+) -> Result<ChunkDelta, AlgoError> {
+    if batch.is_empty() {
+        return Ok(ChunkDelta::default());
+    }
+    let query = IcebergQuery { dims, minsup: 1 };
+    let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, batch, &query, config)?;
+    Ok(ChunkDelta {
+        blocks: sink.into_sorted_blocks(),
+        clock_ns,
+    })
+}
+
+/// One fold's merges as a native-pool plan: task `i` merges delta run
+/// `i` into its successor, so ids follow mask order.
+struct FoldPlan<'a> {
+    floor: &'a CubeStore,
+    runs: &'a [CellBlock],
+    /// Run `i`'s successor, allocated by the thread that built the plan
+    /// and taken by task `i`.
+    successors: Vec<Mutex<Option<CellBlock>>>,
+    watch_minsup: u64,
+}
+
+impl FoldPlan<'_> {
+    /// The tasks in start order: largest merge first.
+    fn tasks(&self) -> Vec<TaskSpec> {
+        let mut tasks: Vec<TaskSpec> = self
+            .runs
+            .iter()
+            .enumerate()
+            .map(|(id, run)| TaskSpec {
+                id,
+                affinity: u64::from(run.cuboid().bits()),
+                weight: (self.floor.cuboid_len(run.cuboid()) + run.len()) as u64,
+            })
+            .collect();
+        tasks.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.id.cmp(&b.id)));
+        tasks
+    }
+}
+
+impl Workload for FoldPlan<'_> {
+    type Scratch = ();
+    /// `None` only for an id past the runs, which the plan never has.
+    type Out = Option<(CellBlock, MergeStats)>;
+
+    fn scratch(&self, _worker: usize) {}
+
+    fn run(&self, spec: &TaskSpec, _: &mut (), _: &mut SimNode, _: bool) -> Self::Out {
+        let run = self.runs.get(spec.id)?;
+        let taken = self
+            .successors
+            .get(spec.id)
+            .and_then(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).take());
+        let mut merged = taken.unwrap_or_else(|| self.floor.successor(run));
+        let old = self.floor.block(run.cuboid());
+        let stats = merge_cuboid(old, run, &mut merged, self.watch_minsup);
+        Some((merged, stats))
     }
 }
 
@@ -400,6 +558,52 @@ mod tests {
             maintained.ingest_cells(vec![wide]),
             Err(AlgoError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn pool_folds_equal_sequential_ingest_at_any_worker_count() {
+        let rel = icecube_data::presets::tiny(7).generate().unwrap();
+        let chunks = rel.split_even(5);
+        let cfg = ClusterConfig::fast_ethernet(2);
+        for workers in [1, 2, 8] {
+            let mut pool = NativeExecutor::new(workers);
+            let mut sequential = MaintainedCube::new(rel.arity(), 3).unwrap();
+            let mut pooled = MaintainedCube::new(rel.arity(), 3).unwrap();
+            let mut pending = pooled.aggregate(&chunks[0], &cfg).unwrap();
+            for (k, chunk) in chunks.iter().enumerate() {
+                let want = sequential.ingest_with(chunk, &cfg).unwrap();
+                assert_eq!(pending.clock_ns(), want.clock_ns);
+                let next = chunks.get(k + 1);
+                let (got, aggregated) = pooled.fold_on(&mut pool, pending, next, &cfg).unwrap();
+                assert_eq!(got, want, "workers={workers} chunk={k}");
+                assert_eq!(pooled.epoch(), sequential.epoch());
+                assert_eq!(bytes(pooled.floor()), bytes(sequential.floor()));
+                assert_eq!(aggregated.is_some(), next.is_some());
+                pending = aggregated.map(Result::unwrap).unwrap_or_default();
+            }
+            assert_eq!(bytes(&pooled.visible()), bytes(&scratch(&rel, 3)));
+        }
+    }
+
+    #[test]
+    fn a_pool_fold_reports_the_next_aggregation_error_and_still_merges() {
+        let base = rel(&[(&[0, 0], 1)], &[2, 2]);
+        let cfg = ClusterConfig::fast_ethernet(1);
+        let mut cube = MaintainedCube::new(2, 1).unwrap();
+        let delta = cube.aggregate(&base, &cfg).unwrap();
+        let wide = rel(&[(&[0, 0, 0], 1)], &[2, 2, 2]);
+        let (report, next) = cube.fold(delta, Some(&wide), &cfg).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert!(matches!(
+            next,
+            Some(Err(AlgoError::DimensionMismatch { .. }))
+        ));
+        assert_eq!(bytes(cube.floor()), bytes(&scratch(&base, 1)));
+        // An empty delta publishes nothing, but still aggregates beside.
+        let (report, next) = cube.fold(ChunkDelta::default(), Some(&base), &cfg).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(cube.epoch(), 1);
+        assert!(next.is_some_and(|delta| delta.is_ok_and(|d| d.clock_ns() > 0)));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use algorithms::{
 pub use backend::{run_parallel_exec, ExecOutcome, EXEC_UNITS};
 pub use block::CellBlock;
 pub use cell::{Cell, CellBuf, CellSink};
-pub use delta::{DeltaReport, MaintainedCube};
+pub use delta::{ChunkDelta, DeltaReport, MaintainedCube};
 pub use error::AlgoError;
 pub use query::IcebergQuery;
 pub use recipe::{recommend, Choice, CubeProfile};

@@ -15,7 +15,7 @@ use crate::algorithms::RunOutcome;
 use crate::block::CellBlock;
 use crate::cell::{Cell, CellBuf, CellSink};
 use crate::error::AlgoError;
-use icecube_lattice::CuboidMask;
+use icecube_lattice::{CuboidMask, MAX_DIMS};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -36,6 +36,16 @@ pub struct MergeStats {
     /// Cuboids the delta touched — the lattice region
     /// `Σ_g |π_g(batch)| > 0` the merge was bounded to.
     pub touched_cuboids: usize,
+}
+
+impl MergeStats {
+    /// Adds another merge's counters to these.
+    pub(crate) fn absorb(&mut self, other: MergeStats) {
+        self.updated += other.updated;
+        self.inserted += other.inserted;
+        self.promoted += other.promoted;
+        self.touched_cuboids += other.touched_cuboids;
+    }
 }
 
 /// A precomputed iceberg cube, indexed by cuboid, answering point lookups,
@@ -338,7 +348,7 @@ impl CubeStore {
             return Err(bad(format!("unsupported store version {version}")));
         }
         let dims64 = r64(input)?;
-        if dims64 == 0 || dims64 > 26 {
+        if dims64 == 0 || dims64 > MAX_DIMS as u64 {
             return Err(bad("corrupt dimension count"));
         }
         let dims = dims64 as usize;
@@ -479,16 +489,12 @@ impl CubeStore {
     /// a disjoint row union, so for append-only ingest the merged store is
     /// byte-identical to recomputing from the concatenated relation.
     ///
-    /// Each delta block must ascend by key; equal keys may repeat and are
-    /// absorbed into one cell (a well-formed delta pass emits unique
-    /// cells, but the merge does not rely on it). Work is bounded to
-    /// exactly the lattice region the batch touches: only cuboids with a
-    /// delta block are rebuilt; untouched cuboids are not visited, and
-    /// their blocks stay shared with every clone. A rebuild finds each
-    /// delta key's place in the old block by a galloping search from the
-    /// previous one and copies the old cells in between as whole runs, so
-    /// a small delta into a large cuboid costs two slice copies per delta
-    /// key rather than a comparison per old cell.
+    /// Work is bounded to exactly the lattice region the batch touches:
+    /// only cuboids with a delta block are rebuilt ([`merge_cuboid`]);
+    /// untouched cuboids are not visited, and their blocks stay shared
+    /// with every clone. Each successor is installed as soon as it is
+    /// built, so an old block no clone shares is freed before the next
+    /// cuboid's successor is allocated.
     ///
     /// `watch_minsup` is the serving threshold used for the promotion
     /// counter in the returned [`MergeStats`] (merging appends can only
@@ -496,44 +502,36 @@ impl CubeStore {
     pub(crate) fn merge_blocks(&mut self, delta: Vec<CellBlock>, watch_minsup: u64) -> MergeStats {
         let mut stats = MergeStats::default();
         for run in delta {
-            stats.touched_cuboids += 1;
-            let cuboid = run.cuboid();
-            let empty = CellBlock::new(cuboid);
-            let old = self.cuboids.remove(&cuboid);
-            let old = old.as_deref().unwrap_or(&empty);
-            let mut merged = CellBlock::with_capacity(cuboid, old.len() + run.len());
-            // `at` is the first old cell not yet in `merged`, `i` the next
-            // delta cell.
-            let (mut at, mut i) = (0, 0);
-            while let Some((key, _)) = run.cell(i) {
-                let pos = old.lower_bound_from(at, key);
-                merged.extend_from(old, at..pos);
-                let stored = old.cell(pos).filter(|(k, _)| *k == key).map(|(_, a)| *a);
-                // The stored cell first, then every delta cell with its key.
-                let mut agg = stored.unwrap_or_else(Aggregate::empty);
-                while let Some((_, more)) = run.cell(i).filter(|(k, _)| *k == key) {
-                    agg.merge(more);
-                    i += 1;
-                }
-                match stored {
-                    Some(before) => {
-                        stats.updated += 1;
-                        stats.promoted +=
-                            usize::from(!before.meets(watch_minsup) && agg.meets(watch_minsup));
-                        at = pos + 1;
-                    }
-                    None => {
-                        stats.inserted += 1;
-                        stats.promoted += usize::from(agg.meets(watch_minsup));
-                        at = pos;
-                    }
-                }
-                merged.push(key, agg);
-            }
-            merged.extend_from(old, at..old.len());
-            self.cuboids.insert(cuboid, Arc::new(merged));
+            let mut merged = self.successor(&run);
+            let old = self.cuboids.remove(&run.cuboid());
+            stats.absorb(merge_cuboid(
+                old.as_deref(),
+                &run,
+                &mut merged,
+                watch_minsup,
+            ));
+            self.install(merged);
         }
         stats
+    }
+
+    /// The stored block of cuboid `g`, if materialized.
+    pub(crate) fn block(&self, g: CuboidMask) -> Option<&CellBlock> {
+        self.cuboids.get(&g).map(|block| &**block)
+    }
+
+    /// An empty successor for the cuboid `run` merges into, with room
+    /// for the merge's exact bound: every stored cell plus every delta
+    /// cell. [`merge_cuboid`] never grows it past that, so the block is
+    /// allocated here, by the caller, and only filled by the merge.
+    pub(crate) fn successor(&self, run: &CellBlock) -> CellBlock {
+        let g = run.cuboid();
+        CellBlock::with_capacity(g, self.cuboid_len(g) + run.len())
+    }
+
+    /// Replaces `block`'s cuboid with it.
+    pub(crate) fn install(&mut self, block: CellBlock) {
+        self.cuboids.insert(block.cuboid(), Arc::new(block));
     }
 
     /// A thresholded snapshot: the cells meeting `minsup`, as a standalone
@@ -584,6 +582,62 @@ impl CubeStore {
         }
         splits
     }
+}
+
+/// Merges one cuboid's delta `run` with its stored block `old` (`None`
+/// when the cuboid was not materialized) into `merged`, an empty block
+/// of the same cuboid the caller sized with [`CubeStore::successor`].
+///
+/// `run` must ascend by key; equal keys may repeat and are absorbed into
+/// one cell (a well-formed delta pass emits unique cells, but the merge
+/// does not rely on it). Each delta key's place in `old` is found by a
+/// galloping search from the previous one and the old cells in between
+/// are copied as whole runs, so a small delta into a large cuboid costs
+/// two slice copies per delta key rather than a comparison per old cell.
+/// The merge reads nothing but its three blocks, so the cuboids of one
+/// delta can merge on different threads.
+pub(crate) fn merge_cuboid(
+    old: Option<&CellBlock>,
+    run: &CellBlock,
+    merged: &mut CellBlock,
+    watch_minsup: u64,
+) -> MergeStats {
+    let empty = CellBlock::new(run.cuboid());
+    let old = old.unwrap_or(&empty);
+    let mut stats = MergeStats {
+        touched_cuboids: 1,
+        ..MergeStats::default()
+    };
+    // `at` is the first old cell not yet in `merged`, `i` the next delta
+    // cell.
+    let (mut at, mut i) = (0, 0);
+    while let Some((key, _)) = run.cell(i) {
+        let pos = old.lower_bound_from(at, key);
+        merged.extend_from(old, at..pos);
+        let stored = old.cell(pos).filter(|(k, _)| *k == key).map(|(_, a)| *a);
+        // The stored cell first, then every delta cell with its key.
+        let mut agg = stored.unwrap_or_else(Aggregate::empty);
+        while let Some((_, more)) = run.cell(i).filter(|(k, _)| *k == key) {
+            agg.merge(more);
+            i += 1;
+        }
+        match stored {
+            Some(before) => {
+                stats.updated += 1;
+                stats.promoted +=
+                    usize::from(!before.meets(watch_minsup) && agg.meets(watch_minsup));
+                at = pos + 1;
+            }
+            None => {
+                stats.inserted += 1;
+                stats.promoted += usize::from(agg.meets(watch_minsup));
+                at = pos;
+            }
+        }
+        merged.push(key, agg);
+    }
+    merged.extend_from(old, at..old.len());
+    stats
 }
 
 /// Groups cells, in any order, into per-cuboid blocks ascending by mask
@@ -819,6 +873,20 @@ mod tests {
             agg(&mut buf);
         }
         assert!(CubeStore::read_from(&mut buf.as_slice()).is_err());
+        // One dimension past MAX_DIMS, which no cube can have; MAX_DIMS
+        // itself is accepted.
+        let dims_header = |dims: u64| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"ICECUBE1");
+            for v in [1u64, dims, 1, 0] {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            buf
+        };
+        let err = CubeStore::read_from(&mut dims_header(MAX_DIMS as u64 + 1).as_slice()).err();
+        assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidData));
+        let widest = CubeStore::read_from(&mut dims_header(MAX_DIMS as u64).as_slice());
+        assert_eq!(widest.map(|s| s.dims()).ok(), Some(MAX_DIMS));
         // A cuboid of zero cells is never written by write_to either.
         let mut buf = header(1);
         w64(&mut buf, 0b001);
@@ -1012,6 +1080,21 @@ mod tests {
             both.extend(delta.iter().cloned());
             prop_assert_eq!(cells(&merged), group(&both));
             prop_assert_eq!(bytes(&merged), bytes(&CubeStore::from_cells(3, 1, both)));
+            // The per-cuboid merge the pool fold runs, each into a
+            // successor the caller sized: same bytes, same counters, and
+            // never a reallocation.
+            let old = CubeStore::from_cells(3, 1, floor.clone());
+            let mut per_cuboid = old.clone();
+            let mut per_cuboid_stats = MergeStats::default();
+            for run in blocks_of(delta.clone()) {
+                let mut successor = old.successor(&run);
+                let capacity = successor.capacity();
+                let stored = old.block(run.cuboid());
+                per_cuboid_stats.absorb(merge_cuboid(stored, &run, &mut successor, watch));
+                prop_assert_eq!(successor.capacity(), capacity);
+                per_cuboid.install(successor);
+            }
+            prop_assert_eq!(bytes(&per_cuboid), bytes(&merged));
             // And into an empty floor.
             let mut fresh = CubeStore::from_cells(3, 1, Vec::new());
             fresh.merge_cells(delta.clone(), watch).unwrap();
@@ -1039,6 +1122,7 @@ mod tests {
                 .collect::<std::collections::BTreeSet<_>>()
                 .len();
             prop_assert_eq!(stats, want);
+            prop_assert_eq!(per_cuboid_stats, want);
         }
 
         #[test]

@@ -295,10 +295,10 @@ pub trait Executor {
 pub(crate) fn validate_plan(tasks: &[TaskSpec]) -> Result<(), ExecError> {
     let mut seen = vec![false; tasks.len()];
     for spec in tasks {
-        if spec.id >= tasks.len() || seen[spec.id] {
-            return Err(ExecError::BadPlan { id: spec.id });
+        match seen.get_mut(spec.id) {
+            Some(seen) if !*seen => *seen = true,
+            _ => return Err(ExecError::BadPlan { id: spec.id }),
         }
-        seen[spec.id] = true;
     }
     Ok(())
 }

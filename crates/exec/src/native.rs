@@ -9,6 +9,19 @@
 //! last. Tasks never spawn tasks, so a worker whose scan of every deque
 //! comes up empty can retire — no spinning, no condition variables.
 //!
+//! [`NativeExecutor::run_beside`] lends the pool the calling thread: it
+//! runs one job of its own, then joins as worker 0, so `n` workers spawn
+//! `n - 1` threads. A progressive fold aggregates its next chunk that
+//! way, beside the merges. Besides saving a spawn, this keeps allocator
+//! arenas down: glibc gives every thread that allocates an arena of its
+//! own, and memory freed into one arena is not reused by another. A fold
+//! runs while a server's workers hold their own arenas; as a plan of
+//! `n` spawned workers it needed one arena more than anything else in
+//! the process, and `sparse_lowsup`'s `peak_rss_mb` in `benchmark/`
+//! read ×1.12 on a 2-vCPU host. Plain [`Executor::run`] keeps the
+//! caller idle: with the caller as worker 0 the builds in `benchmark/`
+//! ran up to 18 % slower on `dense_live` (`build_s.pt`, five pairs).
+//!
 //! Every worker owns a throwaway [`SimNode`] so kernels keep their
 //! uniform `&mut SimNode` cost-charging signature; the charges are
 //! integer arithmetic against a discarded virtual clock, cheap enough to
@@ -50,6 +63,99 @@ impl NativeExecutor {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         NativeExecutor::new(workers)
     }
+
+    /// [`Executor::run`], with the calling thread as worker 0: it runs
+    /// `beside` first, then takes tasks like the `workers - 1` spawned
+    /// threads, which start on the plan at once. Returns `beside`'s
+    /// result with the outputs; a panic in `beside` is reported as
+    /// worker 0's.
+    pub fn run_beside<W: Workload, R>(
+        &mut self,
+        tasks: &[TaskSpec],
+        workload: &W,
+        beside: impl FnOnce() -> R,
+    ) -> Result<(Vec<W::Out>, R, ExecReport), ExecError> {
+        let mut side = None;
+        let (outputs, report) = self.run_pool(tasks, workload, Some(|| side = Some(beside())))?;
+        let side = side.ok_or(ExecError::WorkerPanicked { worker: 0 })?;
+        Ok((outputs, side, report))
+    }
+
+    /// Runs the plan on `workers` threads, or, given `caller`, on the
+    /// calling thread (which runs `caller` first) and `workers - 1`
+    /// spawned ones.
+    fn run_pool<W: Workload, C: FnOnce()>(
+        &self,
+        tasks: &[TaskSpec],
+        workload: &W,
+        caller: Option<C>,
+    ) -> Result<(Vec<W::Out>, ExecReport), ExecError> {
+        validate_plan(tasks)?;
+        let workers = self.workers;
+        // Contiguous id blocks preserve the plans' id-order affinity:
+        // worker w starts on tasks [w·per, (w+1)·per).
+        let per = tasks.len().div_ceil(workers).max(1);
+        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
+        for (block, queue) in queues.iter_mut().enumerate() {
+            queue.extend(block * per..((block + 1) * per).min(tasks.len()));
+        }
+        let pool = Pool {
+            queues: queues.into_iter().map(Mutex::new).collect(),
+            steals: AtomicU64::new(0),
+        };
+        let pool = &pool;
+        let started = Instant::now();
+        // Worker ids are positions in `joined`: the caller first, if any.
+        let first_spawned = usize::from(caller.is_some());
+        let joined: Vec<std::thread::Result<WorkerYield<W::Out>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (first_spawned..workers)
+                .map(|worker| {
+                    scope.spawn(move || worker_loop(worker, pool, tasks, workload, started))
+                })
+                .collect();
+            let own = caller.map(|beside| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    beside();
+                    worker_loop(0, pool, tasks, workload, started)
+                }))
+            });
+            own.into_iter()
+                .chain(handles.into_iter().map(|handle| handle.join()))
+                .collect()
+        });
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        let mut outputs: Vec<Option<W::Out>> = (0..tasks.len()).map(|_| None).collect();
+        let mut tasks_per_worker = Vec::with_capacity(workers);
+        let mut buffers = Vec::with_capacity(workers);
+        for (worker, result) in joined.into_iter().enumerate() {
+            let (outs, spans) = result.map_err(|_| ExecError::WorkerPanicked { worker })?;
+            tasks_per_worker.push(outs.len() as u64);
+            for (id, out) in outs {
+                if let Some(slot) = outputs.get_mut(id) {
+                    *slot = Some(out);
+                }
+            }
+            buffers.push(spans);
+        }
+        let merged: Vec<W::Out> = outputs
+            .into_iter()
+            .enumerate()
+            .map(|(id, out)| out.ok_or(ExecError::TaskAbandoned { id }))
+            .collect::<Result<_, _>>()?;
+        let report = ExecReport {
+            backend: Backend::Native,
+            workers,
+            tasks: tasks.len(),
+            wall_ns,
+            // relaxed: final read of the statistics tally; every
+            // `fetch_add` happened-before the worker joins above.
+            steals: pool.steals.load(Ordering::Relaxed),
+            tasks_per_worker,
+            trace: Some(TraceLog::from_buffers(buffers)),
+            stats: RunStats::new(Vec::new(), Vec::new()),
+        };
+        Ok((merged, report))
+    }
 }
 
 /// The shared scheduling state: one deque per worker plus a steal tally.
@@ -70,13 +176,13 @@ fn lock(queue: &Mutex<VecDeque<usize>>) -> MutexGuard<'_, VecDeque<usize>> {
 /// every deque was observed empty — with no task spawning, that worker
 /// can retire (a task still in flight elsewhere is owned by its runner).
 fn next_task(worker: usize, pool: &Pool) -> Option<usize> {
-    if let Some(task) = lock(&pool.queues[worker]).pop_front() {
+    if let Some(task) = pool.queues.get(worker).and_then(|q| lock(q).pop_front()) {
         return Some(task);
     }
     let n = pool.queues.len();
     for offset in 1..n {
         let victim = (worker + offset) % n;
-        if let Some(task) = lock(&pool.queues[victim]).pop_back() {
+        if let Some(task) = pool.queues.get(victim).and_then(|q| lock(q).pop_back()) {
             // relaxed: an independent statistics tally — no other memory
             // access is ordered against it, and it is only read after
             // every worker has been joined.
@@ -112,7 +218,11 @@ fn worker_loop<W: Workload>(
     let mut outputs = Vec::new();
     let mut spans = TraceBuffer::new();
     while let Some(index) = next_task(worker, pool) {
-        let spec = &tasks[index];
+        // Queues hold only indices into `tasks`; a stray one would leave
+        // its slot empty and surface as `TaskAbandoned`.
+        let Some(spec) = tasks.get(index) else {
+            continue;
+        };
         spans.record(
             started.elapsed().as_nanos() as u64,
             EventKind::TaskStart {
@@ -145,59 +255,7 @@ impl Executor for NativeExecutor {
         tasks: &[TaskSpec],
         workload: &W,
     ) -> Result<(Vec<W::Out>, ExecReport), ExecError> {
-        validate_plan(tasks)?;
-        let workers = self.workers;
-        // Contiguous id blocks preserve the plans' id-order affinity:
-        // worker w starts on tasks [w·per, (w+1)·per).
-        let per = tasks.len().div_ceil(workers).max(1);
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for index in 0..tasks.len() {
-            queues[(index / per).min(workers - 1)].push_back(index);
-        }
-        let pool = Pool {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-            steals: AtomicU64::new(0),
-        };
-        let pool = &pool;
-        let started = Instant::now();
-        let joined: Vec<std::thread::Result<WorkerYield<W::Out>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || worker_loop(worker, pool, tasks, workload, started))
-                })
-                .collect();
-            handles.into_iter().map(|handle| handle.join()).collect()
-        });
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        let mut outputs: Vec<Option<W::Out>> = (0..tasks.len()).map(|_| None).collect();
-        let mut tasks_per_worker = vec![0u64; workers];
-        let mut buffers = Vec::with_capacity(workers);
-        for (worker, result) in joined.into_iter().enumerate() {
-            let (outs, spans) = result.map_err(|_| ExecError::WorkerPanicked { worker })?;
-            tasks_per_worker[worker] = outs.len() as u64;
-            for (id, out) in outs {
-                outputs[id] = Some(out);
-            }
-            buffers.push(spans);
-        }
-        let merged: Vec<W::Out> = outputs
-            .into_iter()
-            .enumerate()
-            .map(|(id, out)| out.ok_or(ExecError::TaskAbandoned { id }))
-            .collect::<Result<_, _>>()?;
-        let report = ExecReport {
-            backend: Backend::Native,
-            workers,
-            tasks: tasks.len(),
-            wall_ns,
-            // relaxed: final read of the statistics tally; every
-            // `fetch_add` happened-before the worker joins above.
-            steals: pool.steals.load(Ordering::Relaxed),
-            tasks_per_worker,
-            trace: Some(TraceLog::from_buffers(buffers)),
-            stats: RunStats::new(Vec::new(), Vec::new()),
-        };
-        Ok((merged, report))
+        self.run_pool(tasks, workload, None::<fn()>)
     }
 }
 
@@ -280,6 +338,37 @@ mod tests {
     }
 
     #[test]
+    fn run_beside_lends_the_calling_thread_as_worker_zero() {
+        struct WhoRuns;
+        impl Workload for WhoRuns {
+            type Scratch = ();
+            type Out = std::thread::ThreadId;
+            fn scratch(&self, _worker: usize) {}
+            fn run(&self, _: &TaskSpec, _: &mut (), _: &mut SimNode, _: bool) -> Self::Out {
+                std::thread::current().id()
+            }
+        }
+        let caller = std::thread::current().id();
+        let (out, side, report) = NativeExecutor::new(1)
+            .run_beside(&plan(6), &WhoRuns, || std::thread::current().id())
+            .unwrap();
+        assert_eq!(side, caller);
+        assert!(
+            out.iter().all(|&id| id == caller),
+            "one worker is the caller"
+        );
+        assert_eq!(report.tasks_per_worker, vec![6]);
+        let want: Vec<u64> = (1..=40).map(|v: u64| v * v).collect();
+        for workers in [1, 2, 3, 8] {
+            let (out, side, report) = NativeExecutor::new(workers)
+                .run_beside(&plan(40), &Square, || workers)
+                .unwrap();
+            assert_eq!((out, side), (want.clone(), workers));
+            assert_eq!(report.tasks_per_worker.iter().sum::<u64>(), 40);
+        }
+    }
+
+    #[test]
     fn worker_panics_surface_as_errors() {
         struct Bomb;
         impl Workload for Bomb {
@@ -292,5 +381,14 @@ mod tests {
         }
         let err = NativeExecutor::new(2).run(&plan(8), &Bomb).unwrap_err();
         assert!(matches!(err, ExecError::WorkerPanicked { .. }));
+        // A panic on a lent calling thread is caught, not propagated.
+        let err = NativeExecutor::new(1)
+            .run_beside(&plan(8), &Bomb, || ())
+            .unwrap_err();
+        assert_eq!(err, ExecError::WorkerPanicked { worker: 0 });
+        let err = NativeExecutor::new(2)
+            .run_beside(&plan(8), &Square, || panic!("beside"))
+            .unwrap_err();
+        assert_eq!(err, ExecError::WorkerPanicked { worker: 0 });
     }
 }

@@ -26,7 +26,9 @@
 //!   range-partitioned skip lists, with idle nodes stealing local-input
 //!   tasks and shipping side skip lists to the owner;
 //! * [`progressive`] plans on the full cuboid and folds the chunks one by
-//!   one into a core `MaintainedCube` (each fold is an ingest), and
+//!   one into a core `MaintainedCube`: each fold merges its chunk on the
+//!   native pool while the calling thread aggregates the next chunk,
+//!   with the bytes and virtual time of one ingest per chunk, and
 //!   [`estimate`] turns the unfolded chunks' [`Envelope`]s, published as
 //!   a [`Progress`], into sound bounds on every partial aggregate.
 

@@ -16,20 +16,23 @@
 //!   `k` delivers every owner its `k`-th source's chunk, so all owners
 //!   refine in lockstep and no single source is drained first — the
 //!   paper's request-spreading argument turned into a refresh schedule;
-//! * every fold is an ingest: [`MaintainedCube::ingest_with`] aggregates
-//!   the chunk at minimum support 1 with the sequential BPP-BUC kernel
-//!   and merges the partial cells into the floor, while each unfolded
-//!   chunk's [`Envelope`] bounds what the remainder can still change.
+//! * every fold is an ingest in two halves:
+//!   [`MaintainedCube::aggregate`] runs the sequential BPP-BUC kernel
+//!   over the chunk at minimum support 1, and [`MaintainedCube::fold`]
+//!   merges the partial cells into the floor, one native-pool task per
+//!   cuboid, while the calling thread aggregates the next chunk. Each
+//!   unfolded chunk's [`Envelope`] bounds what the remainder can still
+//!   change.
 //!
-//! Chunk aggregation runs on the virtual-time simulator, so the
-//! cumulative `virtual_ns` after each fold — the x-axis of the
-//! `experiments progressive` sweep — is byte-deterministic.
+//! Chunk aggregation is charged on the virtual-time simulator, wherever
+//! it runs, so the cumulative `virtual_ns` after each fold — the x-axis
+//! of the `experiments progressive` sweep — is byte-deterministic.
 
 use crate::boundaries::Boundaries;
 use crate::estimate::{Envelope, Progress};
 use icecube_cluster::ClusterConfig;
 use icecube_core::store::CubeStore;
-use icecube_core::{AlgoError, MaintainedCube};
+use icecube_core::{AlgoError, ChunkDelta, MaintainedCube};
 use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, MAX_DIMS};
 use rand::rngs::SmallRng;
@@ -189,7 +192,7 @@ fn envelope_of(rows: &Relation) -> Envelope {
 }
 
 /// One fold's report: which chunk landed and where the build now stands.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldReport {
     /// Index of the folded chunk in arrival order.
     pub chunk: usize,
@@ -202,14 +205,17 @@ pub struct FoldReport {
 }
 
 /// Drives a [`ChunkPlan`] through a [`MaintainedCube`]: each
-/// [`ProgressiveBuild::step`] ingests the next chunk, aggregating it at
-/// minimum support 1 on the simulator and merging it into the floor.
+/// [`ProgressiveBuild::step`] folds the next chunk into the floor,
+/// merging its cuboids on the native pool while the calling thread
+/// aggregates the chunk after it at minimum support 1.
 #[derive(Debug, Clone)]
 pub struct ProgressiveBuild {
     plan: ChunkPlan,
     cube: MaintainedCube,
     config: ClusterConfig,
     next: usize,
+    /// Chunk `next`, aggregated during the previous fold.
+    pending: Option<ChunkDelta>,
     virtual_ns: u64,
 }
 
@@ -232,17 +238,31 @@ impl ProgressiveBuild {
             cube,
             config: config.clone(),
             next: 0,
+            pending: None,
             virtual_ns: 0,
         })
     }
 
-    /// Ingests the next chunk; `Ok(None)` once converged.
+    /// Folds the next chunk; `Ok(None)` once converged.
+    ///
+    /// The first step aggregates chunk 0 on its own; every step then
+    /// merges its chunk while the chunk after it aggregates
+    /// ([`MaintainedCube::fold`]). Virtual time still adds each chunk's
+    /// own pass, so it is the same as folding one chunk at a time.
     pub fn step(&mut self) -> Result<Option<FoldReport>, AlgoError> {
         let Some(chunk) = self.plan.chunks.get(self.next) else {
             return Ok(None);
         };
-        let ingested = self.cube.ingest_with(&chunk.rows, &self.config)?;
-        self.virtual_ns = self.virtual_ns.saturating_add(ingested.clock_ns);
+        let delta = match self.pending.take() {
+            Some(delta) => delta,
+            None => self.cube.aggregate(&chunk.rows, &self.config)?,
+        };
+        let next = self.plan.chunks.get(self.next + 1).map(|c| &c.rows);
+        let (folded, aggregated) = self.cube.fold(delta, next, &self.config)?;
+        // A failed aggregation is dropped here: the next step aggregates
+        // that chunk again on its own and reports the error then.
+        self.pending = aggregated.and_then(Result::ok);
+        self.virtual_ns = self.virtual_ns.saturating_add(folded.clock_ns);
         let report = FoldReport {
             chunk: self.next,
             owner: chunk.owner,

@@ -10,13 +10,18 @@
 //!    the batch iceberg answer.
 //! 4. **Epoch consistency** — estimate answers racing a publish storm
 //!    match the oracle of exactly the epoch they are tagged with.
+//! 5. **Pool folds are sequential folds** — folding on the native pool,
+//!    with the next chunk aggregating beside each merge, gives the bytes,
+//!    reports and epochs of ingesting the chunks one at a time.
 
 use icecube::cluster::ClusterConfig;
 use icecube::core::naive::naive_iceberg_cube;
-use icecube::core::{run_sequential, Aggregate, Cell, CubeStore, IcebergQuery, SeqAlgorithm};
+use icecube::core::{
+    run_sequential, Aggregate, Cell, CubeStore, IcebergQuery, MaintainedCube, SeqAlgorithm,
+};
 use icecube::data::{presets, Relation};
 use icecube::lattice::CuboidMask;
-use icecube::online::{AggBound, Envelope, ProgressiveBuild};
+use icecube::online::{AggBound, Envelope, FoldReport, ProgressiveBuild};
 use icecube::serve::{CubeServer, Request, Response, ShardedCube};
 use std::collections::HashMap;
 
@@ -283,6 +288,65 @@ fn every_fold_prefix_is_the_naive_cube_of_its_chunks() {
                 );
                 assert_eq!(progress.rows_folded(), folded.len() as u64);
             }
+            assert!(build.step().expect("converged").is_none());
+        }
+    }
+}
+
+fn bytes(store: &CubeStore) -> Vec<u8> {
+    let mut buf = Vec::new();
+    store.write_to(&mut buf).expect("in-memory write");
+    buf
+}
+
+#[test]
+fn pool_folds_match_sequential_ingest_fold_by_fold() {
+    for seed in SEEDS {
+        for minsup in [2u64, 5] {
+            let rel = presets::tiny(seed).generate().expect("valid preset");
+            let cfg = ClusterConfig::fast_ethernet(NODES);
+            let mut build = ProgressiveBuild::new(&rel, minsup, NODES, BUFFER, SAMPLE, &cfg)
+                .expect("non-empty relation");
+            let chunks = build.plan().chunks().to_vec();
+            // The same chunks, ingested one at a time on this thread, and
+            // folded through the pool with the next chunk aggregating.
+            let mut sequential = MaintainedCube::new(rel.arity(), minsup).expect("dims > 0");
+            let mut pooled = MaintainedCube::new(rel.arity(), minsup).expect("dims > 0");
+            let mut pending = pooled
+                .aggregate(&chunks[0].rows, &cfg)
+                .expect("chunk aggregates");
+            let mut virtual_ns = 0u64;
+            for (k, chunk) in chunks.iter().enumerate() {
+                let want = sequential
+                    .ingest_with(&chunk.rows, &cfg)
+                    .expect("chunk ingests");
+                virtual_ns += want.clock_ns;
+                let next = chunks.get(k + 1).map(|c| &c.rows);
+                let (got, aggregated) = pooled.fold(pending, next, &cfg).expect("pool folds");
+                let at = format!("seed {seed} minsup {minsup} fold {k}");
+                assert_eq!(got, want, "{at}: delta report");
+                assert_eq!(pooled.epoch(), sequential.epoch(), "{at}: epoch");
+                let fold = build.step().expect("chunks fold cleanly");
+                assert_eq!(
+                    fold,
+                    Some(FoldReport {
+                        chunk: k,
+                        owner: chunk.owner,
+                        step: chunk.step,
+                        virtual_ns,
+                    }),
+                    "{at}: fold report"
+                );
+                let want_bytes = bytes(sequential.floor());
+                assert_eq!(bytes(pooled.floor()), want_bytes, "{at}: pooled floor");
+                assert_eq!(bytes(build.floor()), want_bytes, "{at}: build floor");
+                pending = match aggregated {
+                    Some(next) => next.expect("next chunk aggregates"),
+                    None => Default::default(),
+                };
+            }
+            assert!(build.converged());
+            assert_eq!(build.virtual_ns(), virtual_ns);
             assert!(build.step().expect("converged").is_none());
         }
     }
