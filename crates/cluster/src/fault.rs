@@ -122,12 +122,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True when the plan injects nothing (the fast path taken by every
-    /// pre-existing caller).
-    pub fn is_quiet(&self) -> bool {
-        self.crashes.is_empty() && self.slowdowns.is_empty() && !self.has_net_faults()
-    }
-
     /// True when message faults are possible.
     pub fn has_net_faults(&self) -> bool {
         self.net.drop_per_mille > 0 || self.net.delay_per_mille > 0
@@ -296,9 +290,11 @@ mod tests {
 
     #[test]
     fn quiet_plan_is_quiet() {
-        assert!(FaultPlan::none().is_quiet());
-        assert!(!FaultPlan::none().crash(1, 50).is_quiet());
-        assert_eq!(FaultPlan::none().net_fate(0, 1, 7), NetFate::Deliver);
+        let quiet = FaultPlan::none();
+        assert!(quiet.crashes.is_empty() && quiet.slowdowns.is_empty());
+        assert!(!quiet.has_net_faults());
+        assert_eq!(quiet.net_fate(0, 1, 7), NetFate::Deliver);
+        assert!(!FaultPlan::none().crash(1, 50).crashes.is_empty());
     }
 
     #[test]
@@ -330,7 +326,6 @@ mod tests {
     #[test]
     fn seeded_plans_inject_something() {
         let plan = FaultPlan::seeded(3, 8, 1_000_000_000);
-        assert!(!plan.is_quiet());
         assert!(!plan.crashes.is_empty());
         assert!(plan.has_net_faults());
     }
@@ -369,6 +364,13 @@ mod tests {
 
     #[test]
     fn severity_zero_is_quiet() {
-        assert!(FaultPlan::seeded_severity(9, 8, 1_000_000, 0).is_quiet());
+        let plan = FaultPlan::seeded_severity(9, 8, 1_000_000, 0);
+        assert_eq!(
+            plan,
+            FaultPlan {
+                seed: 9,
+                ..FaultPlan::none()
+            }
+        );
     }
 }

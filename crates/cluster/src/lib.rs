@@ -1,8 +1,3 @@
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
 #![warn(missing_docs)]
 
 //! A deterministic simulated PC cluster.
@@ -24,9 +19,10 @@
 //! * messages advance the receiver's clock to `max(receiver, sender +
 //!   latency + bytes/bandwidth)` ([`NetModel`]), which is all the paper's
 //!   manager/worker RPC, chunk shipping and barriers need;
-//! * dynamic (demand) scheduling is simulated by a greedy event loop that
-//!   always serves the node with the smallest clock — exactly the behaviour
-//!   of a demand-driven manager, and bit-for-bit reproducible.
+//! * the manager/worker RPC of demand scheduling is one priced round
+//!   trip per assignment ([`SimNode::charge_rpc`]); the loops that
+//!   schedule tasks onto nodes live with the executor
+//!   (`icecube_exec::SimExecutor`), not here.
 //!
 //! Because every cost is derived from deterministic counters, all of the
 //! paper's figures regenerate identically on every run.
@@ -34,14 +30,12 @@
 pub mod config;
 pub mod fault;
 pub mod node;
-pub mod schedule;
 pub mod stats;
 
 pub use config::{ClusterConfig, CpuCosts, DiskModel, NetModel, NodeSpec};
 pub use fault::{Crash, FaultPlan, NetFate, NetFaults, RecoveryPolicy, Slowdown};
 pub use icecube_trace::{CostSnapshot, EventKind, TraceLog};
 pub use node::SimNode;
-pub use schedule::{run_demand_steps_healing, StepEvent};
 pub use stats::{NodeStats, RunStats};
 
 /// A simulated cluster: node states plus the shared cost model.
@@ -115,11 +109,6 @@ impl SimCluster {
         self.nodes.is_empty()
     }
 
-    /// Number of nodes that have not crashed.
-    pub fn live_count(&self) -> usize {
-        self.nodes.iter().filter(|n| !n.is_dead()).count()
-    }
-
     /// The surviving node with the smallest `(clock, id)` — the one a
     /// demand manager would hand work to next. `None` if all are dead.
     pub fn min_clock_live(&self) -> Option<usize> {
@@ -133,33 +122,38 @@ impl SimCluster {
     /// Ships `bytes` from node `from` to node `to`: the sender is busy for
     /// the transfer, the receiver cannot proceed before the data arrives.
     ///
-    /// # Panics
-    /// Panics if `from == to` — local data needs no transfer and callers
-    /// are expected to branch on that (the cost asymmetry is the point of
-    /// POL's wrap-around task order).
     /// Message faults (if the fault plan injects any) apply *per transfer
     /// attempt*: a dropped attempt costs the sender the transfer plus an
     /// ack-timeout backoff and is retried, and the attempt after the last
     /// allowed retry always delivers — so drops perturb timing, never
     /// data. A sender that dies mid-send loses the message (the receiver
     /// is not advanced); a dead sender is a no-op.
+    ///
+    /// # Panics
+    /// Panics if `from == to` — local data needs no transfer and callers
+    /// are expected to branch on that (the cost asymmetry is the point of
+    /// POL's wrap-around task order).
     pub fn send(&mut self, from: usize, to: usize, bytes: u64) {
+        // check:allow(panic-path): a self-send is a caller bug this
+        // documented panic reports; no input reaches it.
         assert_ne!(from, to, "no self-sends; local access is free");
-        if self.nodes[from].is_dead() {
-            return;
-        }
-        let plan = self.config.faults.clone();
+        let policy = self.config.faults.policy;
         let cost = self.config.net.transfer_ns(bytes);
         let mut attempt: u32 = 0;
-        loop {
+        let arrival = loop {
+            let Some(sender) = self.nodes.get_mut(from) else {
+                return;
+            };
+            if sender.is_dead() {
+                return;
+            }
             // The sender's running message count is the attempt's identity:
             // the fate of attempt k of this message is a pure hash of it.
-            let fate = if attempt >= plan.policy.max_retries {
+            let fate = if attempt >= policy.max_retries {
                 fault::NetFate::Deliver
             } else {
-                plan.net_fate(from, to, self.nodes[from].stats.messages)
+                self.config.faults.net_fate(from, to, sender.stats.messages)
             };
-            let sender = &mut self.nodes[from];
             let actual = sender.advance(cost);
             sender.stats.net_ns += actual;
             if sender.is_dead() {
@@ -172,36 +166,26 @@ impl SimCluster {
             match fate {
                 fault::NetFate::Drop => {
                     sender.stats.retransmits += 1;
-                    let waited = sender.advance(plan.policy.retry_backoff_ns);
+                    let waited = sender.advance(policy.retry_backoff_ns);
                     sender.stats.net_ns += waited;
-                    if sender.is_dead() {
-                        return;
-                    }
                     attempt += 1;
                 }
                 fault::NetFate::Delay(extra) => {
                     sender.stats.bytes_sent += bytes;
-                    let arrival = self.nodes[from].clock_ns() + extra;
-                    self.nodes[to].wait_until(arrival);
-                    self.record_recv(from, to, bytes);
-                    return;
+                    break sender.clock_ns() + extra;
                 }
                 fault::NetFate::Deliver => {
                     sender.stats.bytes_sent += bytes;
-                    let arrival = self.nodes[from].clock_ns();
-                    self.nodes[to].wait_until(arrival);
-                    self.record_recv(from, to, bytes);
-                    return;
+                    break sender.clock_ns();
                 }
             }
-        }
-    }
-
-    /// Stamps a receive event on a delivery's receiver — unless it died
-    /// waiting for the data, in which case nothing was received.
-    fn record_recv(&mut self, from: usize, to: usize, bytes: u64) {
-        if !self.nodes[to].is_dead() {
-            self.nodes[to].trace_event(icecube_trace::EventKind::MsgRecv { from, bytes });
+        };
+        // A receiver that dies waiting for the data received nothing.
+        if let Some(receiver) = self.nodes.get_mut(to) {
+            receiver.wait_until(arrival);
+            if !receiver.is_dead() {
+                receiver.trace_event(icecube_trace::EventKind::MsgRecv { from, bytes });
+            }
         }
     }
 
@@ -344,7 +328,6 @@ mod tests {
         let mut c = SimCluster::new(config);
         c.nodes[1].charge_cpu(10_000); // dies at 1 µs
         assert!(c.nodes[1].is_dead());
-        assert_eq!(c.live_count(), 2);
 
         let receiver_before = c.nodes[2].clock_ns();
         c.send(1, 2, 1_000_000); // dead sender: message never leaves

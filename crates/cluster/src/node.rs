@@ -197,17 +197,6 @@ impl SimNode {
         self.spec
     }
 
-    /// The CPU price table (reference-speed nanoseconds).
-    pub fn cpu_costs(&self) -> CpuCosts {
-        self.cpu
-    }
-
-    /// The interconnect model (for algorithms that need to price a
-    /// transfer before deciding to make it).
-    pub fn net_model(&self) -> NetModel {
-        self.net
-    }
-
     /// Current virtual time.
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns
@@ -281,19 +270,11 @@ impl SimNode {
         self.charge_cpu(n * self.cpu.hash_probe_ns);
     }
 
-    /// Charges fixed per-task setup overhead. A node that dies during
-    /// setup never counts the task as started.
-    pub fn charge_task_overhead(&mut self) {
-        self.charge_cpu(self.cpu.task_overhead_ns);
-        if !self.dead {
-            self.stats.tasks += 1;
-        }
-    }
-
-    /// Like [`SimNode::charge_task_overhead`], additionally opening a
-    /// trace span for lattice node `task`. The span is recorded iff the
-    /// task counter increments, so per-node `TaskStart` events always sum
-    /// to `stats.tasks`.
+    /// Charges fixed per-task setup overhead and opens a trace span for
+    /// lattice node `task`. A node that dies during setup never counts
+    /// the task as started; the span is recorded iff the task counter
+    /// increments, so per-node `TaskStart` events always sum to
+    /// `stats.tasks`.
     pub fn charge_task_overhead_for(&mut self, task: u64) {
         self.charge_cpu(self.cpu.task_overhead_ns);
         if !self.dead {
@@ -503,7 +484,7 @@ mod tests {
         n.write_cells(3, 100, 5);
         n.read_bytes(100);
         n.charge_rpc();
-        n.charge_task_overhead();
+        n.charge_task_overhead_for(0);
         n.wait_until(1_000_000);
         assert_eq!(n.clock_ns(), 1_000, "dead clocks never move");
         assert_eq!(n.stats, frozen, "dead nodes stop accounting");
