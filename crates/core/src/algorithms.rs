@@ -2,7 +2,7 @@
 //! and their outcome, and the key features of Table 1.1. (The dispatch
 //! from [`Algorithm`] to plans lives in [`crate::backend`].)
 
-use crate::backend::{collect, run_plan};
+use crate::backend::run_plan;
 use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
@@ -221,22 +221,15 @@ pub fn run_parallel_with(
     opts: &RunOptions,
 ) -> Result<RunOutcome, AlgoError> {
     validate(rel, query)?;
-    let out = match algorithm {
-        // The hash-tree attempt is one fallible task on node 0, not a plan.
-        Algorithm::HashTree => {
-            let (sink, report) = crate::htree::run_hash_tree(rel, query, config, opts)?;
-            collect(algorithm, vec![sink], report)
-        }
-        _ => run_plan(
-            &mut SimExecutor::new(config.clone()),
-            algorithm,
-            rel,
-            query,
-            opts,
-            config.nodes.len(),
-            config.seed,
-        )?,
-    };
+    let out = run_plan(
+        &mut SimExecutor::new(config.clone()),
+        algorithm,
+        rel,
+        query,
+        opts,
+        config.nodes.len(),
+        config.seed,
+    )?;
     Ok(RunOutcome {
         algorithm,
         cells: out.cells,

@@ -57,13 +57,6 @@ pub enum AlgoError {
         /// Nodes the run started with.
         nodes: usize,
     },
-    /// The algorithm runs only on the full-fidelity simulator and has no
-    /// backend-agnostic task decomposition (the hash-tree attempt exists
-    /// to reproduce a failure mode, not to execute natively).
-    SimulatorOnly {
-        /// Name of the algorithm that cannot run through an executor.
-        algorithm: &'static str,
-    },
     /// A maintained cube was asked for with zero dimensions; there are no
     /// group-bys to maintain (the typed twin of the panic contract on
     /// [`crate::IcebergQuery::count_cube`], since maintenance runs in
@@ -125,12 +118,6 @@ impl fmt::Display for AlgoError {
             }
             AlgoError::ClusterExhausted { nodes } => {
                 write!(f, "all {nodes} nodes crashed before the cube completed")
-            }
-            AlgoError::SimulatorOnly { algorithm } => {
-                write!(
-                    f,
-                    "{algorithm} has no executor decomposition; run it on the simulator"
-                )
             }
             AlgoError::NoDimensions => {
                 write!(f, "a maintained cube needs at least one dimension")

@@ -5,7 +5,8 @@
 //! the deterministic merge rule: executors return per-task outputs in
 //! task-id order, and the plans themselves never depend on the worker
 //! count, so the merged cube is a pure function of (relation, query,
-//! options). Eight seeded workload shapes × five algorithms × two
+//! options). Eight seeded workload shapes × all six algorithms (the
+//! five the paper evaluates plus the one-task hash-tree attempt) × two
 //! minsups, against `run_parallel` on a four-node cluster, a
 //! `SimExecutor` handed to `run_parallel_exec`, the brute-force
 //! reference, and repeated native runs at 1, 2, and 8 workers.
@@ -37,7 +38,7 @@ fn workload(seed: u64) -> Relation {
 }
 
 /// The tentpole guarantee: native cells are byte-identical to the
-/// simulated cluster's and the reference evaluator's, for all five
+/// simulated cluster's and the reference evaluator's, for all six
 /// algorithms, independent of worker count; repeated runs (different
 /// stealing interleavings) never disagree.
 #[test]
@@ -48,7 +49,7 @@ fn native_matches_simulator_driver_and_naive() {
             let q = IcebergQuery::count_cube(rel.arity(), minsup);
             let want = naive_iceberg_cube(&rel, &q);
             let opts = RunOptions::default();
-            for alg in Algorithm::evaluated() {
+            for alg in Algorithm::all() {
                 let ctx = format!("{alg}, seed {seed}, minsup {minsup}");
                 let driver = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4)).unwrap();
                 assert_same_cells(want.clone(), driver.cells.clone(), &format!("driver {ctx}"));
@@ -111,7 +112,7 @@ fn sim_executor_matches_native() {
         let rel = workload(seed);
         let q = IcebergQuery::count_cube(rel.arity(), 2);
         let opts = RunOptions::default();
-        for alg in Algorithm::evaluated() {
+        for alg in Algorithm::all() {
             let ctx = format!("{alg}, seed {seed}");
             let mut sim = SimExecutor::fast_ethernet(4);
             let a = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
@@ -133,7 +134,7 @@ fn oversubscribed_pool_is_deterministic() {
     let rel = workload(47);
     let q = IcebergQuery::count_cube(rel.arity(), 2);
     let opts = RunOptions::default();
-    for alg in Algorithm::evaluated() {
+    for alg in Algorithm::all() {
         let mut exec = NativeExecutor::new(32);
         let a = run_parallel_exec(&mut exec, alg, &rel, &q, &opts).unwrap();
         let b = run_parallel_exec(&mut exec, alg, &rel, &q, &opts).unwrap();
@@ -153,7 +154,7 @@ fn counting_mode_totals_agree() {
     let rel = workload(211);
     let q = IcebergQuery::count_cube(rel.arity(), 1);
     let opts = RunOptions::counting();
-    for alg in Algorithm::evaluated() {
+    for alg in Algorithm::all() {
         let driver = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4)).unwrap();
         let mut native = NativeExecutor::new(8);
         let out = run_parallel_exec(&mut native, alg, &rel, &q, &opts).unwrap();

@@ -13,12 +13,13 @@ use icecube::core::{run_parallel, AlgoError, Algorithm, IcebergQuery, Maintained
 use icecube::data::presets;
 use icecube_bench::experiments::fault_free_baseline;
 
-const ALGS: [Algorithm; 5] = [
+const ALGS: [Algorithm; 6] = [
     Algorithm::Rp,
     Algorithm::Bpp,
     Algorithm::Asl,
     Algorithm::Pt,
     Algorithm::Aht,
+    Algorithm::HashTree,
 ];
 
 /// Eight chaos seeds; each yields a different pattern of crashes,
@@ -60,7 +61,11 @@ fn chaos_cubes_equal_the_fault_free_reference() {
         }
     }
     // Non-vacuity: the battery actually exercised every fault class.
-    assert!(crashes > 0, "no crashes fired across {} runs", 5 * 8);
+    assert!(
+        crashes > 0,
+        "no crashes fired across {} runs",
+        ALGS.len() * 8
+    );
     assert!(lost > 0, "no task was ever lost mid-run");
     assert!(recovered > 0, "no task was ever recovered");
     assert!(net_faults > 0, "no message was ever dropped");
@@ -96,6 +101,24 @@ fn same_fault_seed_reproduces_the_run_exactly() {
             "{alg} recovery counters"
         );
     }
+}
+
+/// The hash-tree attempt is one task on node 0: a crash of node 0 in the
+/// middle of it loses the task, and a survivor re-runs it from the load
+/// to the same cells.
+#[test]
+fn hash_tree_survives_a_crash_of_node_zero() {
+    let rel = presets::tiny(3).generate().unwrap();
+    let q = IcebergQuery::count_cube(rel.arity(), 2);
+    let opts = RunOptions::default();
+    let quiet = fault_free_baseline(Algorithm::HashTree, &rel, &q, NODES, &opts);
+    let crash = FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 2);
+    let cfg = ClusterConfig::fast_ethernet(NODES).with_faults(crash);
+    let out = run_parallel(Algorithm::HashTree, &rel, &q, &cfg).unwrap();
+    assert_eq!(out.cells, quiet.cells);
+    assert!(out.stats.total_tasks_lost() >= 1);
+    assert_eq!(out.stats.total_tasks_recovered(), 1);
+    assert!(out.stats.makespan_ns() > quiet.stats.makespan_ns());
 }
 
 /// Serialized bytes of a store — the refresh contract is *byte* identity,
