@@ -270,6 +270,105 @@ fn simulated_runs_match_their_golden_fingerprints() {
     );
 }
 
+/// Golden fingerprints of every sequential algorithm on one Fast-Ethernet
+/// node: each of `workload`'s four shapes (seeds 0–3) at minimum support
+/// 1 and 2. The rows marked `true` run PipeHash again on a node with no
+/// memory (`mem_mb = 0`), which forces its share-partitioned mode. Each
+/// fingerprint covers the cells, the node's statistics and its final
+/// virtual clock, so a rewrite of the top-down comparators must keep every
+/// sort, scan, re-hash and write charge where it was.
+const GOLDEN_SEQ_FPS: [(SeqAlgorithm, u64, u64, bool, u64); 64] = [
+    (SeqAlgorithm::Naive, 0, 1, false, 0x308c1160052d3e01),
+    (SeqAlgorithm::Naive, 0, 2, false, 0xf032c98658f8344d),
+    (SeqAlgorithm::Naive, 1, 1, false, 0xfb8c6a9c485c1b26),
+    (SeqAlgorithm::Naive, 1, 2, false, 0x75eb969bc65fb6d4),
+    (SeqAlgorithm::Naive, 2, 1, false, 0x83395e1f594f3eb4),
+    (SeqAlgorithm::Naive, 2, 2, false, 0xdea9036608bcc9c6),
+    (SeqAlgorithm::Naive, 3, 1, false, 0xe6584688645cd54c),
+    (SeqAlgorithm::Naive, 3, 2, false, 0x996278cf1643a380),
+    (SeqAlgorithm::Buc, 0, 1, false, 0x9cfb0aea806fa874),
+    (SeqAlgorithm::Buc, 0, 2, false, 0x2bc4f5e0a3fa917b),
+    (SeqAlgorithm::Buc, 1, 1, false, 0x5e76cad5cc70452c),
+    (SeqAlgorithm::Buc, 1, 2, false, 0x247fa8191210d329),
+    (SeqAlgorithm::Buc, 2, 1, false, 0xe33ac56612cb765a),
+    (SeqAlgorithm::Buc, 2, 2, false, 0x823f9d2c6558a0d9),
+    (SeqAlgorithm::Buc, 3, 1, false, 0xbd8b7c2118aca15c),
+    (SeqAlgorithm::Buc, 3, 2, false, 0x7ff1e2551aa37b2d),
+    (SeqAlgorithm::BppBuc, 0, 1, false, 0x8f7b99253068c6d8),
+    (SeqAlgorithm::BppBuc, 0, 2, false, 0x12ec3624aec7a893),
+    (SeqAlgorithm::BppBuc, 1, 1, false, 0xadc87815ce914689),
+    (SeqAlgorithm::BppBuc, 1, 2, false, 0x063cc57d3cfb2dce),
+    (SeqAlgorithm::BppBuc, 2, 1, false, 0x2fc02ae58601b3d6),
+    (SeqAlgorithm::BppBuc, 2, 2, false, 0x614b6d8cbd552ac0),
+    (SeqAlgorithm::BppBuc, 3, 1, false, 0x65aa408fd2c0ba4c),
+    (SeqAlgorithm::BppBuc, 3, 2, false, 0xf0d7c26c700a37fc),
+    (SeqAlgorithm::TopDownShared, 0, 1, false, 0xb3445623d947cb38),
+    (SeqAlgorithm::TopDownShared, 0, 2, false, 0x2a70fc8f92d9d49a),
+    (SeqAlgorithm::TopDownShared, 1, 1, false, 0x5201c957225f6414),
+    (SeqAlgorithm::TopDownShared, 1, 2, false, 0x4aab8a802b054ec7),
+    (SeqAlgorithm::TopDownShared, 2, 1, false, 0xdf9ce265393b1f99),
+    (SeqAlgorithm::TopDownShared, 2, 2, false, 0xb9eac920a4187802),
+    (SeqAlgorithm::TopDownShared, 3, 1, false, 0x160ae5a29e8d6a08),
+    (SeqAlgorithm::TopDownShared, 3, 2, false, 0xf0f0c10ad60cbb5a),
+    (SeqAlgorithm::Overlap, 0, 1, false, 0xd45df9deeaa50755),
+    (SeqAlgorithm::Overlap, 0, 2, false, 0xe633ac3c24842200),
+    (SeqAlgorithm::Overlap, 1, 1, false, 0x6795ff86dc4c829d),
+    (SeqAlgorithm::Overlap, 1, 2, false, 0x8532de96ead6a17f),
+    (SeqAlgorithm::Overlap, 2, 1, false, 0x0c754d618cbb21c8),
+    (SeqAlgorithm::Overlap, 2, 2, false, 0x125ced1891d4e827),
+    (SeqAlgorithm::Overlap, 3, 1, false, 0xe095215cbd1ff231),
+    (SeqAlgorithm::Overlap, 3, 2, false, 0x84e9ea01f7bd0361),
+    (SeqAlgorithm::PipeSort, 0, 1, false, 0x0621cb50dda72e27),
+    (SeqAlgorithm::PipeSort, 0, 2, false, 0xfd5593ae84c8458d),
+    (SeqAlgorithm::PipeSort, 1, 1, false, 0x89e83475d81dc8c4),
+    (SeqAlgorithm::PipeSort, 1, 2, false, 0x8eee311059b53276),
+    (SeqAlgorithm::PipeSort, 2, 1, false, 0xe929e3e695ae8e53),
+    (SeqAlgorithm::PipeSort, 2, 2, false, 0x270b82369b70b3a1),
+    (SeqAlgorithm::PipeSort, 3, 1, false, 0x8642430c5c16e734),
+    (SeqAlgorithm::PipeSort, 3, 2, false, 0x1a43d4f69cb61f28),
+    (SeqAlgorithm::PipeHash, 0, 1, false, 0xd6f01efe96dd39ac),
+    (SeqAlgorithm::PipeHash, 0, 2, false, 0xb48edb0160fc7a59),
+    (SeqAlgorithm::PipeHash, 1, 1, false, 0xe59af6ab3c236336),
+    (SeqAlgorithm::PipeHash, 1, 2, false, 0x6d55cd28fe1c46b8),
+    (SeqAlgorithm::PipeHash, 2, 1, false, 0xac1533609620dabb),
+    (SeqAlgorithm::PipeHash, 2, 2, false, 0x10eeeb117bcc7656),
+    (SeqAlgorithm::PipeHash, 3, 1, false, 0x285099c5c0fc410a),
+    (SeqAlgorithm::PipeHash, 3, 2, false, 0x396f2ae6ff6c9b38),
+    (SeqAlgorithm::PipeHash, 0, 1, true, 0x71d703baa528d91a),
+    (SeqAlgorithm::PipeHash, 0, 2, true, 0x273825acf4d492b8),
+    (SeqAlgorithm::PipeHash, 1, 1, true, 0xe6ac8a566339b57f),
+    (SeqAlgorithm::PipeHash, 1, 2, true, 0x781dd2f213bb675f),
+    (SeqAlgorithm::PipeHash, 2, 1, true, 0xba6c7a2af2abaeec),
+    (SeqAlgorithm::PipeHash, 2, 2, true, 0xec94bdfe50ebe221),
+    (SeqAlgorithm::PipeHash, 3, 1, true, 0xc729690bbbb1414d),
+    (SeqAlgorithm::PipeHash, 3, 2, true, 0xb50a03415688b81b),
+];
+
+#[test]
+fn sequential_runs_match_their_golden_fingerprints() {
+    let mut drifted = Vec::new();
+    for (alg, seed, minsup, no_memory, golden) in GOLDEN_SEQ_FPS {
+        let rel = workload(seed);
+        let q = IcebergQuery::count_cube(rel.arity(), minsup);
+        let mut cfg = ClusterConfig::fast_ethernet(1);
+        if no_memory {
+            cfg.nodes[0].mem_mb = 0;
+        }
+        let ctx = format!("{alg}, seed {seed}, minsup {minsup}, no memory {no_memory}");
+        let out = run_sequential(alg, &rel, &q, &cfg).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_same_cells(naive_iceberg_cube(&rel, &q), out.cells.clone(), &ctx);
+        let fp = fingerprint(&out.cells, &(&out.stats, out.clock_ns));
+        if fp != golden {
+            drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "fingerprint drift:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// One golden per (algorithm, variant): the cluster shapes, fault plans,
 /// option switches and trace exports that the seed × minsup sweep above
 /// never reaches. Recorded from the hand-written `run_*` schedulers.
