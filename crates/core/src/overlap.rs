@@ -15,51 +15,25 @@
 //! paper cites [14]'s criticism that it still produces heavy intermediate
 //! I/O on sparse cubes — visible here in the materialized-cells traffic.
 
-// check:allow-file(panic-in-lib): asserts and expects in this module
-// guard internal algorithm invariants; a violation is a bug in the
-// cubing algorithm itself, never caller input, and must abort the run
-// loudly rather than launder a wrong cube into a typed error.
-// check:allow-file(unordered-collections): hash tables here are
-// build-side internals; every cell set is canonically sorted before
-// it leaves this module, so iteration order cannot reach results
-// (the cross-algorithm equivalence tests pin this).
-
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
-use crate::agg::Aggregate;
-use crate::cell::{Cell, CellSink};
+use crate::cell::CellSink;
 use crate::query::IcebergQuery;
+use crate::topdown::{
+    accumulate, emit, est_size, last_read, parents, positions, project_sorted, sort_raw, sort_work,
+    top_down_order, Cells,
+};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, Lattice};
-use std::collections::HashMap;
-
-type Cells = Vec<(Vec<u32>, Aggregate)>;
-
-/// Estimated cuboid size, shared with the other planners.
-fn est_size(g: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
-    let mut prod = 1u64;
-    for d in g.iter_dims() {
-        prod = prod.saturating_mul(cards[d] as u64);
-        if prod >= tuples as u64 {
-            return tuples as u64;
-        }
-    }
-    prod.min(tuples as u64)
-}
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 /// The Overlap plan: for every cuboid, its parent and the length of the
-/// shared sort-order prefix.
+/// shared sort-order prefix. Every cuboid keeps its dimensions in the
+/// root's ascending order, so every order is a subsequence of it.
 #[derive(Debug, Clone)]
 pub struct OverlapPlan {
     /// parent and shared-prefix length per cuboid (top excluded).
-    parents: HashMap<CuboidMask, (CuboidMask, usize)>,
-    /// Every cuboid's attribute order (ascending-dimension convention:
-    /// Overlap fixes one root order and every order is a subsequence).
-    orders: HashMap<CuboidMask, Vec<usize>>,
+    parents: BTreeMap<CuboidMask, (CuboidMask, usize)>,
 }
 
 impl OverlapPlan {
@@ -82,103 +56,84 @@ impl OverlapPlan {
 /// Plans Overlap: root order = ascending dimensions; each cuboid keeps its
 /// dimensions in that order ("all subsequent sorts are some suffix of this
 /// order"), and picks the parent with the longest shared prefix, breaking
-/// ties toward the smallest parent.
+/// ties toward the smallest parent, then the lowest mask.
 pub fn plan(dims: usize, cards: &[u32], tuples: usize) -> OverlapPlan {
-    let lattice = Lattice::new(dims);
-    let mut parents = HashMap::new();
-    let mut orders = HashMap::new();
-    for g in lattice.cuboids() {
-        orders.insert(g, g.dims());
-        if g.dim_count() == dims {
-            continue;
-        }
-        let best = lattice
-            .cuboids()
-            .filter(|&p| p.dim_count() == g.dim_count() + 1 && g.is_subset_of(p))
-            .map(|p| {
-                let shared = g.shared_prefix_len(p);
-                (shared, std::cmp::Reverse(est_size(p, cards, tuples)), p)
-            })
-            .max_by_key(|&(shared, size, p)| (shared, size, std::cmp::Reverse(p)))
-            .expect("every non-top cuboid has a parent");
-        parents.insert(g, (best.2, best.0));
-    }
-    OverlapPlan { parents, orders }
+    let parents = Lattice::new(dims)
+        .cuboids()
+        .filter_map(|g| {
+            parents(g, dims)
+                .map(|p| {
+                    let shared = g.shared_prefix_len(p);
+                    (shared, Reverse(est_size(p, cards, tuples)), Reverse(p))
+                })
+                .max()
+                .map(|(shared, _, Reverse(p))| (g, (p, shared)))
+        })
+        .collect();
+    OverlapPlan { parents }
 }
 
-/// Runs Overlap, emitting qualifying cells and charging the node.
-pub fn overlap<S: CellSink>(
+/// Runs Overlap, emitting qualifying cells and charging the node. The
+/// caller has checked that `query` matches `rel`
+/// ([`crate::sequential::run_sequential`]).
+pub(crate) fn overlap<S: CellSink>(
     rel: &Relation,
     query: &IcebergQuery,
     node: &mut SimNode,
     sink: &mut S,
 ) {
-    assert_eq!(
-        query.dims,
-        rel.arity(),
-        "query dims must match the relation"
-    );
     if rel.is_empty() {
         return;
     }
     let cards = rel.schema().cardinalities();
     let the_plan = plan(query.dims, &cards, rel.len());
-    let lattice = Lattice::new(query.dims);
 
     // The top cuboid from the raw data, sorted in the root order.
-    let mut materialized: HashMap<CuboidMask, Cells> = HashMap::new();
-    let top = lattice.top();
-    let top_cells = sort_aggregate_raw(rel, node);
-    emit(&top_cells, top, query.minsup, node, sink);
-    materialized.insert(top, top_cells);
+    let top = Lattice::new(query.dims).top();
+    let top_cells = sort_raw(rel, &top.dims(), node);
+    emit(
+        top,
+        top_cells.iter().map(|(k, a)| (k, a)),
+        query.minsup,
+        node,
+        sink,
+    );
+    let mut materialized = BTreeMap::from([(top, top_cells)]);
 
-    // Remaining consumers per cuboid, to free memory as soon as possible.
-    let mut consumers: HashMap<CuboidMask, usize> = HashMap::new();
-    for (&_, &(p, _)) in &the_plan.parents {
-        *consumers.entry(p).or_insert(0) += 1;
+    // Remaining readers per cuboid, to free memory as soon as possible.
+    let mut readers: BTreeMap<CuboidMask, usize> = BTreeMap::new();
+    for &(p, _) in the_plan.parents.values() {
+        *readers.entry(p).or_insert(0) += 1;
     }
 
-    // Top-down by level.
-    let mut order_by_level: Vec<CuboidMask> = lattice.cuboids().filter(|&g| g != top).collect();
-    order_by_level.sort_unstable_by(|a, b| b.dim_count().cmp(&a.dim_count()).then(a.cmp(b)));
-    for g in order_by_level {
-        let (p, shared) = the_plan.parents[&g];
-        let parent_cells = materialized.get(&p).expect("parent computed first");
+    for g in top_down_order(the_plan.parents.keys().copied()) {
+        let Some(&(p, shared)) = the_plan.parents.get(&g) else {
+            continue;
+        };
+        let Some(parent_cells) = materialized.get(&p) else {
+            continue;
+        };
         let cells = from_parent(parent_cells, p, g, shared, node);
-        emit(&cells, g, query.minsup, node, sink);
-        let remaining = consumers.get_mut(&p).expect("counted");
-        *remaining -= 1;
-        if *remaining == 0 {
+        emit(
+            g,
+            cells.iter().map(|(k, a)| (k, a)),
+            query.minsup,
+            node,
+            sink,
+        );
+        if last_read(&mut readers, p) {
             materialized.remove(&p);
         }
-        if consumers.get(&g).copied().unwrap_or(0) > 0 {
+        if readers.get(&g).is_some_and(|&n| n > 0) {
             materialized.insert(g, cells);
         }
     }
-    let _ = the_plan.orders;
-}
-
-/// Sorts the raw data ascending and pre-aggregates the top cuboid.
-fn sort_aggregate_raw(rel: &Relation, node: &mut SimNode) -> Cells {
-    let mut idx: Vec<u32> = (0..rel.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| rel.row(a as usize).cmp(rel.row(b as usize)));
-    let n = rel.len() as u64;
-    node.charge_comparisons(n * n.max(2).ilog2() as u64 * rel.arity() as u64);
-    let mut out: Cells = Vec::new();
-    for &i in &idx {
-        let row = rel.row(i as usize);
-        match out.last_mut() {
-            Some((k, agg)) if k.as_slice() == row => agg.update(rel.measure(i as usize)),
-            _ => out.push((row.to_vec(), Aggregate::of(rel.measure(i as usize)))),
-        }
-    }
-    node.charge_agg_updates(n);
-    out
 }
 
 /// Computes a child from its parent, sorting only within shared-prefix
 /// partitions (Overlap's core trick). `shared` is the number of leading
-/// attributes the two orders have in common.
+/// attributes the two orders have in common. Each partition of `m` cells
+/// costs `m log m` comparisons of (at least one) key element.
 fn from_parent(
     parent: &Cells,
     p: CuboidMask,
@@ -186,69 +141,26 @@ fn from_parent(
     shared: usize,
     node: &mut SimNode,
 ) -> Cells {
-    let pdims = p.dims();
-    let positions: Vec<usize> = child
-        .dims()
-        .iter()
-        .map(|d| pdims.iter().position(|x| x == d).expect("child ⊆ parent"))
-        .collect();
-    let project = |k: &[u32]| -> Vec<u32> { positions.iter().map(|&q| k[q]).collect() };
-
-    // Partition boundaries: runs of equal shared prefix in the parent.
-    let mut out: Cells = Vec::new();
-    let mut start = 0usize;
-    let n = parent.len() as u64;
+    let positions = positions(&child.dims(), &p.dims());
+    let mut out = Cells::new();
     let mut sorted_elems = 0u64;
-    while start < parent.len() {
-        let prefix = &parent[start].0[..shared];
-        let mut end = start + 1;
-        while end < parent.len() && &parent[end].0[..shared] == prefix {
-            end += 1;
+    // Partitions: runs of equal shared prefix in the parent, each
+    // projected and sorted independently on the suffix.
+    for part in parent.chunk_by(|a, b| a.0.get(..shared) == b.0.get(..shared)) {
+        sorted_elems += sort_work(part.len() as u64);
+        for (k, a) in project_sorted(part, &positions) {
+            accumulate(&mut out, k, &a);
         }
-        // Project and sort this partition independently on the suffix.
-        let mut part: Cells = parent[start..end]
-            .iter()
-            .map(|(k, a)| (project(k), *a))
-            .collect();
-        part.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let m = (end - start) as u64;
-        sorted_elems += m * m.max(2).ilog2() as u64;
-        // Accumulate duplicates (the projection merges cells).
-        for (k, a) in part {
-            match out.last_mut() {
-                Some((pk, pa)) if *pk == k => pa.merge(&a),
-                _ => out.push((k, a)),
-            }
-        }
-        start = end;
     }
     node.charge_comparisons(sorted_elems * positions.len().max(1) as u64);
-    node.charge_agg_updates(n);
+    node.charge_agg_updates(parent.len() as u64);
     out
-}
-
-/// Writes a finished cuboid contiguously.
-fn emit<S: CellSink>(cells: &Cells, g: CuboidMask, minsup: u64, node: &mut SimNode, sink: &mut S) {
-    let mut emitted = 0u64;
-    for (k, a) in cells {
-        if a.meets(minsup) {
-            sink.emit(g, k, a);
-            emitted += 1;
-        }
-    }
-    if emitted > 0 {
-        node.write_cells(
-            g.bits() as u64,
-            emitted * Cell::disk_bytes(g.dim_count()),
-            emitted,
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{sort_cells, CellBuf};
+    use crate::cell::{sort_cells, Cell, CellBuf};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use icecube_cluster::{ClusterConfig, SimCluster};

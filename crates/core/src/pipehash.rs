@@ -16,63 +16,35 @@
 //! reproduces both modes, with real memory accounting on the simulated
 //! node.
 
-// check:allow-file(panic-in-lib): asserts and expects in this module
-// guard internal algorithm invariants; a violation is a bug in the
-// cubing algorithm itself, never caller input, and must abort the run
-// loudly rather than launder a wrong cube into a typed error.
-// check:allow-file(unordered-collections): hash tables here are
-// build-side internals; every cell set is canonically sorted before
-// it leaves this module, so iteration order cannot reach results
-// (the cross-algorithm equivalence tests pin this).
-
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
 use crate::agg::Aggregate;
-use crate::cell::{Cell, CellSink};
+use crate::cell::CellSink;
 use crate::query::IcebergQuery;
+use crate::topdown::{emit, est_size, parents, positions, project, top_down_order};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, Lattice};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// A materialized cuboid: a hash table of its cells.
-type Table = HashMap<Vec<u32>, Aggregate>;
-
-/// Estimated cuboid size (same basis as PipeSort's planner).
-fn est_size(g: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
-    let mut prod = 1u64;
-    for d in g.iter_dims() {
-        prod = prod.saturating_mul(cards[d] as u64);
-        if prod >= tuples as u64 {
-            return tuples as u64;
-        }
-    }
-    prod.min(tuples as u64)
-}
+// check:allow(unordered-collections): the hash table *is* PipeHash; no
+// charge depends on its iteration order (each cuboid is written as one
+// contiguous block) and the sink sorts the cells it collects.
+type Table = std::collections::HashMap<Vec<u32>, Aggregate>;
 
 /// The smallest-parent MST: for every cuboid, the minimum-estimated-size
-/// parent one level up (`None` for the top cuboid, fed by the raw data).
+/// parent one level up (ties: the lowest mask; `None` for the top
+/// cuboid, fed by the raw data).
 pub fn smallest_parent_tree(
     dims: usize,
     cards: &[u32],
     tuples: usize,
-) -> HashMap<CuboidMask, Option<CuboidMask>> {
-    let lattice = Lattice::new(dims);
-    lattice
+) -> BTreeMap<CuboidMask, Option<CuboidMask>> {
+    Lattice::new(dims)
         .cuboids()
         .map(|c| {
-            if c.dim_count() == dims {
-                return (c, None);
-            }
-            let parent = lattice
-                .cuboids()
-                .filter(|&p| p.dim_count() == c.dim_count() + 1 && c.is_subset_of(p))
-                .min_by_key(|&p| (est_size(p, cards, tuples), p))
-                .expect("every non-top cuboid has a parent");
-            (c, Some(parent))
+            let parent = parents(c, dims)
+                .map(|p| (est_size(p, cards, tuples), p))
+                .min();
+            (c, parent.map(|(_, p)| p))
         })
         .collect()
 }
@@ -86,19 +58,15 @@ fn cell_mem(arity: usize) -> u64 {
 /// the estimated tables exceed `memory_budget` bytes, the input is
 /// range-partitioned on the highest-cardinality attribute (the one that
 /// fragments the data most) and the attribute-containing cuboids are
-/// computed fragment by fragment.
-pub fn pipehash<S: CellSink>(
+/// computed fragment by fragment. The caller has checked that `query`
+/// matches `rel` ([`crate::sequential::run_sequential`]).
+pub(crate) fn pipehash<S: CellSink>(
     rel: &Relation,
     query: &IcebergQuery,
     memory_budget: u64,
     node: &mut SimNode,
     sink: &mut S,
 ) {
-    assert_eq!(
-        query.dims,
-        rel.arity(),
-        "query dims must match the relation"
-    );
     if rel.is_empty() {
         return;
     }
@@ -110,100 +78,88 @@ pub fn pipehash<S: CellSink>(
         .map(|g| est_size(g, &cards, rel.len()) * cell_mem(g.dim_count()))
         .sum();
 
-    let mut tables: HashMap<CuboidMask, Table> = HashMap::new();
     if estimated_total <= memory_budget {
         // Everything fits: one scan builds the top table; the MST feeds
         // every other cuboid from its (materialized) smallest parent.
-        build_all(rel, &tree, lattice, query, node, sink, &mut tables, None);
-    } else {
-        // Share-partitions: split on the widest attribute; cuboids
-        // containing it are computed per fragment (their cells are
-        // fragment-disjoint); the rest from materialized parents after.
-        let split_dim = (0..query.dims)
-            .max_by_key(|&d| cards[d])
-            .expect("at least one dimension");
-        let fragments = (estimated_total / memory_budget.max(1) + 1)
-            .min(cards[split_dim] as u64)
-            .max(2) as usize;
-        let parts = rel.range_partition(split_dim, fragments);
-        node.charge_scan(rel.len() as u64);
-        node.charge_moves(rel.len() as u64);
-        for part in &parts {
-            if part.is_empty() {
-                continue;
-            }
-            let mut frag_tables: HashMap<CuboidMask, Table> = HashMap::new();
-            build_all(
-                part,
-                &tree,
-                lattice,
-                query,
-                node,
-                sink,
-                &mut frag_tables,
-                Some(split_dim),
-            );
-            // Keep the fragment's *top* cells merged into the full top
-            // table: it feeds the cuboids that drop the split attribute.
-            let top = lattice.top();
-            if let Some(frag_top) = frag_tables.remove(&top) {
-                node.free(frag_top.len() as u64 * cell_mem(query.dims));
-                let merged = tables.entry(top).or_default();
-                for (k, a) in frag_top {
-                    node.charge_hash_probes(1);
-                    merged.entry(k).or_insert_with(Aggregate::empty).merge(&a);
-                }
-            }
-            // The fragment's other tables are dropped here; release their
-            // accounted memory so the peak reflects the partitioning.
-            let freed: u64 = frag_tables
-                .iter()
-                .map(|(g, t)| t.len() as u64 * cell_mem(g.dim_count()))
-                .sum();
-            node.free(freed);
-        }
-        node.alloc(
-            tables
-                .get(&lattice.top())
-                .map_or(0, |t| t.len() as u64 * cell_mem(query.dims)),
+        build_all(rel, &tree, query, node, sink, &mut BTreeMap::new(), None);
+        return;
+    }
+    // Share-partitions: split on the widest attribute (the last of equally
+    // wide ones); cuboids containing it are computed per fragment (their
+    // cells are fragment-disjoint); the rest from materialized parents
+    // after.
+    let Some((split_dim, &split_card)) = cards.iter().enumerate().max_by_key(|&(_, c)| c) else {
+        return;
+    };
+    let fragments = (estimated_total / memory_budget.max(1) + 1)
+        .min(split_card as u64)
+        .max(2) as usize;
+    let parts = rel.range_partition(split_dim, fragments);
+    node.charge_scan(rel.len() as u64);
+    node.charge_moves(rel.len() as u64);
+    let top = lattice.top();
+    let mut tables: BTreeMap<CuboidMask, Table> = BTreeMap::new();
+    for part in parts.iter().filter(|p| !p.is_empty()) {
+        let mut frag_tables = BTreeMap::new();
+        build_all(
+            part,
+            &tree,
+            query,
+            node,
+            sink,
+            &mut frag_tables,
+            Some(split_dim),
         );
-        // Now the cuboids NOT containing the split attribute, top-down by
-        // level from their MST parents (re-rooted through the top table).
-        let mut rest: Vec<CuboidMask> = lattice
-            .cuboids()
-            .filter(|g| !g.contains(split_dim))
-            .collect();
-        rest.sort_unstable_by(|a, b| b.dim_count().cmp(&a.dim_count()).then(a.cmp(b)));
-        for g in rest {
-            // Parent: prefer the MST parent if materialized, else the top.
-            let parent = match tree[&g] {
-                Some(p) if tables.contains_key(&p) => p,
-                _ => lattice.top(),
-            };
-            let table = aggregate_from(&tables[&parent], parent, g, node);
-            emit_table(&table, g, query.minsup, node, sink);
-            node.alloc(table.len() as u64 * cell_mem(g.dim_count()));
-            tables.insert(g, table);
+        // Keep the fragment's *top* cells merged into the full top
+        // table: it feeds the cuboids that drop the split attribute.
+        if let Some(frag_top) = frag_tables.remove(&top) {
+            node.free(frag_top.len() as u64 * cell_mem(query.dims));
+            let merged = tables.entry(top).or_default();
+            for (k, a) in frag_top {
+                node.charge_hash_probes(1);
+                merged.entry(k).or_insert_with(Aggregate::empty).merge(&a);
+            }
         }
+        // The fragment's other tables are dropped here; release their
+        // accounted memory so the peak reflects the partitioning.
+        let freed: u64 = frag_tables
+            .iter()
+            .map(|(g, t)| t.len() as u64 * cell_mem(g.dim_count()))
+            .sum();
+        node.free(freed);
+    }
+    node.alloc(
+        tables
+            .get(&top)
+            .map_or(0, |t| t.len() as u64 * cell_mem(query.dims)),
+    );
+    // Now the cuboids NOT containing the split attribute, top-down by
+    // level from their MST parents (re-rooted through the top table).
+    for g in top_down_order(lattice.cuboids().filter(|g| !g.contains(split_dim))) {
+        // Parent: prefer the MST parent if materialized, else the top.
+        let parent = match tree.get(&g) {
+            Some(&Some(p)) if tables.contains_key(&p) => p,
+            _ => top,
+        };
+        derive(&mut tables, parent, g, query.minsup, node, sink);
     }
 }
 
 /// Builds every cuboid reachable in the MST from the raw data (optionally
 /// restricted to cuboids containing `only_with`), emitting as it goes.
-#[allow(clippy::too_many_arguments)]
 fn build_all<S: CellSink>(
     rel: &Relation,
-    tree: &HashMap<CuboidMask, Option<CuboidMask>>,
-    lattice: Lattice,
+    tree: &BTreeMap<CuboidMask, Option<CuboidMask>>,
     query: &IcebergQuery,
     node: &mut SimNode,
     sink: &mut S,
-    tables: &mut HashMap<CuboidMask, Table>,
+    tables: &mut BTreeMap<CuboidMask, Table>,
     only_with: Option<usize>,
 ) {
     // The top cuboid from the raw data.
+    let lattice = Lattice::new(query.dims);
     let top = lattice.top();
-    let mut top_table: Table = HashMap::with_capacity(rel.len());
+    let mut top_table = Table::with_capacity(rel.len());
     for (row, m) in rel.rows() {
         top_table
             .entry(row.to_vec())
@@ -217,92 +173,62 @@ fn build_all<S: CellSink>(
     // The top cuboid always contains the split attribute, so in
     // partitioned mode its per-fragment cells are disjoint and emitting
     // them fragment by fragment is exact.
-    emit_table(&top_table, top, query.minsup, node, sink);
+    emit(top, &top_table, query.minsup, node, sink);
     tables.insert(top, top_table);
 
     // Remaining cuboids by descending level, each from its MST parent.
-    let mut order: Vec<CuboidMask> = lattice
+    let rest = lattice
         .cuboids()
-        .filter(|&g| g != top)
-        .filter(|&g| only_with.is_none_or(|d| g.contains(d)))
-        .collect();
-    order.sort_unstable_by(|a, b| b.dim_count().cmp(&a.dim_count()).then(a.cmp(b)));
-    for g in order {
-        let parent = match tree[&g] {
+        .filter(|&g| g != top && only_with.is_none_or(|d| g.contains(d)));
+    for g in top_down_order(rest) {
+        let parent = match tree.get(&g) {
+            Some(&Some(p)) if tables.contains_key(&p) => p,
             // Under the restriction the MST parent may be outside the
-            // restricted set; re-route through any in-set parent.
-            Some(p) if tables.contains_key(&p) => p,
-            _ => lattice
-                .cuboids()
-                .filter(|&p| {
-                    p.dim_count() == g.dim_count() + 1
-                        && g.is_subset_of(p)
-                        && tables.contains_key(&p)
-                })
-                .min_by_key(|&p| (tables[&p].len(), p))
-                .unwrap_or(top),
+            // restricted set; re-route through the smallest in-set parent.
+            _ => parents(g, query.dims)
+                .filter_map(|p| tables.get(&p).map(|t| (t.len(), p)))
+                .min()
+                .map_or(top, |(_, p)| p),
         };
-        let table = aggregate_from(&tables[&parent], parent, g, node);
-        emit_table(&table, g, query.minsup, node, sink);
-        node.alloc(table.len() as u64 * cell_mem(g.dim_count()));
-        tables.insert(g, table);
+        derive(tables, parent, g, query.minsup, node, sink);
     }
 }
 
-/// Re-hashes a parent table into a child (the "re-hash for every group-by"
-/// the paper criticizes).
-fn aggregate_from(parent: &Table, p: CuboidMask, child: CuboidMask, node: &mut SimNode) -> Table {
-    debug_assert!(child.is_subset_of(p));
-    let pdims = p.dims();
-    let positions: Vec<usize> = child
-        .dims()
-        .iter()
-        .map(|d| pdims.iter().position(|x| x == d).expect("child ⊆ parent"))
-        .collect();
-    let mut out: Table = HashMap::with_capacity(parent.len() / 2 + 1);
-    let mut key = vec![0u32; positions.len()];
-    for (k, a) in parent {
-        for (slot, &pos) in key.iter_mut().zip(&positions) {
-            *slot = k[pos];
-        }
-        out.entry(key.clone())
-            .or_insert_with(Aggregate::empty)
-            .merge(a);
-    }
-    node.charge_scan(parent.len() as u64);
-    node.charge_hash_probes(parent.len() as u64);
-    node.charge_agg_updates(parent.len() as u64);
-    out
-}
-
-/// Writes a finished cuboid (unsorted hash order; one contiguous write).
-fn emit_table<S: CellSink>(
-    table: &Table,
-    g: CuboidMask,
+/// Re-hashes the materialized `parent` into `child` (the "re-hash for
+/// every group-by" the paper criticizes), writes the child's qualifying
+/// cells and keeps its table.
+fn derive<S: CellSink>(
+    tables: &mut BTreeMap<CuboidMask, Table>,
+    parent: CuboidMask,
+    child: CuboidMask,
     minsup: u64,
     node: &mut SimNode,
     sink: &mut S,
 ) {
-    let mut emitted = 0u64;
-    for (k, a) in table {
-        if a.meets(minsup) {
-            sink.emit(g, k, a);
-            emitted += 1;
-        }
+    let Some(from) = tables.get(&parent) else {
+        return;
+    };
+    let positions = positions(&child.dims(), &parent.dims());
+    let mut table = Table::with_capacity(from.len() / 2 + 1);
+    for (k, a) in from {
+        table
+            .entry(project(k, &positions))
+            .or_insert_with(Aggregate::empty)
+            .merge(a);
     }
-    if emitted > 0 {
-        node.write_cells(
-            g.bits() as u64,
-            emitted * Cell::disk_bytes(g.dim_count()),
-            emitted,
-        );
-    }
+    let n = from.len() as u64;
+    node.charge_scan(n);
+    node.charge_hash_probes(n);
+    node.charge_agg_updates(n);
+    emit(child, &table, minsup, node, sink);
+    node.alloc(table.len() as u64 * cell_mem(child.dim_count()));
+    tables.insert(child, table);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{sort_cells, CellBuf};
+    use crate::cell::{sort_cells, Cell, CellBuf};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use icecube_cluster::{ClusterConfig, SimCluster};

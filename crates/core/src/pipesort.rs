@@ -20,27 +20,16 @@
 //! Like every top-down algorithm, PipeSort cannot prune on minimum
 //! support; the threshold filters output only.
 
-// check:allow-file(panic-in-lib): asserts and expects in this module
-// guard internal algorithm invariants; a violation is a bug in the
-// cubing algorithm itself, never caller input, and must abort the run
-// loudly rather than launder a wrong cube into a typed error.
-// check:allow-file(unordered-collections): hash tables here are
-// build-side internals; every cell set is canonically sorted before
-// it leaves this module, so iteration order cannot reach results
-// (the cross-algorithm equivalence tests pin this).
-
-// check:allow-file(panic-path): slice indexing and asserts in this
-// module guard simulation-internal invariants over indices the module
-// itself constructs; a violation is a bug, not runtime input. Tracked
-// by the panic-path triage note in DESIGN section 12.
-
 use crate::agg::Aggregate;
-use crate::cell::{Cell, CellSink};
+use crate::cell::CellSink;
 use crate::query::IcebergQuery;
+use crate::topdown::{
+    emit, est_size, last_read, parents, positions, project, resort, sort_raw, top_down_order, Cells,
+};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, Lattice};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The per-cuboid plan: where its data comes from and in which attribute
 /// order its cells are produced.
@@ -53,12 +42,15 @@ struct PlanNode {
     /// Whether the parent's sort order is reused (pipelined) or a re-sort
     /// is required (this cuboid heads a pipeline).
     pipelined: bool,
+    /// The child that inherits this cuboid's order: the next member of
+    /// its pipeline.
+    next: Option<CuboidMask>,
 }
 
 /// The complete PipeSort plan.
 #[derive(Debug, Clone)]
 pub struct PipeSortPlan {
-    nodes: HashMap<CuboidMask, PlanNode>,
+    nodes: BTreeMap<CuboidMask, PlanNode>,
     d: usize,
 }
 
@@ -79,26 +71,8 @@ impl PipeSortPlan {
     }
 }
 
-/// Estimated cuboid size: `min(∏ cardinalities, tuples)` — the cost basis
-/// PipeSort plans with (the paper notes this estimate is what breaks down
-/// on sparse data, motivating PartitionedCube).
-fn est_size(g: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
-    let mut prod = 1u64;
-    for d in g.iter_dims() {
-        prod = prod.saturating_mul(cards[d] as u64);
-        if prod >= tuples as u64 {
-            return tuples as u64;
-        }
-    }
-    prod.min(tuples as u64)
-}
-
-/// A-cost: computing one child from this parent without sorting.
-fn a_cost(p: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
-    est_size(p, cards, tuples)
-}
-
-/// S-cost: re-sorting the parent first.
+/// S-cost: re-sorting the parent first. (The A-cost, computing one child
+/// from the parent without sorting, is the parent's estimated size.)
 fn s_cost(p: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
     let n = est_size(p, cards, tuples);
     n.saturating_mul(n.max(2).ilog2() as u64 + 1)
@@ -108,180 +82,125 @@ fn s_cost(p: CuboidMask, cards: &[u32], tuples: usize) -> u64 {
 pub fn plan(dims: usize, cards: &[u32], tuples: usize) -> PipeSortPlan {
     let lattice = Lattice::new(dims);
     // matched[parent] = child that inherits the parent's sort order.
-    let mut matched_child: HashMap<CuboidMask, CuboidMask> = HashMap::new();
-    let mut parent_of: HashMap<CuboidMask, (CuboidMask, bool)> = HashMap::new();
+    let mut matched_child: BTreeMap<CuboidMask, CuboidMask> = BTreeMap::new();
+    let mut parent_of: BTreeMap<CuboidMask, (CuboidMask, bool)> = BTreeMap::new();
 
     for k in (1..=dims).rev() {
-        let children: Vec<CuboidMask> = lattice.level(k - 1).collect();
-        if children.is_empty() {
-            continue;
-        }
         // For each child, the cheapest re-sort parent as the fallback.
-        let best_s: HashMap<CuboidMask, (CuboidMask, u64)> = children
-            .iter()
-            .map(|&c| {
-                let best = lattice
-                    .level(k)
-                    .filter(|&p| c.is_subset_of(p))
-                    .map(|p| (p, s_cost(p, cards, tuples)))
-                    .min_by_key(|&(p, cost)| (cost, p))
-                    .expect("every non-top cuboid has a parent");
-                (c, best)
+        let best_s: BTreeMap<CuboidMask, (CuboidMask, u64)> = lattice
+            .level(k - 1)
+            .filter_map(|c| {
+                parents(c, dims)
+                    .map(|p| (s_cost(p, cards, tuples), p))
+                    .min()
+                    .map(|(cost, p)| (c, (p, cost)))
             })
             .collect();
         // Greedy maximum-savings matching: edges (child, parent) with
-        // savings = S_min(child) − A(parent).
+        // savings = S_min(child) − A(parent), largest first.
         let mut edges: Vec<(u64, CuboidMask, CuboidMask)> = Vec::new();
-        for &c in &children {
-            let s_min = best_s[&c].1;
-            for p in lattice.level(k).filter(|&p| c.is_subset_of(p)) {
-                let a = a_cost(p, cards, tuples);
+        for (&c, &(_, s_min)) in &best_s {
+            for p in parents(c, dims) {
+                let a = est_size(p, cards, tuples);
                 if a < s_min {
                     edges.push((s_min - a, c, p));
                 }
             }
         }
         edges.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
-        let mut child_done: HashMap<CuboidMask, ()> = HashMap::new();
         for (_, c, p) in edges {
-            if child_done.contains_key(&c) || matched_child.contains_key(&p) {
+            if parent_of.contains_key(&c) || matched_child.contains_key(&p) {
                 continue;
             }
-            child_done.insert(c, ());
             matched_child.insert(p, c);
             parent_of.insert(c, (p, true));
         }
-        for &c in &children {
-            if !child_done.contains_key(&c) {
-                parent_of.insert(c, (best_s[&c].0, false));
-            }
+        for (c, (p, _)) in best_s {
+            parent_of.entry(c).or_insert((p, false));
         }
     }
 
-    // Assign attribute orders: walk each share-sort chain from its bottom.
-    // A cuboid's order is fixed by the chain below it: the bottom member
-    // takes ascending order; each parent appends its extra dimension.
-    let mut nodes: HashMap<CuboidMask, PlanNode> = HashMap::new();
-    // Bottoms: cuboids that are not a matched parent (no child inherits).
-    let all: Vec<CuboidMask> = lattice.cuboids().collect();
-    for &g in &all {
-        if matched_child.contains_key(&g) {
-            continue; // its order is derived from below
-        }
-        // Build the chain upward from g.
+    // Assign attribute orders: walk each share-sort chain from its bottom
+    // (a cuboid no child inherits from). The bottom member takes
+    // ascending order; each parent appends its extra dimension.
+    let mut nodes = BTreeMap::new();
+    for g in lattice.cuboids().filter(|g| !matched_child.contains_key(g)) {
         let mut order: Vec<usize> = g.dims();
-        let mut cur = g;
+        let (mut cur, mut below) = (g, None);
         loop {
-            let (parent, pipelined) = match parent_of.get(&cur) {
-                Some(&(p, pl)) => (Some(p), pl),
-                None => (None, false), // the top cuboid: sorted from raw data
-            };
+            // No parent: the top cuboid, sorted from raw data.
+            let parent = parent_of.get(&cur).copied();
+            let pipelined = parent.is_some_and(|(_, pipelined)| pipelined);
             nodes.insert(
                 cur,
                 PlanNode {
                     order: order.clone(),
-                    parent,
+                    parent: parent.map(|(p, _)| p),
                     pipelined,
+                    next: below,
                 },
             );
             // Does `cur`'s parent pipeline into it? Then extend the order.
-            match parent {
-                Some(p) if pipelined && matched_child.get(&p) == Some(&cur) => {
-                    let extra = p
-                        .iter_dims()
-                        .find(|d| !cur.contains(*d))
-                        .expect("parent has one extra dimension");
-                    order.push(extra);
-                    cur = p;
-                }
-                _ => break,
-            }
+            let Some((p, true)) = parent else {
+                break;
+            };
+            let Some(extra) = p.iter_dims().find(|&d| !cur.contains(d)) else {
+                break;
+            };
+            order.push(extra);
+            (cur, below) = (p, Some(cur));
         }
     }
     PipeSortPlan { nodes, d: dims }
 }
 
 /// Executes PipeSort: plans, then runs every pipeline, emitting qualifying
-/// cells and charging the simulated node.
-pub fn pipesort<S: CellSink>(
+/// cells and charging the simulated node. The caller has checked that
+/// `query` matches `rel` ([`crate::sequential::run_sequential`]).
+pub(crate) fn pipesort<S: CellSink>(
     rel: &Relation,
     query: &IcebergQuery,
     node: &mut SimNode,
     sink: &mut S,
 ) {
-    assert_eq!(
-        query.dims,
-        rel.arity(),
-        "query dims must match the relation"
-    );
     if rel.is_empty() {
         return;
     }
     let cards = rel.schema().cardinalities();
-    let the_plan = plan(query.dims, &cards, rel.len());
-    execute(rel, query, &the_plan, node, sink);
-}
-
-/// A materialized cuboid during execution.
-type Cells = Vec<(Vec<u32>, Aggregate)>;
-
-fn execute<S: CellSink>(
-    rel: &Relation,
-    query: &IcebergQuery,
-    plan: &PipeSortPlan,
-    node: &mut SimNode,
-    sink: &mut S,
-) {
-    let mut materialized: HashMap<CuboidMask, Cells> = HashMap::new();
+    let plan = plan(query.dims, &cards, rel.len());
+    let mut materialized: BTreeMap<CuboidMask, Cells> = BTreeMap::new();
     // How many pipeline heads will still read each cuboid as their input;
-    // a materialized cuboid is dropped once its last consumer has run.
-    let mut consumers: HashMap<CuboidMask, usize> = HashMap::new();
-    for n in plan.nodes.values() {
-        if !n.pipelined {
-            if let Some(p) = n.parent {
-                *consumers.entry(p).or_insert(0) += 1;
-            }
-        }
+    // a materialized cuboid is dropped once its last reader has run.
+    let mut readers: BTreeMap<CuboidMask, usize> = BTreeMap::new();
+    for p in plan
+        .nodes
+        .values()
+        .filter(|n| !n.pipelined)
+        .filter_map(|n| n.parent)
+    {
+        *readers.entry(p).or_insert(0) += 1;
     }
     // Pipelines execute heads-by-level descending, so a head's parent is
     // always materialized first.
-    let mut heads: Vec<CuboidMask> = plan
-        .nodes
-        .iter()
-        .filter(|(_, n)| !n.pipelined)
-        .map(|(&g, _)| g)
-        .collect();
-    heads.sort_unstable_by(|a, b| b.dim_count().cmp(&a.dim_count()).then(a.cmp(b)));
-
-    for head in heads {
-        // The members of this pipeline: the chain of cuboids that inherit
-        // the head's sort order, one prefix shorter each.
-        let mut members = vec![head];
-        let mut cur = head;
-        loop {
-            let next = plan
-                .nodes
-                .iter()
-                .find(|(_, n)| n.pipelined && n.parent == Some(cur))
-                .map(|(&g, _)| g);
-            match next {
-                Some(g) => {
-                    members.push(g);
-                    cur = g;
-                }
-                None => break,
-            }
-        }
-        let head_order = &plan.nodes[&head].order;
+    let heads = plan.nodes.iter().filter(|(_, n)| !n.pipelined);
+    for head in top_down_order(heads.map(|(&g, _)| g)) {
+        let Some(head_node) = plan.nodes.get(&head) else {
+            continue;
+        };
         // Input: the head's parent (re-sorted), or the raw data for the top.
-        let input: Cells = match plan.nodes[&head].parent {
-            None => sort_raw(rel, head_order, node),
+        let input = match head_node.parent {
+            None => sort_raw(rel, &head_node.order, node),
             Some(p) => {
-                let parent_cells = materialized.get(&p).expect("parent before child");
-                let resorted = resort(parent_cells, &plan.nodes[&p].order, head_order, node);
-                let remaining = consumers.get_mut(&p).expect("counted above");
-                *remaining -= 1;
-                if *remaining == 0 {
+                let (Some(parent_cells), Some(parent)) = (materialized.get(&p), plan.nodes.get(&p))
+                else {
+                    continue;
+                };
+                let resorted = resort(
+                    parent_cells,
+                    &positions(&head_node.order, &parent.order),
+                    node,
+                );
+                if last_read(&mut readers, p) {
                     if let Some(freed) = materialized.remove(&p) {
                         node.free(cells_bytes(&freed));
                     }
@@ -289,17 +208,26 @@ fn execute<S: CellSink>(
                 resorted
             }
         };
-        // One scan computes every member: running aggregate per prefix.
-        run_pipeline(
-            &input,
-            &members,
-            plan,
-            query,
-            &consumers,
-            node,
-            sink,
-            &mut materialized,
-        );
+        // The members of this pipeline: the chain of cuboids that inherit
+        // the head's sort order, one prefix shorter each.
+        let members: Vec<CuboidMask> =
+            std::iter::successors(Some(head), |g| plan.nodes.get(g).and_then(|n| n.next)).collect();
+        let outputs = pipelined_scan(&input, &members, node);
+        for (member, cells) in members.into_iter().zip(outputs) {
+            // Keys are in the member's *planned* order, which may differ
+            // from ascending-dimension order — normalize on emit.
+            let Some(planned) = plan.nodes.get(&member) else {
+                continue;
+            };
+            let remap = positions(&member.dims(), &planned.order);
+            let keys = cells.iter().map(|(k, a)| (project(k, &remap), a));
+            emit(member, keys, query.minsup, node, sink);
+            // Materialize only cuboids some later pipeline reads.
+            if readers.get(&member).is_some_and(|&n| n > 0) {
+                node.alloc(cells_bytes(&cells));
+                materialized.insert(member, cells);
+            }
+        }
     }
 }
 
@@ -308,153 +236,52 @@ fn cells_bytes(cells: &Cells) -> u64 {
     cells.iter().map(|(k, _)| k.len() as u64 * 4 + 32).sum()
 }
 
-/// Sorts the raw relation by `order` and pre-aggregates duplicate keys.
-fn sort_raw(rel: &Relation, order: &[usize], node: &mut SimNode) -> Cells {
-    let mut idx: Vec<u32> = (0..rel.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        let (ra, rb) = (rel.row(a as usize), rel.row(b as usize));
-        order
-            .iter()
-            .map(|&d| ra[d])
-            .cmp(order.iter().map(|&d| rb[d]))
-    });
-    let n = rel.len() as u64;
-    node.charge_comparisons(n * (n.max(2).ilog2() as u64) * order.len() as u64);
-    let mut out: Cells = Vec::new();
-    let mut key = vec![0u32; order.len()];
-    for &i in &idx {
-        let row = rel.row(i as usize);
-        for (slot, &d) in key.iter_mut().zip(order) {
-            *slot = row[d];
-        }
-        match out.last_mut() {
-            Some((k, agg)) if *k == key => agg.update(rel.measure(i as usize)),
-            _ => out.push((key.clone(), Aggregate::of(rel.measure(i as usize)))),
-        }
-    }
-    node.charge_agg_updates(n);
-    out
-}
-
-/// Re-sorts a parent's cells from its order into the head's order
-/// (projecting away the parent's extra dimension).
-fn resort(
-    parent: &Cells,
-    parent_order: &[usize],
-    head_order: &[usize],
-    node: &mut SimNode,
-) -> Cells {
-    let positions: Vec<usize> = head_order
+/// The pipelined scan: one pass over `input` (sorted by the head's order)
+/// computing every member simultaneously — member `i` is the prefix of
+/// its own length of the head's order — with one running aggregate per
+/// member and one aggregate update charged per member and input cell.
+fn pipelined_scan(input: &Cells, members: &[CuboidMask], node: &mut SimNode) -> Vec<Cells> {
+    let mut outputs: Vec<(Cells, Vec<u32>, Aggregate)> = members
         .iter()
-        .map(|d| {
-            parent_order
-                .iter()
-                .position(|p| p == d)
-                .expect("head ⊂ parent")
+        .map(|m| {
+            (
+                Cells::new(),
+                vec![u32::MAX; m.dim_count()],
+                Aggregate::empty(),
+            )
         })
         .collect();
-    let mut projected: Cells = parent
-        .iter()
-        .map(|(k, a)| (positions.iter().map(|&p| k[p]).collect(), *a))
-        .collect();
-    projected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let n = parent.len() as u64;
-    node.charge_comparisons(n * (n.max(2).ilog2() as u64) * positions.len() as u64);
-    // Accumulate duplicates created by the projection.
-    let mut out: Cells = Vec::new();
-    for (k, a) in projected {
-        match out.last_mut() {
-            Some((pk, pa)) if *pk == k => pa.merge(&a),
-            _ => out.push((k, a)),
-        }
-    }
-    node.charge_agg_updates(n);
-    out
-}
-
-/// The pipelined scan: one pass over `input` (sorted by `head_order`)
-/// computing every member simultaneously — member `i` is the prefix of
-/// length `member_len[i]` of the head's order.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline<S: CellSink>(
-    input: &Cells,
-    members: &[CuboidMask],
-    plan: &PipeSortPlan,
-    query: &IcebergQuery,
-    consumers: &HashMap<CuboidMask, usize>,
-    node: &mut SimNode,
-    sink: &mut S,
-    materialized: &mut HashMap<CuboidMask, Cells>,
-) {
-    let mut outputs: Vec<Cells> = vec![Cells::new(); members.len()];
-    let lens: Vec<usize> = members.iter().map(|m| m.dim_count()).collect();
-    debug_assert!(lens.windows(2).all(|w| w[0] == w[1] + 1));
-    let mut running: Vec<(Vec<u32>, Aggregate)> = lens
-        .iter()
-        .map(|&l| (vec![u32::MAX; l], Aggregate::empty()))
-        .collect();
     for (key, agg) in input {
-        for (mi, &len) in lens.iter().enumerate() {
-            let prefix = &key[..len];
-            if running[mi].0.as_slice() != prefix {
-                if running[mi].1.count > 0 {
-                    let (k, a) =
-                        std::mem::replace(&mut running[mi], (prefix.to_vec(), Aggregate::empty()));
-                    outputs[mi].push((k, a));
+        for (out, run_key, run) in &mut outputs {
+            let prefix = key.get(..run_key.len()).unwrap_or(key);
+            if run_key.as_slice() != prefix {
+                if run.count > 0 {
+                    out.push((std::mem::replace(run_key, prefix.to_vec()), *run));
+                    *run = Aggregate::empty();
                 } else {
-                    running[mi].0.clear();
-                    running[mi].0.extend_from_slice(prefix);
+                    run_key.clear();
+                    run_key.extend_from_slice(prefix);
                 }
             }
-            running[mi].1.merge(agg);
+            run.merge(agg);
         }
-        node.charge_agg_updates(lens.len() as u64);
+        node.charge_agg_updates(members.len() as u64);
     }
-    for (mi, (k, a)) in running.into_iter().enumerate() {
-        if a.count > 0 {
-            outputs[mi].push((k, a));
-        }
-    }
-    // Emit qualifying cells; keys are in the member's *planned* order,
-    // which may differ from ascending-dimension order — normalize on emit.
-    for (mi, member) in members.iter().enumerate() {
-        let order = &plan.nodes[member].order;
-        let member_dims = member.dims();
-        let remap: Vec<usize> = member_dims
-            .iter()
-            .map(|d| order.iter().position(|o| o == d).expect("same dims"))
-            .collect();
-        let mut emitted = 0u64;
-        let mut cell_key = vec![0u32; member_dims.len()];
-        for (k, a) in &outputs[mi] {
-            if a.meets(query.minsup) {
-                for (slot, &p) in cell_key.iter_mut().zip(&remap) {
-                    *slot = k[p];
-                }
-                sink.emit(*member, &cell_key, a);
-                emitted += 1;
+    outputs
+        .into_iter()
+        .map(|(mut out, run_key, run)| {
+            if run.count > 0 {
+                out.push((run_key, run));
             }
-        }
-        if emitted > 0 {
-            node.write_cells(
-                member.bits() as u64,
-                emitted * Cell::disk_bytes(member_dims.len()),
-                emitted,
-            );
-        }
-        // Materialize only cuboids some later pipeline reads.
-        if consumers.get(member).copied().unwrap_or(0) > 0 {
-            let cells = std::mem::take(&mut outputs[mi]);
-            node.alloc(cells_bytes(&cells));
-            materialized.insert(*member, cells);
-        }
-    }
+            out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{sort_cells, CellBuf};
+    use crate::cell::{sort_cells, Cell, CellBuf};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use icecube_cluster::{ClusterConfig, SimCluster};

@@ -5,7 +5,7 @@
 use icecube::cluster::{ClusterConfig, SimCluster};
 use icecube::core::cell::{sort_cells, Cell, CellBuf};
 use icecube::core::naive::naive_iceberg_cube;
-use icecube::core::topdown::topdown_shared;
+use icecube::core::sequential::{run_sequential, SeqAlgorithm};
 use icecube::core::verify::assert_same_cells;
 use icecube::core::{run_parallel, Algorithm, IcebergQuery};
 use icecube::data::{presets, SyntheticSpec};
@@ -78,11 +78,10 @@ fn heterogeneous_cluster_changes_nothing_but_time() {
 fn topdown_baseline_agrees_too() {
     for (name, rel) in workloads() {
         let q = IcebergQuery::count_cube(rel.arity(), 2);
-        let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(1));
-        let mut sink = CellBuf::collecting();
-        topdown_shared(&rel, &q, &mut cluster.nodes[0], &mut sink);
-        let mut got = sink.into_cells();
-        sort_cells(&mut got);
+        let cfg = ClusterConfig::fast_ethernet(1);
+        let got = run_sequential(SeqAlgorithm::TopDownShared, &rel, &q, &cfg)
+            .unwrap()
+            .cells;
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             got,
