@@ -89,7 +89,6 @@ pub fn affinity(ctx: &Ctx) -> Report {
 /// with depth-first vs breadth-first cell emission (the single change BPP
 /// makes to RP's engine, isolated from data decomposition).
 pub fn writing(ctx: &Ctx) -> Report {
-    use icecube_cluster::SimCluster;
     use icecube_core::buc::{bpp_buc, buc_depth_first};
     use icecube_core::cell::CellBuf;
     use icecube_lattice::TreeTask;
@@ -101,26 +100,16 @@ pub fn writing(ctx: &Ctx) -> Report {
     let mut t = Table::new(["engine", "io_s", "file_switches", "cells"]);
     let mut ios = Vec::new();
     for depth_first in [true, false] {
-        let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(1));
+        let mut node = ClusterConfig::fast_ethernet(1)
+            .node(0)
+            .expect("a one-node roster has node 0");
         let mut sink = CellBuf::counting();
         if depth_first {
-            buc_depth_first(
-                &rel,
-                presets::BASELINE_MINSUP,
-                task,
-                &mut cluster.nodes[0],
-                &mut sink,
-            );
+            buc_depth_first(&rel, presets::BASELINE_MINSUP, task, &mut node, &mut sink);
         } else {
-            bpp_buc(
-                &rel,
-                presets::BASELINE_MINSUP,
-                task,
-                &mut cluster.nodes[0],
-                &mut sink,
-            );
+            bpp_buc(&rel, presets::BASELINE_MINSUP, task, &mut node, &mut sink);
         }
-        let s = &cluster.nodes[0].stats;
+        let s = &node.stats;
         ios.push(s.io_ns());
         t.row([
             if depth_first {

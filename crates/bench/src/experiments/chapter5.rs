@@ -2,7 +2,7 @@
 
 use crate::report::{f2, secs, Report, Table};
 use crate::Ctx;
-use icecube_cluster::{ClusterConfig, SimCluster};
+use icecube_cluster::ClusterConfig;
 use icecube_core::cell::CellBuf;
 use icecube_core::{run_parallel_with, Algorithm, IcebergQuery, RunOptions};
 use icecube_data::presets;
@@ -30,21 +30,22 @@ pub fn sec5_1(ctx: &Ctx) -> Report {
     let recompute_s = full.stats.makespan_ns();
 
     // Plan 2: precompute the leaves at support 1; answer online by roll-up.
-    let mut cluster = SimCluster::new(ClusterConfig::fast_ethernet(1));
-    let m = SelectiveMaterialization::precompute(&rel, &mut cluster.nodes[0], 7)
-        .expect("non-empty input");
-    let precompute_s = cluster.nodes[0].clock_ns();
-    let t0 = cluster.nodes[0].clock_ns();
+    let mut node = ClusterConfig::fast_ethernet(1)
+        .node(0)
+        .expect("a one-node roster has node 0");
+    let m = SelectiveMaterialization::precompute(&rel, &mut node, 7).expect("non-empty input");
+    let precompute_s = node.clock_ns();
+    let t0 = node.clock_ns();
     let mut sink = CellBuf::counting();
     // An online drill-down over the first five dimensions.
     m.query(
         CuboidMask::from_dims(&[0, 1, 2, 3, 4]),
         presets::BASELINE_MINSUP,
-        &mut cluster.nodes[0],
+        &mut node,
         &mut sink,
     )
     .expect("in-range group-by");
-    let online_s = cluster.nodes[0].clock_ns() - t0;
+    let online_s = node.clock_ns() - t0;
 
     let mut t = Table::new(["plan", "stage", "seconds"]);
     t.row(["recompute (ASL, full cube)", "query", &secs(recompute_s)]);

@@ -6,6 +6,8 @@
 //! (the paper measures it ≈3× faster than its Ethernet). Absolute values
 //! only set the time scale; the figures' *shapes* depend on the ratios.
 
+use crate::node::SimNode;
+
 /// Reference clock rate: CPU costs are quoted in nanoseconds on a 500 MHz
 /// node and scaled by `500 / mhz` for slower nodes.
 pub const REFERENCE_MHZ: u32 = 500;
@@ -223,6 +225,23 @@ impl ClusterConfig {
         c
     }
 
+    /// Builds node `id` as [`crate::SimCluster::new`] does: its spec and
+    /// cost models, a trace buffer when tracing is on, and its share of
+    /// the fault plan armed. `None` when the roster has no node `id`.
+    /// One-node pricing (sequential runs, kernel ablations) needs only
+    /// this, not a whole cluster.
+    pub fn node(&self, id: usize) -> Option<SimNode> {
+        let spec = *self.nodes.get(id)?;
+        let mut n = SimNode::new(id, spec, self.disk, self.net, self.cpu);
+        if self.trace {
+            // Attach before arming faults so an immediate crash
+            // (scheduled at or before t=0) is still recorded.
+            n.attach_trace();
+        }
+        n.set_faults(&self.faults);
+        Some(n)
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -237,6 +256,15 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_builds_one_roster_entry() {
+        let cfg = ClusterConfig::heterogeneous_16();
+        let node = cfg.node(15).expect("node 15 is on the roster");
+        assert_eq!((node.id(), node.spec()), (15, NodeSpec::SLOW));
+        assert_eq!(node.clock_ns(), 0);
+        assert!(cfg.node(16).is_none());
+    }
 
     #[test]
     fn cpu_scale_matches_clock_ratio() {
