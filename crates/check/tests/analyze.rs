@@ -255,6 +255,79 @@ fn kernel_hot_paths_reach_zero_allocations_without_suppressions() {
     }
 }
 
+/// Every file-scoped `check:allow-file` suppression outside `crates/check`,
+/// as `(file, lint)` in sorted order. A file that loses its suppression
+/// deletes its row here; a new suppression fails the test below.
+const FILE_SCOPED_SUPPRESSIONS: [(&str, &str); 19] = [
+    ("crates/core/src/aht.rs", "panic-in-lib"),
+    ("crates/core/src/aht.rs", "panic-path"),
+    ("crates/core/src/asl.rs", "panic-in-lib"),
+    ("crates/core/src/asl.rs", "panic-path"),
+    ("crates/core/src/buc.rs", "panic-path"),
+    ("crates/core/src/fixtures.rs", "panic-in-lib"),
+    ("crates/core/src/fixtures.rs", "panic-path"),
+    ("crates/core/src/htree.rs", "panic-path"),
+    ("crates/core/src/htree.rs", "unordered-collections"),
+    ("crates/core/src/naive.rs", "panic-in-lib"),
+    ("crates/core/src/naive.rs", "unordered-collections"),
+    ("crates/core/src/partition.rs", "panic-path"),
+    ("crates/core/src/pt.rs", "panic-path"),
+    ("crates/core/src/verify.rs", "panic-path"),
+    ("crates/data/src/relation.rs", "panic-path"),
+    ("crates/exec/src/native.rs", "thread-spawn"),
+    ("crates/lattice/src/mask.rs", "panic-path"),
+    ("crates/serve/src/workload.rs", "panic-path"),
+    ("crates/skiplist/src/lib.rs", "panic-path"),
+];
+
+#[test]
+fn file_scoped_suppressions_only_shrink() {
+    // A file-scoped allow exempts a whole module from a lint, so the set
+    // may only shrink: each one goes by a line-scoped allow or a rewrite.
+    fn rs_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("repo root");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let dir = entry.expect("directory entry").path();
+        if dir.file_name().is_some_and(|n| n != "check") && dir.join("src").is_dir() {
+            rs_files(&dir.join("src"), &mut files);
+        }
+    }
+    let mut found = Vec::new();
+    for file in files {
+        let rel = file.strip_prefix(&root).expect("under the root");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        let src = std::fs::read_to_string(&file).expect("source file");
+        for token in icecube_check::lexer::lex(&src) {
+            let icecube_check::lexer::Tok::LineComment(text) = token.tok else {
+                continue;
+            };
+            for allow in text.split("check:allow-file(").skip(1) {
+                let lint = allow.split(')').next().unwrap_or_default();
+                found.push((rel.clone(), lint.to_string()));
+            }
+        }
+    }
+    found.sort();
+    let want: Vec<(String, String)> = FILE_SCOPED_SUPPRESSIONS
+        .iter()
+        .map(|&(file, lint)| (file.to_string(), lint.to_string()))
+        .collect();
+    assert_eq!(found, want, "file-scoped suppressions changed");
+}
+
 #[test]
 fn json_report_roundtrips_through_to_json() {
     let report = analyze_sources(
