@@ -25,12 +25,12 @@ pub fn granularity(ctx: &Ctx) -> Report {
             ..RunOptions::counting()
         };
         let out = measure_opts(Algorithm::Pt, &rel, presets::BASELINE_MINSUP, 8, &opts);
-        walls.push(out.stats.makespan_ns());
+        walls.push(out.report.wall_ns);
         t.row([
             ratio.to_string(),
             (ratio * 8).to_string(),
-            secs(out.stats.makespan_ns()),
-            f2(out.stats.imbalance()),
+            secs(out.report.wall_ns),
+            f2(out.report.stats.imbalance()),
         ]);
     }
     let mut r = Report::new(
@@ -62,12 +62,12 @@ pub fn affinity(ctx: &Ctx) -> Report {
                 ..RunOptions::counting()
             };
             let out = measure_opts(alg, &rel, presets::BASELINE_MINSUP, 8, &opts);
-            let cpu: u64 = out.stats.nodes().iter().map(|s| s.cpu_ns).sum();
-            pair.push(out.stats.makespan_ns());
+            let cpu: u64 = out.report.stats.nodes().iter().map(|s| s.cpu_ns).sum();
+            pair.push(out.report.wall_ns);
             t.row([
                 alg.to_string(),
                 if on { "on".into() } else { "off".to_string() },
-                secs(out.stats.makespan_ns()),
+                secs(out.report.wall_ns),
                 secs(cpu),
             ]);
         }
@@ -208,13 +208,13 @@ pub fn sequential(ctx: &Ctx) -> Report {
             for alg in SeqAlgorithm::all() {
                 let out = run_sequential(alg, &rel, &q, &ClusterConfig::fast_ethernet(1))
                     .expect("valid sequential configuration");
-                row_times.push((alg, out.clock_ns));
+                row_times.push((alg, out.report.wall_ns));
                 t.row([
                     name.to_string(),
                     minsup.to_string(),
                     alg.to_string(),
-                    secs(out.clock_ns),
-                    secs(out.stats.io_ns()),
+                    secs(out.report.wall_ns),
+                    secs(out.report.stats.total_io_ns()),
                 ]);
             }
             if minsup == 8 && name == "sparse" {
@@ -290,9 +290,9 @@ pub fn improvements(ctx: &Ctx) -> Report {
     ];
     for (label, opts, alg) in cases {
         let out = measure_opts(alg, &rel, presets::BASELINE_MINSUP, 8, &opts);
-        let cpu: u64 = out.stats.nodes().iter().map(|s| s.cpu_ns).sum();
-        walls.push(out.stats.makespan_ns());
-        t.row([label.to_string(), secs(out.stats.makespan_ns()), secs(cpu)]);
+        let cpu: u64 = out.report.stats.nodes().iter().map(|s| s.cpu_ns).sum();
+        walls.push(out.report.wall_ns);
+        t.row([label.to_string(), secs(out.report.wall_ns), secs(cpu)]);
     }
     let mut r = Report::new(
         "ablation_improvements",

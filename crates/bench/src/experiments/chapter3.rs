@@ -45,7 +45,8 @@ pub fn fig3_6(ctx: &Ctx) -> Report {
     for procs in [2usize, 4, 8, 16] {
         let rp = measure(Algorithm::Rp, &rel, presets::BASELINE_MINSUP, procs);
         let bpp = measure(Algorithm::Bpp, &rel, presets::BASELINE_MINSUP, procs);
-        let (rio, bio) = (rp.stats.total_io_ns(), bpp.stats.total_io_ns());
+        let (rp, bpp) = (rp.report.stats, bpp.report.stats);
+        let (rio, bio) = (rp.total_io_ns(), bpp.total_io_ns());
         let ratio = rio as f64 / bio.max(1) as f64;
         ratios.push(ratio);
         t.row([
@@ -53,19 +54,17 @@ pub fn fig3_6(ctx: &Ctx) -> Report {
             secs(rio),
             secs(bio),
             f2(ratio),
-            rp.stats
-                .nodes()
+            rp.nodes()
                 .iter()
                 .map(|s| s.file_switches)
                 .sum::<u64>()
                 .to_string(),
-            bpp.stats
-                .nodes()
+            bpp.nodes()
                 .iter()
                 .map(|s| s.file_switches)
                 .sum::<u64>()
                 .to_string(),
-            mb(rp.stats.total_bytes_written()),
+            mb(rp.total_bytes_written()),
         ]);
     }
     let mut r = Report::new(

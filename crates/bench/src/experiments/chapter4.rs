@@ -4,7 +4,7 @@ use super::measure;
 use crate::report::{f2, kb, mb, secs, Report, Table};
 use crate::Ctx;
 use icecube_core::recipe::{self, CubeProfile};
-use icecube_core::{Algorithm, RunOutcome};
+use icecube_core::Algorithm;
 use icecube_data::presets;
 use icecube_data::Relation;
 
@@ -28,28 +28,20 @@ pub fn fig4_1(ctx: &Ctx) -> Report {
     let mut headers = vec!["node".to_string()];
     headers.extend(EVAL.iter().map(|a| format!("{a}_load_s")));
     let mut t = Table::new(headers);
-    let outcomes: Vec<RunOutcome> = EVAL
+    let stats: Vec<_> = EVAL
         .iter()
-        .map(|&a| measure(a, &rel, presets::BASELINE_MINSUP, 8))
+        .map(|&a| measure(a, &rel, presets::BASELINE_MINSUP, 8).report.stats)
         .collect();
     for node in 0..8 {
         let mut row = vec![node.to_string()];
-        row.extend(
-            outcomes
-                .iter()
-                .map(|o| secs(o.stats.nodes()[node].busy_ns())),
-        );
+        row.extend(stats.iter().map(|s| secs(s.nodes()[node].busy_ns())));
         t.row(row);
     }
     let mut imb = vec!["imbalance".to_string()];
-    imb.extend(outcomes.iter().map(|o| f2(o.stats.imbalance())));
+    imb.extend(stats.iter().map(|s| f2(s.imbalance())));
     t.row(imb);
     let mut r = Report::new("fig4_1", "Load balancing on 8 processors (Figure 4.1)", t);
-    let get = |a: Algorithm| {
-        outcomes[EVAL.iter().position(|&x| x == a).expect("in EVAL")]
-            .stats
-            .imbalance()
-    };
+    let get = |a: Algorithm| stats[EVAL.iter().position(|&x| x == a).expect("in EVAL")].imbalance();
     let strong = get(Algorithm::Asl)
         .max(get(Algorithm::Aht))
         .max(get(Algorithm::Pt));
@@ -84,7 +76,7 @@ pub fn fig4_2(ctx: &Ctx) -> Report {
         let mut row = vec![p.to_string()];
         for (i, &a) in EVAL.iter().enumerate() {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, p);
-            let w = out.stats.makespan_ns() as f64 / 1e9;
+            let w = out.report.wall_ns as f64 / 1e9;
             if p == 1 {
                 base.push(w);
             }
@@ -130,7 +122,7 @@ pub fn fig4_3(ctx: &Ctx) -> Report {
         let mut row = vec![rel.len().to_string()];
         for &a in &EVAL {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, 8);
-            let w = out.stats.makespan_ns() as f64 / 1e9;
+            let w = out.report.wall_ns as f64 / 1e9;
             if si == 0 {
                 firsts.push(w);
             }
@@ -182,7 +174,7 @@ pub fn fig4_4(ctx: &Ctx) -> Report {
             // the untraced one, and the communication volume falls out of
             // the recorded message events.
             let out = super::measure_traced(a, &rel, presets::BASELINE_MINSUP, 8);
-            let w = out.stats.makespan_ns() as f64 / 1e9;
+            let w = out.report.wall_ns as f64 / 1e9;
             if d == top {
                 at13[i] = w;
             }
@@ -191,6 +183,7 @@ pub fn fig4_4(ctx: &Ctx) -> Report {
             }
             row.push(f2(w));
             comm.push(kb(out
+                .report
                 .trace
                 .as_ref()
                 .map_or(0, icecube_trace::TraceLog::comm_volume_bytes)));
@@ -241,10 +234,10 @@ pub fn fig4_5(ctx: &Ctx) -> Report {
         let mut bytes = 0u64;
         for &a in &EVAL {
             let out = measure(a, &rel, minsup, 8);
-            row.push(f2(out.stats.makespan_ns() as f64 / 1e9));
+            row.push(f2(out.report.wall_ns as f64 / 1e9));
             if a == Algorithm::Pt {
-                bytes = out.stats.total_bytes_written();
-                pt_times.push(out.stats.makespan_ns() as f64 / 1e9);
+                bytes = out.report.stats.total_bytes_written();
+                pt_times.push(out.report.wall_ns as f64 / 1e9);
             }
         }
         out_sizes.push(bytes);
@@ -286,7 +279,7 @@ pub fn fig4_6(ctx: &Ctx) -> Report {
         let mut row = vec![format!("{e:.0}")];
         for (i, &a) in EVAL.iter().enumerate() {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, 8);
-            let w = out.stats.makespan_ns() as f64 / 1e9;
+            let w = out.report.wall_ns as f64 / 1e9;
             if ei == 0 {
                 dense[i] = w;
             }

@@ -27,7 +27,7 @@ pub fn sec5_1(ctx: &Ctx) -> Report {
         &RunOptions::counting(),
     )
     .expect("baseline configuration is valid");
-    let recompute_s = full.stats.makespan_ns();
+    let recompute_s = full.report.wall_ns;
 
     // Plan 2: precompute the leaves at support 1; answer online by roll-up.
     let mut node = ClusterConfig::fast_ethernet(1)

@@ -71,22 +71,22 @@ pub fn fault(ctx: &Ctx) -> Report {
                     .expect("seeded plans spare at least one node")
             };
             if severity == 0 {
-                baseline_ns = out.stats.makespan_ns();
+                baseline_ns = out.report.wall_ns;
                 baseline_cells = out.total_cells;
             }
             let exact = out.total_cells == baseline_cells;
             all_match &= exact;
-            let overhead = out.stats.makespan_ns() as f64 / baseline_ns as f64;
+            let overhead = out.report.wall_ns as f64 / baseline_ns as f64;
             worst_overhead = worst_overhead.max(overhead);
             t.row([
                 alg.to_string(),
                 severity.to_string(),
-                out.stats.total_crashes().to_string(),
-                out.stats.total_tasks_lost().to_string(),
-                out.stats.total_tasks_recovered().to_string(),
-                out.stats.total_rpc_retries().to_string(),
-                out.stats.total_retransmits().to_string(),
-                secs(out.stats.makespan_ns()),
+                out.report.stats.total_crashes().to_string(),
+                out.report.stats.total_tasks_lost().to_string(),
+                out.report.stats.total_tasks_recovered().to_string(),
+                out.report.stats.total_rpc_retries().to_string(),
+                out.report.stats.total_retransmits().to_string(),
+                secs(out.report.wall_ns),
                 f2(overhead),
                 out.total_cells.to_string(),
                 if exact { "yes" } else { "NO" }.to_string(),

@@ -73,14 +73,14 @@ pub fn ingest(ctx: &Ctx) -> Report {
             .expect("in-memory write");
         let exact = got == want;
         all_match &= exact;
-        let speedup = scratch.clock_ns as f64 / report.clock_ns.max(1) as f64;
+        let speedup = scratch.report.wall_ns as f64 / report.clock_ns.max(1) as f64;
         best_speedup = best_speedup.max(speedup);
         t.row([
             pct.to_string(),
             base_rows.to_string(),
             batch_rows.to_string(),
             secs(report.clock_ns),
-            secs(scratch.clock_ns),
+            secs(scratch.report.wall_ns),
             f2(speedup),
             report.touched_cuboids.to_string(),
             report.inserted.to_string(),

@@ -13,7 +13,7 @@ pub mod trace;
 use crate::report::Report;
 use crate::Ctx;
 use icecube_cluster::ClusterConfig;
-use icecube_core::{run_parallel_with, Algorithm, IcebergQuery, RunOptions, RunOutcome};
+use icecube_core::{run_parallel_with, Algorithm, ExecOutcome, IcebergQuery, RunOptions};
 use icecube_data::Relation;
 
 /// Every experiment identifier, in paper order.
@@ -77,7 +77,7 @@ pub fn run_by_id(id: &str, ctx: &Ctx) -> Option<Report> {
 
 /// Runs `alg` over `rel` on an `n`-node fast-Ethernet cluster in counting
 /// mode (the experiments never retain the millions of cells).
-pub(crate) fn measure(alg: Algorithm, rel: &Relation, minsup: u64, nodes: usize) -> RunOutcome {
+pub(crate) fn measure(alg: Algorithm, rel: &Relation, minsup: u64, nodes: usize) -> ExecOutcome {
     measure_opts(alg, rel, minsup, nodes, &RunOptions::counting())
 }
 
@@ -87,22 +87,22 @@ pub(crate) fn measure_opts(
     minsup: u64,
     nodes: usize,
     opts: &RunOptions,
-) -> RunOutcome {
+) -> ExecOutcome {
     let q = IcebergQuery::count_cube(rel.arity(), minsup);
     run_parallel_with(alg, rel, &q, &ClusterConfig::fast_ethernet(nodes), opts)
         .expect("experiment configurations are valid")
 }
 
 /// Like [`measure`], but with the virtual-time trace collector attached:
-/// the returned outcome carries `trace: Some(..)` at identical virtual
-/// cost (tracing charges nothing), so timings stay comparable with the
-/// untraced experiments.
+/// the returned outcome's report carries `trace: Some(..)` at identical
+/// virtual cost (tracing charges nothing), so timings stay comparable
+/// with the untraced experiments.
 pub(crate) fn measure_traced(
     alg: Algorithm,
     rel: &Relation,
     minsup: u64,
     nodes: usize,
-) -> RunOutcome {
+) -> ExecOutcome {
     let q = IcebergQuery::count_cube(rel.arity(), minsup);
     let cfg = ClusterConfig::fast_ethernet(nodes).with_trace();
     run_parallel_with(alg, rel, &q, &cfg, &RunOptions::counting())
@@ -120,7 +120,7 @@ pub fn fault_free_baseline(
     query: &IcebergQuery,
     nodes: usize,
     opts: &RunOptions,
-) -> RunOutcome {
+) -> ExecOutcome {
     run_parallel_with(alg, rel, query, &ClusterConfig::fast_ethernet(nodes), opts)
         .expect("fault-free baseline configurations are valid")
 }

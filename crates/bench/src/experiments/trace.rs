@@ -52,7 +52,7 @@ pub fn trace(ctx: &Ctx) -> Report {
         let cfg = ClusterConfig::fast_ethernet(NODES).with_trace();
         let out = run_parallel_with(alg, &rel, &q, &cfg, &RunOptions::counting())
             .expect("experiment configurations are valid");
-        let log = out.trace.as_ref().expect("tracing was enabled");
+        let log = out.report.trace.as_ref().expect("tracing was enabled");
         let name = alg.to_string().to_lowercase();
         std::fs::write(
             ctx.out_dir.join(format!("trace_{name}.json")),
@@ -65,7 +65,7 @@ pub fn trace(ctx: &Ctx) -> Report {
             costs.push_str(line);
             costs.push('\n');
         }
-        out.stats.register_into(&name, &mut registry);
+        out.report.stats.register_into(&name, &mut registry);
         let spans = log.count_total(|e| matches!(e, EventKind::TaskStart { .. }));
         let depths = log.count_total(|e| matches!(e, EventKind::Depth { .. }));
         let msgs = log.count_total(|e| {
@@ -81,7 +81,7 @@ pub fn trace(ctx: &Ctx) -> Report {
             depths.to_string(),
             msgs.to_string(),
             kb(log.comm_volume_bytes()),
-            secs(out.stats.makespan_ns()),
+            secs(out.report.wall_ns),
         ]);
     }
     std::fs::write(ctx.out_dir.join("trace_costs.csv"), &costs).expect("cost CSV is writable");

@@ -414,7 +414,10 @@ impl Parser {
                             Tok::Punct(')') | Tok::Punct(']') => true,
                             _ => false,
                         };
-                        if indexable {
+                        // The full range `expr[..]` cannot panic.
+                        let full_range = (1..=2).all(|k| self.punct(self.pos + k, '.'))
+                            && self.punct(self.pos + 3, ']');
+                        if indexable && !full_range {
                             def.events.push(Event {
                                 line,
                                 kind: EventKind::Index,
@@ -695,13 +698,19 @@ mod tests {
 
     #[test]
     fn slice_types_and_patterns_are_not_indexing() {
-        let src = "fn f(v: &mut [u32]) {\n    let [a, b] = [1u32, 2];\n    let _t: [u32; 2] = [a, b];\n    if a != b {}\n}";
+        let src = "fn f(v: &mut [u32]) {\n    let [a, b] = [1u32, 2];\n    let _t: [u32; 2] = [a, b];\n    if a != b {}\n    let _e = o.map_or(&[][..], |n| &v[..]);\n}";
         let fs = fns(src);
         assert!(
             !events_of(&fs[0]).contains(&&EventKind::Index),
             "{:?}",
             fs[0].events
         );
+        // The forms that can panic still count: `v[i]`, `v[1..]`, `v[..=2]`.
+        let fs = fns("fn g(v: &[u32]) {\n    let _ = (&v[..], v[i], &v[1..], &v[..=2]);\n}");
+        let indexing = events_of(&fs[0])
+            .into_iter()
+            .filter(|k| **k == EventKind::Index);
+        assert_eq!(indexing.count(), 3, "{:?}", fs[0].events);
     }
 
     #[test]

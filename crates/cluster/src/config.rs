@@ -173,6 +173,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// The [`seed`](ClusterConfig::seed) every preset starts from.
+    pub const DEFAULT_SEED: u64 = 0x1ceb_c0de;
+
     fn uniform(n: usize, spec: NodeSpec, net: NetModel) -> Self {
         // check:allow(panic-path): a zero-node cluster is a configuration
         // bug at startup, not runtime input.
@@ -182,7 +185,7 @@ impl ClusterConfig {
             disk: DiskModel::COMMODITY,
             net,
             cpu: CpuCosts::PIII_500,
-            seed: 0x1ceb_c0de,
+            seed: Self::DEFAULT_SEED,
             faults: crate::fault::FaultPlan::none(),
             trace: false,
         }

@@ -866,7 +866,7 @@ mod tests {
         // Kill a worker mid-run: its hash tables (and any in-flight
         // cuboid) are lost; survivors rebuild and finish the lattice.
         let cfg = ClusterConfig::fast_ethernet(3)
-            .with_faults(FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4));
+            .with_faults(FaultPlan::none().crash(0, quiet.report.wall_ns / 4));
         let out =
             run_parallel_with(Algorithm::Aht, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
@@ -874,9 +874,10 @@ mod tests {
             out.cells,
             "AHT with a mid-run crash",
         );
-        assert_eq!(out.stats.total_crashes(), 1);
-        assert!(out.stats.total_tasks_lost() >= 1, "{:?}", out.stats);
-        assert!(out.stats.total_tasks_recovered() >= 1, "{:?}", out.stats);
+        let stats = &out.report.stats;
+        assert_eq!(stats.total_crashes(), 1);
+        assert!(stats.total_tasks_lost() >= 1, "{stats:?}");
+        assert!(stats.total_tasks_recovered() >= 1, "{stats:?}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! The algorithm catalogue: options, the simulated-cluster entry points
-//! and their outcome, and the key features of Table 1.1. (The dispatch
-//! from [`Algorithm`] to plans lives in [`crate::backend`].)
+//! The algorithm catalogue: options, the simulated-cluster shorthands,
+//! and the key features of Table 1.1. (The dispatch from [`Algorithm`]
+//! to plans lives in [`crate::backend`].)
 
-use crate::backend::run_plan;
-use crate::cell::Cell;
+use crate::backend::{run_parallel_exec, ExecOutcome};
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use icecube_cluster::{ClusterConfig, RunStats, TraceLog};
+use icecube_cluster::ClusterConfig;
 use icecube_data::Relation;
 use icecube_exec::SimExecutor;
 use icecube_lattice::MAX_DIMS;
@@ -173,70 +172,33 @@ impl RunOptions {
     }
 }
 
-/// The result of a parallel cube computation on the simulated cluster:
-/// the merged cells plus the statistics and trace from the executor's
-/// report.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Which algorithm ran.
-    pub algorithm: Algorithm,
-    /// The iceberg cells, canonically sorted (empty when
-    /// [`RunOptions::collect_cells`] is off).
-    pub cells: Vec<Cell>,
-    /// Total cells emitted cluster-wide (valid in either mode).
-    pub total_cells: u64,
-    /// Virtual-time statistics per node and cluster-wide.
-    pub stats: RunStats,
-    /// The run's event trace (`Some` iff the cluster config enabled
-    /// tracing via [`ClusterConfig::with_trace`]); export it with
-    /// `icecube_trace::chrome_trace_json` / `phase_cost_csv`.
-    pub trace: Option<TraceLog>,
-}
-
-impl RunOutcome {
-    /// The paper's "wall clock" in seconds.
-    pub fn wall_secs(&self) -> f64 {
-        self.stats.makespan_secs()
-    }
-}
-
 /// Runs `algorithm` over `rel` on a simulated cluster with default options.
 pub fn run_parallel(
     algorithm: Algorithm,
     rel: &Relation,
     query: &IcebergQuery,
     config: &ClusterConfig,
-) -> Result<RunOutcome, AlgoError> {
+) -> Result<ExecOutcome, AlgoError> {
     run_parallel_with(algorithm, rel, query, config, &RunOptions::default())
 }
 
-/// Runs `algorithm` with explicit options: builds its plan at the width
-/// of the cluster (`config.nodes.len()` partitions for BPP, `32 × n`
-/// subtrees for PT) and runs it on a [`SimExecutor`] for `config`.
+/// Runs `algorithm` with explicit options on a [`SimExecutor`] for
+/// `config`, which builds the plan at the width of the cluster
+/// (`config.nodes.len()` partitions for BPP, `32 × n` subtrees for PT).
 pub fn run_parallel_with(
     algorithm: Algorithm,
     rel: &Relation,
     query: &IcebergQuery,
     config: &ClusterConfig,
     opts: &RunOptions,
-) -> Result<RunOutcome, AlgoError> {
-    validate(rel, query)?;
-    let out = run_plan(
+) -> Result<ExecOutcome, AlgoError> {
+    run_parallel_exec(
         &mut SimExecutor::new(config.clone()),
         algorithm,
         rel,
         query,
         opts,
-        config.nodes.len(),
-        config.seed,
-    )?;
-    Ok(RunOutcome {
-        algorithm,
-        cells: out.cells,
-        total_cells: out.total_cells,
-        stats: out.report.stats,
-        trace: out.report.trace,
-    })
+    )
 }
 
 /// Validates query/relation compatibility.
@@ -329,24 +291,18 @@ mod tests {
 
     #[test]
     fn losing_every_node_is_a_typed_error() {
-        use crate::backend::run_parallel_exec;
         use icecube_cluster::FaultPlan;
         let rel = crate::fixtures::sales();
         let q = IcebergQuery::count_cube(3, 1);
         let cfg = ClusterConfig::fast_ethernet(2)
             .with_faults(FaultPlan::none().crash(0, 1_000).crash(1, 1_000));
-        // Static sweep and demand loop, through either entry point.
+        // Static sweep and demand loop alike.
         for alg in Algorithm::evaluated() {
-            let by_config = run_parallel(alg, &rel, &q, &cfg).map(|out| out.total_cells);
-            let mut sim = SimExecutor::new(cfg.clone());
-            let by_executor = run_parallel_exec(&mut sim, alg, &rel, &q, &RunOptions::default())
-                .map(|out| out.total_cells);
-            for lost in [by_config, by_executor] {
-                assert!(
-                    matches!(lost, Err(AlgoError::ClusterExhausted { nodes: 2 })),
-                    "{alg}: expected ClusterExhausted, got {lost:?}"
-                );
-            }
+            let lost = run_parallel(alg, &rel, &q, &cfg).map(|out| out.total_cells);
+            assert!(
+                matches!(lost, Err(AlgoError::ClusterExhausted { nodes: 2 })),
+                "{alg}: expected ClusterExhausted, got {lost:?}"
+            );
         }
     }
 

@@ -486,7 +486,8 @@ impl Workload for AslWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::algorithms::{run_parallel_with, Algorithm};
+    use crate::backend::ExecOutcome;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
@@ -555,7 +556,8 @@ mod tests {
             },
         )
         .unwrap();
-        let cpu = |o: &RunOutcome| -> u64 { o.stats.nodes().iter().map(|s| s.cpu_ns).sum() };
+        let cpu =
+            |o: &ExecOutcome| -> u64 { o.report.stats.nodes().iter().map(|s| s.cpu_ns).sum() };
         assert!(
             cpu(&with) < cpu(&without),
             "affinity {} vs scratch-only {}",
@@ -693,7 +695,7 @@ mod tests {
         // Kill a worker mid-run: its skip lists (and any in-flight cuboid)
         // are lost; survivors rebuild affinity and finish the lattice.
         let cfg = ClusterConfig::fast_ethernet(3)
-            .with_faults(FaultPlan::none().crash(1, quiet.stats.makespan_ns() / 4));
+            .with_faults(FaultPlan::none().crash(1, quiet.report.wall_ns / 4));
         let out =
             run_parallel_with(Algorithm::Asl, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
@@ -701,9 +703,10 @@ mod tests {
             out.cells,
             "ASL with a mid-run crash",
         );
-        assert_eq!(out.stats.total_crashes(), 1);
-        assert!(out.stats.total_tasks_lost() >= 1, "{:?}", out.stats);
-        assert!(out.stats.total_tasks_recovered() >= 1, "{:?}", out.stats);
+        let stats = &out.report.stats;
+        assert_eq!(stats.total_crashes(), 1);
+        assert!(stats.total_tasks_lost() >= 1, "{stats:?}");
+        assert!(stats.total_tasks_recovered() >= 1, "{stats:?}");
     }
 
     #[test]
@@ -721,7 +724,7 @@ mod tests {
         assert_eq!(out.total_cells, 47);
         // One scratch build (the top cuboid) and affinity for the rest:
         // the single worker executed all 7 tasks.
-        assert_eq!(out.stats.nodes()[0].tasks, 7);
+        assert_eq!(out.report.stats.nodes()[0].tasks, 7);
     }
 
     #[test]
@@ -737,9 +740,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            out.stats.imbalance() < 1.6,
+            out.report.stats.imbalance() < 1.6,
             "imbalance {}",
-            out.stats.imbalance()
+            out.report.stats.imbalance()
         );
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! Each algorithm module states its decomposition once, as a task list
 //! plus a [`Workload`] (what a task computes, and the hooks that tell a
-//! scheduler how the paper places it). This module builds that plan and
-//! hands it to an [`Executor`]: the simulated cluster
-//! ([`icecube_exec::SimExecutor`], which [`run_parallel_with`] uses) or
-//! real host threads ([`icecube_exec::NativeExecutor`]), with
-//! byte-identical cells.
+//! scheduler how the paper places it). [`run_parallel_exec`] builds that
+//! plan and hands it to an [`Executor`]: the simulated cluster
+//! ([`icecube_exec::SimExecutor`], which `run_parallel` uses) or real
+//! host threads ([`icecube_exec::NativeExecutor`]), with byte-identical
+//! cells. Every cube run — parallel on either backend, or sequential on
+//! one node — ends in the one [`ExecOutcome`].
 //!
 //! Determinism contract: a plan is built from the query, the options and
-//! a decomposition width — never from who runs it — and executors return
-//! outputs in task-id order, so the merged cube is a pure function of
-//! `(relation, query, options)` regardless of backend, worker count, or
-//! stealing order.
-//!
-//! [`run_parallel_with`]: crate::algorithms::run_parallel_with
+//! the executor's decomposition width and seed ([`Executor::units`],
+//! [`Executor::seed`]) — never from which worker runs what — and
+//! executors return outputs in task-id order, so the merged cube is a
+//! pure function of `(relation, query, options)` regardless of width,
+//! seed, backend, worker count, or stealing order.
 
 use crate::algorithms::{validate, Algorithm, RunOptions};
 use crate::cell::{collect_cells, Cell, CellBuf};
@@ -25,19 +25,6 @@ use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{ExecReport, Executor, TaskSpec, Workload};
 use std::convert::identity;
-
-/// Decomposition width [`run_parallel_exec`] builds plans at (BPP's
-/// partition count, PT's division target), so the task list — and
-/// therefore the output — is independent of how many workers happen to
-/// run it. [`run_parallel_with`](crate::algorithms::run_parallel_with)
-/// builds at the simulated cluster's node count instead, as the paper
-/// does.
-pub const EXEC_UNITS: usize = 8;
-
-/// Skip-list seed [`run_parallel_exec`] builds ASL's plan with. Matches
-/// the simulated cluster's default RNG seed; it shapes only tower heights
-/// (search cost), never which cells a list emits.
-pub(crate) const EXEC_SEED: u64 = 0x1ceb_c0de;
 
 /// Charges a node for reading its replicated copy of the dataset from
 /// local disk into memory, traced as that node's `load` phase — the
@@ -59,23 +46,23 @@ pub(crate) fn task_sink(collect: bool) -> CellBuf {
     }
 }
 
-/// The result of running one algorithm through an [`Executor`].
+/// The result of a cube run: its cells and what the run cost.
 #[derive(Debug)]
 pub struct ExecOutcome {
-    /// Which algorithm ran.
-    pub algorithm: Algorithm,
     /// All iceberg cells, sorted by (cuboid, key); empty when the run
     /// counted without collecting.
     pub cells: Vec<Cell>,
     /// Total cells found (counted even when not collected).
     pub total_cells: u64,
-    /// Backend, worker, and timing detail from the executor.
+    /// Backend, worker, timing, statistics and trace from the executor
+    /// (a one-node simulated report for a sequential run).
     pub report: ExecReport,
 }
 
-/// Runs `algorithm` over `rel` on the given executor backend, with plans
-/// built at [`EXEC_UNITS`]. Every algorithm has a plan, so every one runs
-/// on either backend; `HashTree`'s single task still fails with
+/// Runs `algorithm` over `rel` on the given executor, with its plan built
+/// at the executor's [`units`](Executor::units) and
+/// [`seed`](Executor::seed). Every algorithm has a plan, so every one
+/// runs on either backend; `HashTree`'s single task still fails with
 /// [`AlgoError::MemoryExhausted`] where the paper's did.
 pub fn run_parallel_exec<E: Executor>(
     executor: &mut E,
@@ -84,39 +71,26 @@ pub fn run_parallel_exec<E: Executor>(
     query: &IcebergQuery,
     opts: &RunOptions,
 ) -> Result<ExecOutcome, AlgoError> {
-    validate(rel, query)?;
-    run_plan(executor, algorithm, rel, query, opts, EXEC_UNITS, EXEC_SEED)
-}
-
-/// Builds `algorithm`'s plan at decomposition width `units` and runs it.
-pub(crate) fn run_plan<E: Executor>(
-    executor: &mut E,
-    algorithm: Algorithm,
-    rel: &Relation,
-    query: &IcebergQuery,
-    opts: &RunOptions,
-    units: usize,
-    seed: u64,
-) -> Result<ExecOutcome, AlgoError> {
     /// Runs the plan; `sink` turns each task's output into its cells
     /// (a task whose output is fallible hands its failure back here).
     fn go<E: Executor, W: Workload>(
         executor: &mut E,
-        algorithm: Algorithm,
         (specs, workload): (Vec<TaskSpec>, W),
         sink: fn(W::Out) -> Result<CellBuf, AlgoError>,
     ) -> Result<ExecOutcome, AlgoError> {
         let (outs, report) = executor.run(&specs, &workload)?;
         let sinks = outs.into_iter().map(sink).collect::<Result<_, _>>()?;
-        Ok(collect(algorithm, sinks, report))
+        Ok(collect(sinks, report))
     }
+    validate(rel, query)?;
+    let (units, seed) = (executor.units(), executor.seed());
     match algorithm {
-        Algorithm::Rp => go(executor, algorithm, rp::plan(rel, query, opts), Ok),
-        Algorithm::Bpp => go(executor, algorithm, bpp::plan(rel, query, opts, units), Ok),
-        Algorithm::Asl => go(executor, algorithm, asl::plan(rel, query, opts, seed), Ok),
-        Algorithm::Pt => go(executor, algorithm, pt::plan(rel, query, opts, units), Ok),
-        Algorithm::Aht => go(executor, algorithm, aht::plan(rel, query, opts), Ok),
-        Algorithm::HashTree => go(executor, algorithm, htree::plan(rel, query, opts), identity),
+        Algorithm::Rp => go(executor, rp::plan(rel, query, opts), Ok),
+        Algorithm::Bpp => go(executor, bpp::plan(rel, query, opts, units), Ok),
+        Algorithm::Asl => go(executor, asl::plan(rel, query, opts, seed), Ok),
+        Algorithm::Pt => go(executor, pt::plan(rel, query, opts, units), Ok),
+        Algorithm::Aht => go(executor, aht::plan(rel, query, opts), Ok),
+        Algorithm::HashTree => go(executor, htree::plan(rel, query, opts), identity),
     }
 }
 
@@ -124,13 +98,8 @@ pub(crate) fn run_plan<E: Executor>(
 /// are allowed to return — into one sorted cube ([`collect_cells`]: runs
 /// concatenated per cuboid, sorted only where a kernel emitted out of key
 /// order).
-pub(crate) fn collect(
-    algorithm: Algorithm,
-    sinks: Vec<CellBuf>,
-    report: ExecReport,
-) -> ExecOutcome {
+pub(crate) fn collect(sinks: Vec<CellBuf>, report: ExecReport) -> ExecOutcome {
     ExecOutcome {
-        algorithm,
         total_cells: sinks.iter().map(|sink| sink.count).sum(),
         cells: collect_cells(sinks),
         report,

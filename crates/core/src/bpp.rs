@@ -229,8 +229,10 @@ mod tests {
         let rp = run_parallel_with(Algorithm::Rp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         let bpp =
             run_parallel_with(Algorithm::Bpp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
-        let rp_switches: u64 = rp.stats.nodes().iter().map(|s| s.file_switches).sum();
-        let bpp_switches: u64 = bpp.stats.nodes().iter().map(|s| s.file_switches).sum();
+        let switches = |o: crate::ExecOutcome| -> u64 {
+            o.report.stats.nodes().iter().map(|s| s.file_switches).sum()
+        };
+        let (rp_switches, bpp_switches) = (switches(rp), switches(bpp));
         assert!(
             rp_switches > 2 * bpp_switches,
             "RP {rp_switches} vs BPP {bpp_switches} switches"
@@ -254,9 +256,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            out.stats.imbalance() > 1.05,
+            out.report.stats.imbalance() > 1.05,
             "imbalance {}",
-            out.stats.imbalance()
+            out.report.stats.imbalance()
         );
     }
 
@@ -276,7 +278,7 @@ mod tests {
         // The victim's chunks lived on its local disk; survivors must
         // rebuild them from the source relation and still union exactly.
         let cfg = ClusterConfig::fast_ethernet(3)
-            .with_faults(FaultPlan::none().crash(1, quiet.stats.makespan_ns() / 4));
+            .with_faults(FaultPlan::none().crash(1, quiet.report.wall_ns / 4));
         let out =
             run_parallel_with(Algorithm::Bpp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
@@ -284,12 +286,10 @@ mod tests {
             out.cells,
             "BPP with a mid-run crash",
         );
-        assert_eq!(out.stats.total_crashes(), 1);
-        assert!(out.stats.total_tasks_lost() >= 1, "{:?}", out.stats);
-        assert_eq!(
-            out.stats.total_tasks_recovered(),
-            out.stats.total_tasks_lost()
-        );
+        let stats = &out.report.stats;
+        assert_eq!(stats.total_crashes(), 1);
+        assert!(stats.total_tasks_lost() >= 1, "{stats:?}");
+        assert_eq!(stats.total_tasks_recovered(), stats.total_tasks_lost());
     }
 
     #[test]
@@ -310,7 +310,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(with.stats.makespan_ns() > without.stats.makespan_ns());
+        assert!(with.report.wall_ns > without.report.wall_ns);
         assert_same_cells(
             without.cells,
             with.cells,
@@ -340,6 +340,6 @@ mod tests {
             &RunOptions::default(),
         )
         .unwrap();
-        assert!(bpp.stats.peak_mem_bytes() < rp.stats.peak_mem_bytes());
+        assert!(bpp.report.stats.peak_mem_bytes() < rp.report.stats.peak_mem_bytes());
     }
 }

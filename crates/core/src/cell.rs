@@ -149,9 +149,9 @@ impl<S: CellSink + ?Sized> CellSink for &mut S {
 /// flat keys ([`sorted_order`]). Equal keys are kept, never merged: a
 /// kernel that emits a cell twice must still fail its oracle.
 ///
-/// This is the public boundary (`ExecOutcome.cells`, `RunOutcome.cells`,
-/// `SeqOutcome.cells`): `Cell`s are built here, once, in final order, into
-/// a vector of exact capacity.
+/// This is the public boundary (`ExecOutcome.cells`, for every parallel
+/// and sequential run): `Cell`s are built here, once, in final order,
+/// into a vector of exact capacity.
 pub(crate) fn collect_cells(sinks: impl IntoIterator<Item = CellBuf>) -> Vec<Cell> {
     let mut runs_of: BTreeMap<CuboidMask, Vec<CellBlock>> = BTreeMap::new();
     let mut total = 0usize;

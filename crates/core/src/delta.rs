@@ -280,8 +280,7 @@ impl MaintainedCube {
             minsup: 1,
         };
         let out = run_parallel(algorithm, batch, &query, config)?;
-        let clock_ns = out.stats.makespan_ns();
-        self.merge(out.cells, clock_ns)
+        self.merge(out.cells, out.report.wall_ns)
     }
 
     /// Re-thresholds the serving minsup (clamped to at least 1), counting
@@ -364,10 +363,10 @@ fn aggregate(
         return Ok(ChunkDelta::default());
     }
     let query = IcebergQuery { dims, minsup: 1 };
-    let (sink, _, clock_ns) = run_sequential_sink(SeqAlgorithm::BppBuc, batch, &query, config)?;
+    let (sink, report) = run_sequential_sink(SeqAlgorithm::BppBuc, batch, &query, config)?;
     Ok(ChunkDelta {
         blocks: sink.into_sorted_blocks(),
-        clock_ns,
+        clock_ns: report.wall_ns,
     })
 }
 

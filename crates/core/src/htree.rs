@@ -563,7 +563,7 @@ mod tests {
                 .unwrap();
         assert!(counted.cells.is_empty());
         assert_eq!(counted.total_cells, collected.cells.len() as u64);
-        assert_eq!(counted.stats.makespan_ns(), collected.stats.makespan_ns());
+        assert_eq!(counted.report.wall_ns, collected.report.wall_ns);
     }
 
     #[test]
@@ -578,9 +578,9 @@ mod tests {
             &RunOptions::default(),
         )
         .unwrap();
-        let stats = out.stats.nodes();
+        let stats = out.report.stats.nodes();
         assert!(stats[0].cpu_ns > 0);
         assert_eq!(stats[1].cells_written, 0);
-        assert!(out.stats.imbalance() > 3.0, "no parallelism at all");
+        assert!(out.report.stats.imbalance() > 3.0, "no parallelism at all");
     }
 }

@@ -24,12 +24,14 @@
 //!   kept current by merging each batch's cells into it, the one
 //!   mechanism behind both streaming ingest and progressive folds.
 //!
-//! Entry points: [`run_parallel`] builds any [`Algorithm`]'s plan at the
-//! width of a [`ClusterConfig`](icecube_cluster::ClusterConfig) and runs
-//! it on the simulated cluster, returning the iceberg cells plus full
-//! virtual-time statistics; [`run_parallel_exec`] runs the same plans, at
-//! a fixed width, on any [`icecube_exec::Executor`] — simulated or native
-//! host threads — with byte-identical cells on every backend.
+//! Entry point: [`run_parallel_exec`] builds any [`Algorithm`]'s plan at
+//! the width and seed its [`icecube_exec::Executor`] supplies and runs it
+//! there — simulated or native host threads — with byte-identical cells
+//! on every backend and at every width. [`run_parallel`] and
+//! [`run_parallel_with`] are its shorthands for the simulated cluster of
+//! a [`ClusterConfig`](icecube_cluster::ClusterConfig), planned at its
+//! node count; [`run_sequential`] runs a Chapter 2 comparator on one
+//! node. All of them return an [`ExecOutcome`].
 
 pub mod agg;
 pub mod aht;
@@ -59,15 +61,13 @@ pub mod topdown;
 pub mod verify;
 
 pub use agg::{AggClass, Aggregate};
-pub use algorithms::{
-    run_parallel, run_parallel_with, AlgoFeatures, Algorithm, RunOptions, RunOutcome,
-};
-pub use backend::{run_parallel_exec, ExecOutcome, EXEC_UNITS};
+pub use algorithms::{run_parallel, run_parallel_with, AlgoFeatures, Algorithm, RunOptions};
+pub use backend::{run_parallel_exec, ExecOutcome};
 pub use block::CellBlock;
 pub use cell::{Cell, CellBuf, CellSink};
 pub use delta::{ChunkDelta, DeltaReport, MaintainedCube};
 pub use error::AlgoError;
 pub use query::IcebergQuery;
 pub use recipe::{recommend, Choice, CubeProfile};
-pub use sequential::{run_sequential, SeqAlgorithm, SeqOutcome};
+pub use sequential::{run_sequential, SeqAlgorithm};
 pub use store::{CubeStore, MergeStats};

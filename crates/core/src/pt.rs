@@ -231,7 +231,8 @@ impl Workload for PtWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm, RunOutcome};
+    use crate::algorithms::{run_parallel_with, Algorithm};
+    use crate::backend::ExecOutcome;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use crate::verify::assert_same_cells;
@@ -337,7 +338,7 @@ mod tests {
             },
         )
         .unwrap();
-        let cpu = |o: &RunOutcome| o.stats.nodes()[0].cpu_ns;
+        let cpu = |o: &ExecOutcome| o.report.stats.nodes()[0].cpu_ns;
         assert!(cpu(&with) <= cpu(&without));
     }
 
@@ -370,7 +371,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(fine.stats.imbalance() <= coarse.stats.imbalance() + 0.25);
+        assert!(fine.report.stats.imbalance() <= coarse.report.stats.imbalance() + 0.25);
         assert_same_cells(coarse.cells, fine.cells, "ratio must not change output");
     }
 
@@ -390,16 +391,17 @@ mod tests {
         // Kill a worker mid-run: its sort cache and in-flight subtree are
         // lost; survivors re-sort and finish the division exactly.
         let cfg = ClusterConfig::fast_ethernet(3)
-            .with_faults(FaultPlan::none().crash(2, quiet.stats.makespan_ns() / 3));
+            .with_faults(FaultPlan::none().crash(2, quiet.report.wall_ns / 3));
         let out = run_parallel_with(Algorithm::Pt, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
             "PT with a mid-run crash",
         );
-        assert_eq!(out.stats.total_crashes(), 1);
-        assert!(out.stats.total_tasks_lost() >= 1, "{:?}", out.stats);
-        assert!(out.stats.total_tasks_recovered() >= 1, "{:?}", out.stats);
+        let stats = &out.report.stats;
+        assert_eq!(stats.total_crashes(), 1);
+        assert!(stats.total_tasks_lost() >= 1, "{stats:?}");
+        assert!(stats.total_tasks_recovered() >= 1, "{stats:?}");
     }
 
     #[test]
@@ -415,9 +417,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            out.stats.imbalance() < 1.8,
+            out.report.stats.imbalance() < 1.8,
             "imbalance {}",
-            out.stats.imbalance()
+            out.report.stats.imbalance()
         );
     }
 }

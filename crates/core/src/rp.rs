@@ -141,12 +141,12 @@ mod tests {
             &RunOptions::default(),
         )
         .unwrap();
-        let loads = out.stats.loads_ns();
+        let loads = out.report.stats.loads_ns();
         assert!(loads[0] > loads[3], "loads {loads:?}");
         assert!(
-            out.stats.imbalance() > 1.1,
+            out.report.stats.imbalance() > 1.1,
             "imbalance {}",
-            out.stats.imbalance()
+            out.report.stats.imbalance()
         );
     }
 
@@ -165,6 +165,7 @@ mod tests {
         )
         .unwrap();
         let idle_nodes = out
+            .report
             .stats
             .nodes()
             .iter()
@@ -190,20 +191,18 @@ mod tests {
         .unwrap();
         // Kill node 0 (the most loaded: subtrees A and D) mid-run.
         let cfg = ClusterConfig::fast_ethernet(3)
-            .with_faults(FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4));
+            .with_faults(FaultPlan::none().crash(0, quiet.report.wall_ns / 4));
         let out = run_parallel_with(Algorithm::Rp, &rel, &q, &cfg, &RunOptions::default()).unwrap();
         assert_same_cells(
             naive_iceberg_cube(&rel, &q),
             out.cells,
             "RP with a mid-run crash",
         );
-        assert_eq!(out.stats.total_crashes(), 1);
-        assert!(out.stats.total_tasks_lost() >= 1, "{:?}", out.stats);
-        assert_eq!(
-            out.stats.total_tasks_recovered(),
-            out.stats.total_tasks_lost()
-        );
-        assert!(out.stats.makespan_ns() > quiet.stats.makespan_ns());
+        let stats = &out.report.stats;
+        assert_eq!(stats.total_crashes(), 1);
+        assert!(stats.total_tasks_lost() >= 1, "{stats:?}");
+        assert_eq!(stats.total_tasks_recovered(), stats.total_tasks_lost());
+        assert!(out.report.wall_ns > quiet.report.wall_ns);
     }
 
     #[test]
@@ -220,6 +219,6 @@ mod tests {
         .unwrap();
         assert!(counted.cells.is_empty());
         assert_eq!(counted.total_cells, 47);
-        assert_eq!(counted.stats.total_cells(), 47);
+        assert_eq!(counted.report.stats.total_cells(), 47);
     }
 }

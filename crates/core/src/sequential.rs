@@ -6,8 +6,9 @@
 //! competitive only when the cube is dense; breadth-first writing beats
 //! depth-first on I/O regardless of the traversal direction.
 
+use crate::backend::{collect, ExecOutcome};
 use crate::buc::{bpp_buc, buc_depth_first};
-use crate::cell::{Cell, CellBuf, CellSink};
+use crate::cell::{CellBuf, CellSink};
 use crate::error::AlgoError;
 use crate::naive::naive_iceberg_cube;
 use crate::overlap::overlap;
@@ -15,8 +16,9 @@ use crate::pipehash::pipehash;
 use crate::pipesort::pipesort;
 use crate::query::IcebergQuery;
 use crate::topdown::topdown_shared;
-use icecube_cluster::{ClusterConfig, NodeStats};
+use icecube_cluster::{ClusterConfig, RunStats};
 use icecube_data::Relation;
+use icecube_exec::{Backend, ExecReport};
 use icecube_lattice::TreeTask;
 use std::fmt;
 
@@ -76,46 +78,30 @@ impl fmt::Display for SeqAlgorithm {
     }
 }
 
-/// The result of a sequential run on one simulated node.
-#[derive(Debug, Clone)]
-pub struct SeqOutcome {
-    /// Which algorithm ran.
-    pub algorithm: SeqAlgorithm,
-    /// The iceberg cells, canonically sorted.
-    pub cells: Vec<Cell>,
-    /// The node's accounting.
-    pub stats: NodeStats,
-    /// Final virtual clock (the run's wall time).
-    pub clock_ns: u64,
-}
-
 /// Runs a sequential algorithm on a fresh node 0 of `config`'s roster.
-/// A roster with no nodes is [`AlgoError::ClusterExhausted`] with
-/// `nodes: 0`, as it is for the parallel algorithms.
+/// The outcome's report is the one simulated node's: one worker, one
+/// task, its final clock as `wall_ns`, no trace. A roster with no nodes
+/// is [`AlgoError::ClusterExhausted`] with `nodes: 0`, as it is for the
+/// parallel algorithms.
 pub fn run_sequential(
     algorithm: SeqAlgorithm,
     rel: &Relation,
     query: &IcebergQuery,
     config: &ClusterConfig,
-) -> Result<SeqOutcome, AlgoError> {
-    let (sink, stats, clock_ns) = run_sequential_sink(algorithm, rel, query, config)?;
-    Ok(SeqOutcome {
-        algorithm,
-        cells: sink.into_cells(),
-        stats,
-        clock_ns,
-    })
+) -> Result<ExecOutcome, AlgoError> {
+    let (sink, report) = run_sequential_sink(algorithm, rel, query, config)?;
+    Ok(collect(vec![sink], report))
 }
 
-/// [`run_sequential`] up to the sink: the emitted blocks, the node's
-/// accounting and its final virtual clock. The delta path stops here and
-/// merges the blocks without ever building a `Vec<Cell>`.
+/// [`run_sequential`] up to the sink: the emitted blocks and the node's
+/// report. The delta path stops here and merges the blocks without ever
+/// building a `Vec<Cell>`.
 pub(crate) fn run_sequential_sink(
     algorithm: SeqAlgorithm,
     rel: &Relation,
     query: &IcebergQuery,
     config: &ClusterConfig,
-) -> Result<(CellBuf, NodeStats, u64), AlgoError> {
+) -> Result<(CellBuf, ExecReport), AlgoError> {
     crate::algorithms::validate(rel, query)?;
     let Some(mut node) = config.node(0) else {
         return Err(AlgoError::ClusterExhausted { nodes: 0 });
@@ -163,7 +149,17 @@ pub(crate) fn run_sequential_sink(
         }
     }
     let clock_ns = node.clock_ns();
-    Ok((sink, node.stats, clock_ns))
+    let report = ExecReport {
+        backend: Backend::Sim,
+        workers: 1,
+        tasks: 1,
+        wall_ns: clock_ns,
+        steals: 0,
+        tasks_per_worker: vec![1],
+        trace: None,
+        stats: RunStats::new(vec![node.stats], vec![clock_ns]),
+    };
+    Ok((sink, report))
 }
 
 #[cfg(test)]
@@ -181,6 +177,12 @@ mod tests {
             for alg in SeqAlgorithm::all() {
                 let out = run_sequential(alg, &rel, &q, &cfg).unwrap();
                 assert_eq!(out.cells, reference.cells, "{alg} at minsup {minsup}");
+                // One simulated node running one task.
+                let report = &out.report;
+                assert_eq!(report.backend, Backend::Sim, "{alg}");
+                assert_eq!((report.workers, report.tasks), (1, 1), "{alg}");
+                assert_eq!(report.wall_ns, report.stats.makespan_ns(), "{alg}");
+                assert_eq!(out.total_cells, out.cells.len() as u64, "{alg}");
             }
         }
     }
@@ -193,7 +195,8 @@ mod tests {
         let cfg = ClusterConfig::fast_ethernet(1);
         let cpu = |alg, minsup| {
             let q = IcebergQuery::count_cube(rel.arity(), minsup);
-            run_sequential(alg, &rel, &q, &cfg).unwrap().stats.cpu_ns
+            let out = run_sequential(alg, &rel, &q, &cfg).unwrap();
+            out.report.stats.nodes()[0].cpu_ns
         };
         let buc_drop = cpu(SeqAlgorithm::BppBuc, 1) as f64 / cpu(SeqAlgorithm::BppBuc, 8) as f64;
         let td_drop =

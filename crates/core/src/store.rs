@@ -11,7 +11,7 @@
 //! online aggregation — see `icecube-online`).
 
 use crate::agg::Aggregate;
-use crate::algorithms::RunOutcome;
+use crate::backend::ExecOutcome;
 use crate::block::CellBlock;
 use crate::cell::{Cell, CellBuf, CellSink};
 use crate::error::AlgoError;
@@ -106,9 +106,10 @@ impl CubeStore {
         store
     }
 
-    /// Builds a store from a parallel run's outcome (which must have been
-    /// collected with [`crate::RunOptions::collect_cells`] on).
-    pub fn from_outcome(dims: usize, minsup: u64, outcome: RunOutcome) -> Self {
+    /// Builds a store from a cube run's outcome — parallel on either
+    /// backend, or sequential — which must have been collected with
+    /// [`crate::RunOptions::collect_cells`] on.
+    pub fn from_outcome(dims: usize, minsup: u64, outcome: ExecOutcome) -> Self {
         CubeStore::from_cells(dims, minsup, outcome.cells)
     }
 

@@ -32,7 +32,7 @@ pub mod sim;
 
 use std::fmt;
 
-use icecube_cluster::{RunStats, SimCluster, SimNode};
+use icecube_cluster::{ClusterConfig, RunStats, SimCluster, SimNode};
 use icecube_trace::{Registry, TraceLog};
 
 pub use native::NativeExecutor;
@@ -245,8 +245,8 @@ pub struct ExecReport {
     /// the cluster config enables tracing), host wall-clock spans on the
     /// native pool (always recorded).
     pub trace: Option<TraceLog>,
-    /// Per-node virtual-time statistics. Empty (no nodes) on the native
-    /// pool, whose accounting nodes are thrown away.
+    /// Per-node virtual-time statistics: one node for a sequential run,
+    /// empty on the native pool, whose accounting nodes are thrown away.
     pub stats: RunStats,
 }
 
@@ -264,6 +264,11 @@ impl ExecReport {
     }
 }
 
+/// The decomposition width plans are built at by default (BPP's
+/// partition count, PT's division target), so the task list is
+/// independent of how many workers run it.
+pub const EXEC_UNITS: usize = 8;
+
 /// An engine that runs a [`Workload`]'s plan to completion.
 pub trait Executor {
     /// Which engine this is.
@@ -271,6 +276,20 @@ pub trait Executor {
 
     /// How many workers (or simulated nodes) the engine schedules over.
     fn workers(&self) -> usize;
+
+    /// The decomposition width plans for this engine are built at. The
+    /// default is [`EXEC_UNITS`]; the simulator plans at its node count,
+    /// as the paper does.
+    fn units(&self) -> usize {
+        EXEC_UNITS
+    }
+
+    /// The seed randomized plan structure is built with (ASL's skip-list
+    /// tower heights: search cost, never which cells a list emits). The
+    /// default is the simulated cluster's default seed.
+    fn seed(&self) -> u64 {
+        ClusterConfig::DEFAULT_SEED
+    }
 
     /// Runs every task in `tasks`, returning outputs **in task-id
     /// order** (index `i` holds the output of the spec with `id == i`,

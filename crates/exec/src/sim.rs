@@ -263,6 +263,14 @@ impl Executor for SimExecutor {
         self.config.nodes.len()
     }
 
+    fn units(&self) -> usize {
+        self.config.nodes.len()
+    }
+
+    fn seed(&self) -> u64 {
+        self.config.seed
+    }
+
     fn run<W: Workload>(
         &mut self,
         tasks: &[TaskSpec],

@@ -5,7 +5,7 @@ use crate::event::{EventKind, TraceBuffer, TraceEvent};
 /// All events recorded during one cluster run, indexed by node id.
 ///
 /// Built by draining every node's [`TraceBuffer`] once the run finishes;
-/// carried on `RunOutcome` so callers can export or inspect it.
+/// carried on the run's `ExecReport` so callers can export or inspect it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
     nodes: Vec<Vec<TraceEvent>>,

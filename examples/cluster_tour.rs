@@ -34,17 +34,17 @@ fn main() {
         match run_parallel_with(alg, &relation, &query, &cluster, &opts) {
             Ok(out) => {
                 let f = alg.features();
-                let cpu: u64 = out.stats.nodes().iter().map(|s| s.cpu_ns).sum();
+                let cpu: u64 = out.report.stats.nodes().iter().map(|s| s.cpu_ns).sum();
                 println!(
                     "{:<9} {:<14} {:<7} {:>8.3} {:>8.3} {:>8.3} {:>9} {:>9.2}",
                     f.name,
                     f.writing,
                     f.decomposition,
-                    out.stats.makespan_secs(),
+                    out.report.stats.makespan_secs(),
                     cpu as f64 / 1e9,
-                    out.stats.total_io_ns() as f64 / 1e9,
+                    out.report.stats.total_io_ns() as f64 / 1e9,
                     out.total_cells,
-                    out.stats.imbalance(),
+                    out.report.stats.imbalance(),
                 );
             }
             Err(AlgoError::MemoryExhausted {

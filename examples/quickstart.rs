@@ -33,7 +33,7 @@ fn main() {
         "\n{} iceberg cells (support >= {}), computed in {:.3} virtual seconds on {} nodes:\n",
         outcome.cells.len(),
         query.minsup,
-        outcome.wall_secs(),
+        outcome.report.stats.makespan_secs(),
         cluster.len(),
     );
     let models = ["Chevy", "Ford"];
@@ -57,11 +57,11 @@ fn main() {
 
     // Per-node accounting from the simulated cluster.
     println!("\nper-node load (virtual seconds busy):");
-    for (i, load) in outcome.stats.loads_ns().iter().enumerate() {
+    for (i, load) in outcome.report.stats.loads_ns().iter().enumerate() {
         println!("  node {i}: {:.4}", *load as f64 / 1e9);
     }
     println!(
         "load imbalance: {:.2} (1.0 = perfect)",
-        outcome.stats.imbalance()
+        outcome.report.stats.imbalance()
     );
 }

@@ -76,7 +76,7 @@ fn main() {
     println!(
         "\n{} ran in {:.4} virtual seconds; {} frequent combinations:\n",
         algorithm,
-        outcome.wall_secs(),
+        outcome.report.stats.makespan_secs(),
         outcome.cells.len()
     );
 

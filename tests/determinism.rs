@@ -27,10 +27,10 @@ fn parallel_runs_are_bitwise_reproducible() {
         let b = run_parallel(alg, &rel, &q, &cfg).unwrap();
         assert_eq!(a.cells, b.cells, "{alg} cells");
         assert_eq!(
-            a.stats, b.stats,
+            a.report.stats, b.report.stats,
             "{alg} stats (schedules must be deterministic)"
         );
-        assert_eq!(a.stats.makespan_ns(), b.stats.makespan_ns());
+        assert_eq!(a.report.wall_ns, b.report.wall_ns);
     }
 }
 

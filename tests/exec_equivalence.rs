@@ -3,22 +3,24 @@
 //! simulated cluster, for every algorithm, at any worker count, under
 //! any stealing interleaving. The contract that makes this testable is
 //! the deterministic merge rule: executors return per-task outputs in
-//! task-id order, and the plans themselves never depend on the worker
-//! count, so the merged cube is a pure function of (relation, query,
-//! options). Eight seeded workload shapes × all six algorithms (the
-//! five the paper evaluates plus the one-task hash-tree attempt) × two
-//! minsups, against `run_parallel` on a four-node cluster, a
-//! `SimExecutor` handed to `run_parallel_exec`, the brute-force
-//! reference, and repeated native runs at 1, 2, and 8 workers.
+//! task-id order, and a plan depends only on the decomposition width and
+//! seed its executor supplies — the simulator's node count and seed, the
+//! native pool's fixed `EXEC_UNITS`, never its worker count — while the
+//! merged cube is the same at every width. Eight seeded workload shapes
+//! × all six algorithms (the five the paper evaluates plus the one-task
+//! hash-tree attempt) × two minsups, against `run_parallel` on a
+//! four-node cluster, the brute-force reference, and repeated native
+//! runs at 1, 2, and 8 workers; a slice of them also on `SimExecutor`s
+//! of two and four nodes.
 
 use icecube::cluster::{ClusterConfig, FaultPlan};
 use icecube::core::naive::naive_iceberg_cube;
 use icecube::core::verify::assert_same_cells;
 use icecube::core::{
-    run_parallel, run_parallel_exec, AlgoError, Algorithm, IcebergQuery, RunOptions, EXEC_UNITS,
+    run_parallel, run_parallel_exec, AlgoError, Algorithm, IcebergQuery, RunOptions,
 };
 use icecube::data::{Relation, SyntheticSpec};
-use icecube::exec::{Backend, NativeExecutor, SimExecutor};
+use icecube::exec::{Backend, NativeExecutor, SimExecutor, EXEC_UNITS};
 
 const SEEDS: [u64; 8] = [3, 11, 29, 47, 101, 211, 499, 997];
 
@@ -53,30 +55,15 @@ fn native_matches_simulator_driver_and_naive() {
                 let ctx = format!("{alg}, seed {seed}, minsup {minsup}");
                 let driver = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4)).unwrap();
                 assert_same_cells(want.clone(), driver.cells.clone(), &format!("driver {ctx}"));
-                // One driver per algorithm: on a cluster as wide as the
-                // executor plans, both simulated entry points build the
-                // same plan and must report the same run, crash or not.
-                let wide = ClusterConfig::fast_ethernet(EXEC_UNITS);
-                let by_config = run_parallel(alg, &rel, &q, &wide).unwrap();
-                let mut sim = SimExecutor::new(wide.clone());
-                let by_executor = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
-                assert_eq!(by_config.cells, by_executor.cells, "entry points: {ctx}");
-                assert_eq!(
-                    by_config.stats, by_executor.report.stats,
-                    "entry-point stats: {ctx}"
+                // Losing every node is a typed error, on the static sweep
+                // and the demand loop alike.
+                let total_loss = (0..4).fold(FaultPlan::none(), |p, n| p.crash(n, 1_000));
+                let doomed = ClusterConfig::fast_ethernet(4).with_faults(total_loss);
+                let lost = run_parallel(alg, &rel, &q, &doomed).map(|out| out.total_cells);
+                assert!(
+                    matches!(lost, Err(AlgoError::ClusterExhausted { nodes: 4 })),
+                    "total loss: {ctx}: {lost:?}"
                 );
-                let total_loss = (0..EXEC_UNITS).fold(FaultPlan::none(), |p, n| p.crash(n, 1_000));
-                let doomed = wide.with_faults(total_loss);
-                let mut sim = SimExecutor::new(doomed.clone());
-                for lost in [
-                    run_parallel(alg, &rel, &q, &doomed).map(|out| out.total_cells),
-                    run_parallel_exec(&mut sim, alg, &rel, &q, &opts).map(|out| out.total_cells),
-                ] {
-                    assert!(
-                        matches!(lost, Err(AlgoError::ClusterExhausted { nodes: EXEC_UNITS })),
-                        "total loss: {ctx}: {lost:?}"
-                    );
-                }
                 let mut reference: Option<Vec<icecube::core::Cell>> = None;
                 for workers in [1usize, 2, 8] {
                     let mut exec = NativeExecutor::new(workers);
@@ -102,10 +89,20 @@ fn native_matches_simulator_driver_and_naive() {
     }
 }
 
-/// A `SimExecutor` narrower than the plans (four nodes, `EXEC_UNITS`-wide
-/// plans) still produces the native backend's cells exactly (a slice of
-/// the full sweep — it shares all the plan-building code the previous
-/// test exercises in full).
+/// Non-empty `(dimension, partition)` chunks of `rel` at `parts`
+/// range partitions per dimension: BPP's task count at that width.
+fn bpp_chunks(rel: &Relation, parts: usize) -> usize {
+    (0..rel.arity())
+        .flat_map(|dim| rel.range_partition(dim, parts))
+        .filter(|chunk| !chunk.is_empty())
+        .count()
+}
+
+/// Each executor supplies its plan width: a `SimExecutor` of `n` nodes
+/// plans `n`-wide, as the paper does, the native pool `EXEC_UNITS`-wide
+/// at any worker count. BPP's task count shows the width; the cells are
+/// the same at every width (a slice of the full sweep — it shares all
+/// the plan-building code the previous test exercises in full).
 #[test]
 fn sim_executor_matches_native() {
     for seed in [SEEDS[0], SEEDS[3], SEEDS[6]] {
@@ -114,14 +111,35 @@ fn sim_executor_matches_native() {
         let opts = RunOptions::default();
         for alg in Algorithm::all() {
             let ctx = format!("{alg}, seed {seed}");
-            let mut sim = SimExecutor::fast_ethernet(4);
-            let a = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
-            assert_eq!(a.report.backend, Backend::Sim);
-            assert!(a.report.wall_ns > 0, "sim reports virtual time: {ctx}");
-            let mut native = NativeExecutor::new(4);
-            let b = run_parallel_exec(&mut native, alg, &rel, &q, &opts).unwrap();
-            assert_eq!(a.cells, b.cells, "sim vs native: {ctx}");
-            assert_eq!(a.total_cells, b.total_cells, "{ctx}");
+            let native: Vec<_> = [1usize, 2, 8]
+                .into_iter()
+                .map(|workers| {
+                    let mut native = NativeExecutor::new(workers);
+                    run_parallel_exec(&mut native, alg, &rel, &q, &opts).unwrap()
+                })
+                .collect();
+            for (workers, out) in [1, 2, 8].into_iter().zip(&native) {
+                assert_eq!(out.cells, native[0].cells, "{ctx}, {workers} workers");
+                assert_eq!(out.report.tasks, native[0].report.tasks, "{ctx}");
+            }
+            if alg == Algorithm::Bpp {
+                assert_eq!(native[0].report.tasks, bpp_chunks(&rel, EXEC_UNITS));
+            }
+            for nodes in [2usize, 4] {
+                let mut sim = SimExecutor::fast_ethernet(nodes);
+                let a = run_parallel_exec(&mut sim, alg, &rel, &q, &opts).unwrap();
+                assert_eq!(a.report.backend, Backend::Sim);
+                assert!(a.report.wall_ns > 0, "sim reports virtual time: {ctx}");
+                assert_eq!(
+                    a.cells, native[0].cells,
+                    "sim vs native: {ctx}, {nodes} nodes"
+                );
+                assert_eq!(a.total_cells, native[0].total_cells, "{ctx}");
+                if alg == Algorithm::Bpp {
+                    let want = bpp_chunks(&rel, nodes);
+                    assert_eq!(a.report.tasks, want, "BPP width: {ctx}, {nodes} nodes");
+                }
+            }
         }
     }
 }

@@ -42,7 +42,7 @@ fn chaos_cubes_equal_the_fault_free_reference() {
         // The same quiet reference the `fault` experiment measures
         // against (shared helper in icecube-bench).
         let quiet = fault_free_baseline(alg, &rel, &q, NODES, &RunOptions::default());
-        let horizon = quiet.stats.makespan_ns();
+        let horizon = quiet.report.wall_ns;
         for seed in SEEDS {
             let plan = FaultPlan::seeded_severity(seed, NODES, horizon, 200);
             let cfg = ClusterConfig::fast_ethernet(NODES).with_faults(plan);
@@ -53,11 +53,12 @@ fn chaos_cubes_equal_the_fault_free_reference() {
                 out.cells,
                 &format!("{alg} under fault seed {seed}"),
             );
-            crashes += out.stats.total_crashes();
-            lost += out.stats.total_tasks_lost();
-            recovered += out.stats.total_tasks_recovered();
-            net_faults += out.stats.total_retransmits() + out.stats.total_rpc_retries();
-            slowdown_ns += out.stats.nodes().iter().map(|s| s.slowdown_ns).sum::<u64>();
+            let stats = &out.report.stats;
+            crashes += stats.total_crashes();
+            lost += stats.total_tasks_lost();
+            recovered += stats.total_tasks_recovered();
+            net_faults += stats.total_retransmits() + stats.total_rpc_retries();
+            slowdown_ns += stats.nodes().iter().map(|s| s.slowdown_ns).sum::<u64>();
         }
     }
     // Non-vacuity: the battery actually exercised every fault class.
@@ -82,21 +83,21 @@ fn same_fault_seed_reproduces_the_run_exactly() {
             let cfg = ClusterConfig::fast_ethernet(NODES).with_faults(plan);
             run_parallel(alg, &rel, &q, &cfg).unwrap()
         };
-        let a = run();
-        let b = run();
+        let (a, b) = (run(), run());
         assert_eq!(a.cells, b.cells, "{alg} cells");
-        assert_eq!(a.stats, b.stats, "{alg} stats and recovery counters");
-        assert_eq!(a.stats.makespan_ns(), b.stats.makespan_ns(), "{alg} time");
+        let (a, b) = (a.report.stats, b.report.stats);
+        assert_eq!(a, b, "{alg} stats and recovery counters");
+        assert_eq!(a.makespan_ns(), b.makespan_ns(), "{alg} time");
         assert_eq!(
             (
-                a.stats.total_crashes(),
-                a.stats.total_tasks_lost(),
-                a.stats.total_tasks_recovered(),
+                a.total_crashes(),
+                a.total_tasks_lost(),
+                a.total_tasks_recovered(),
             ),
             (
-                b.stats.total_crashes(),
-                b.stats.total_tasks_lost(),
-                b.stats.total_tasks_recovered(),
+                b.total_crashes(),
+                b.total_tasks_lost(),
+                b.total_tasks_recovered(),
             ),
             "{alg} recovery counters"
         );
@@ -112,13 +113,13 @@ fn hash_tree_survives_a_crash_of_node_zero() {
     let q = IcebergQuery::count_cube(rel.arity(), 2);
     let opts = RunOptions::default();
     let quiet = fault_free_baseline(Algorithm::HashTree, &rel, &q, NODES, &opts);
-    let crash = FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 2);
+    let crash = FaultPlan::none().crash(0, quiet.report.wall_ns / 2);
     let cfg = ClusterConfig::fast_ethernet(NODES).with_faults(crash);
     let out = run_parallel(Algorithm::HashTree, &rel, &q, &cfg).unwrap();
     assert_eq!(out.cells, quiet.cells);
-    assert!(out.stats.total_tasks_lost() >= 1);
-    assert_eq!(out.stats.total_tasks_recovered(), 1);
-    assert!(out.stats.makespan_ns() > quiet.stats.makespan_ns());
+    assert!(out.report.stats.total_tasks_lost() >= 1);
+    assert_eq!(out.report.stats.total_tasks_recovered(), 1);
+    assert!(out.report.wall_ns > quiet.report.wall_ns);
 }
 
 /// Serialized bytes of a store — the refresh contract is *byte* identity,
@@ -151,6 +152,7 @@ fn crash_mid_refresh_lands_bit_identical_to_a_fault_free_refresh() {
         let want_floor = store_bytes(quiet.floor());
         let want_visible = store_bytes(&quiet.visible());
         let horizon = fault_free_baseline(alg, &batch, &q, NODES, &RunOptions::default())
+            .report
             .stats
             .makespan_ns();
         for seed in SEEDS {
@@ -175,8 +177,8 @@ fn crash_mid_refresh_lands_bit_identical_to_a_fault_free_refresh() {
             // run surfaces its recovery counters for non-vacuity.
             let replay = run_parallel(alg, &batch, &q, &cfg)
                 .unwrap_or_else(|e| panic!("{alg} seed {seed} replay: {e}"));
-            crashes += replay.stats.total_crashes();
-            recovered += replay.stats.total_tasks_recovered();
+            crashes += replay.report.stats.total_crashes();
+            recovered += replay.report.stats.total_tasks_recovered();
         }
     }
     assert!(crashes > 0, "no refresh ever saw a crash — vacuous battery");

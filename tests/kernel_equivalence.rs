@@ -54,7 +54,7 @@ fn every_algorithm_matches_naive_with_deterministic_stats() {
                 assert_same_cells(want.clone(), a.cells.clone(), &ctx);
                 // Two identical runs must agree on every counter and every
                 // final virtual clock, bit for bit.
-                assert_eq!(a.stats, b.stats, "stats drift: {ctx}");
+                assert_eq!(a.report.stats, b.report.stats, "stats drift: {ctx}");
                 assert_eq!(a.cells, b.cells, "cell drift: {ctx}");
             }
         }
@@ -73,8 +73,8 @@ fn sequential_kernels_match_naive_with_deterministic_stats() {
             let a = run_sequential(alg, &rel, &q, &cfg).unwrap();
             let b = run_sequential(alg, &rel, &q, &cfg).unwrap();
             assert_same_cells(want.clone(), a.cells.clone(), &ctx);
-            assert_eq!(a.stats, b.stats, "stats drift: {ctx}");
-            assert_eq!(a.clock_ns, b.clock_ns, "clock drift: {ctx}");
+            assert_eq!(a.report.stats, b.report.stats, "stats drift: {ctx}");
+            assert_eq!(a.report.wall_ns, b.report.wall_ns, "clock drift: {ctx}");
         }
     }
 }
@@ -258,7 +258,7 @@ fn simulated_runs_match_their_golden_fingerprints() {
         let out = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(4))
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_same_cells(naive_iceberg_cube(&rel, &q), out.cells.clone(), &ctx);
-        let fp = fingerprint(&out.cells, &out.stats);
+        let fp = fingerprint(&out.cells, &out.report.stats);
         if fp != golden {
             drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
         }
@@ -357,7 +357,8 @@ fn sequential_runs_match_their_golden_fingerprints() {
         let ctx = format!("{alg}, seed {seed}, minsup {minsup}, no memory {no_memory}");
         let out = run_sequential(alg, &rel, &q, &cfg).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_same_cells(naive_iceberg_cube(&rel, &q), out.cells.clone(), &ctx);
-        let fp = fingerprint(&out.cells, &(&out.stats, out.clock_ns));
+        let node = (&out.report.stats.nodes()[0], out.report.wall_ns);
+        let fp = fingerprint(&out.cells, &node);
         if fp != golden {
             drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));
         }
@@ -413,7 +414,7 @@ fn variant_runs_match_their_golden_fingerprints() {
                 // Node 0 dies a quarter of the way through the quiet run's
                 // makespan, with a task in flight.
                 let quiet = run_parallel(alg, &rel, &q, &four).unwrap();
-                let plan = FaultPlan::none().crash(0, quiet.stats.makespan_ns() / 4);
+                let plan = FaultPlan::none().crash(0, quiet.report.wall_ns / 4);
                 (four.clone().with_faults(plan), defaults)
             }
             "heterogeneous_16" => (ClusterConfig::heterogeneous_16(), defaults),
@@ -455,12 +456,13 @@ fn variant_runs_match_their_golden_fingerprints() {
             run_parallel_with(alg, &rel, &q, &cfg, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_same_cells(want.clone(), out.cells.clone(), &ctx);
         if variant == "crash" {
-            assert!(out.stats.total_tasks_lost() >= 1, "{ctx}: vacuous crash");
+            let lost = out.report.stats.total_tasks_lost();
+            assert!(lost >= 1, "{ctx}: vacuous crash");
         }
-        let fp = match &out.trace {
+        let fp = match &out.report.trace {
             // The exports render every event and every phase-cost delta.
             Some(log) => fnv(&(chrome_trace_json(log) + &phase_cost_csv(log))),
-            None => fingerprint(&out.cells, &out.stats),
+            None => fingerprint(&out.cells, &out.report.stats),
         };
         if fp != golden {
             drifted.push(format!("{ctx}: 0x{fp:016x} != golden 0x{golden:016x}"));

@@ -9,13 +9,13 @@
 //! their counters.
 
 use icecube::cluster::{ClusterConfig, FaultPlan};
-use icecube::core::{run_parallel, Algorithm, IcebergQuery, RunOutcome};
+use icecube::core::{run_parallel, Algorithm, ExecOutcome, IcebergQuery};
 use icecube::data::presets;
 use icecube::trace::{chrome_trace_json, phase_cost_csv, EventKind, TraceLog};
 
 const NODES: usize = 4;
 
-fn traced_run(alg: Algorithm, plan: Option<FaultPlan>) -> RunOutcome {
+fn traced_run(alg: Algorithm, plan: Option<FaultPlan>) -> ExecOutcome {
     let rel = presets::tiny(13).generate().unwrap();
     let q = IcebergQuery::count_cube(rel.arity(), 2);
     let mut cfg = ClusterConfig::fast_ethernet(NODES).with_trace();
@@ -34,7 +34,7 @@ fn same_seed_exports_are_byte_identical_for_every_algorithm() {
     for alg in Algorithm::all() {
         let a = traced_run(alg, None);
         let b = traced_run(alg, None);
-        let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
+        let (ta, tb) = (a.report.trace.unwrap(), b.report.trace.unwrap());
         assert_eq!(
             chrome_trace_json(&ta),
             chrome_trace_json(&tb),
@@ -52,7 +52,7 @@ fn same_seed_exports_are_byte_identical_under_faults() {
         let a = traced_run(alg, Some(chaos_plan()));
         let b = traced_run(alg, Some(chaos_plan()));
         assert_eq!(a.cells, b.cells, "{alg} cells differ");
-        let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
+        let (ta, tb) = (a.report.trace.unwrap(), b.report.trace.unwrap());
         assert_eq!(
             chrome_trace_json(&ta),
             chrome_trace_json(&tb),
@@ -77,14 +77,14 @@ fn untraced_runs_carry_no_trace() {
         &ClusterConfig::fast_ethernet(NODES),
     )
     .unwrap();
-    assert!(out.trace.is_none(), "tracing must be opt-in");
+    assert!(out.report.trace.is_none(), "tracing must be opt-in");
 }
 
 /// Counter/event lockstep: per node, TaskStart events sum to the
 /// scheduler's `stats.tasks`, and every span that completes closes.
-fn assert_task_spans_match(alg: Algorithm, out: &RunOutcome, log: &TraceLog) {
+fn assert_task_spans_match(alg: Algorithm, out: &ExecOutcome, log: &TraceLog) {
     let spans = log.task_spans_per_node();
-    let stats = out.stats.nodes();
+    let stats = out.report.stats.nodes();
     assert_eq!(spans.len(), stats.len());
     for (node, (&got, s)) in spans.iter().zip(stats).enumerate() {
         assert_eq!(
@@ -105,7 +105,7 @@ fn assert_task_spans_match(alg: Algorithm, out: &RunOutcome, log: &TraceLog) {
 fn task_spans_sum_to_per_node_task_counts() {
     for alg in Algorithm::evaluated() {
         let out = traced_run(alg, None);
-        let log = out.trace.clone().unwrap();
+        let log = out.report.trace.clone().unwrap();
         assert_task_spans_match(alg, &out, &log);
         // Fault-free: every started task also ends.
         let starts: u64 = log.task_spans_per_node().iter().sum();
@@ -119,9 +119,9 @@ fn task_spans_sum_to_per_node_task_counts() {
 fn fault_events_fire_exactly_once_and_match_counters() {
     for alg in Algorithm::evaluated() {
         let out = traced_run(alg, Some(chaos_plan()));
-        let log = out.trace.clone().unwrap();
+        let log = out.report.trace.clone().unwrap();
         assert_task_spans_match(alg, &out, &log);
-        for (node, s) in out.stats.nodes().iter().enumerate() {
+        for (node, s) in out.report.stats.nodes().iter().enumerate() {
             let crashes = log.node(node).iter().fold(0u64, |acc, e| {
                 acc + u64::from(matches!(e.kind, EventKind::Crash))
             });
@@ -153,8 +153,8 @@ fn wire_events_account_for_the_message_counter() {
     for plan in [None, Some(chaos_plan())] {
         for alg in Algorithm::evaluated() {
             let out = traced_run(alg, plan.clone());
-            let log = out.trace.clone().unwrap();
-            for (node, s) in out.stats.nodes().iter().enumerate() {
+            let log = out.report.trace.clone().unwrap();
+            for (node, s) in out.report.stats.nodes().iter().enumerate() {
                 let (mut rpcs, mut sends) = (0u64, 0u64);
                 for e in log.node(node) {
                     match e.kind {
@@ -174,7 +174,7 @@ fn wire_events_account_for_the_message_counter() {
             // RP and BPP are statically assigned and legitimately silent.
             if matches!(alg, Algorithm::Asl | Algorithm::Pt | Algorithm::Aht) {
                 assert!(
-                    out.trace.unwrap().comm_volume_bytes() > 0,
+                    out.report.trace.unwrap().comm_volume_bytes() > 0,
                     "{alg}: scheduling traffic must be visible as communication volume"
                 );
             }
@@ -191,7 +191,10 @@ fn traced_and_untraced_runs_have_identical_statistics() {
     for alg in Algorithm::evaluated() {
         let plain = run_parallel(alg, &rel, &q, &ClusterConfig::fast_ethernet(NODES)).unwrap();
         let traced = traced_run(alg, None);
-        assert_eq!(plain.stats, traced.stats, "{alg}: tracing changed a run");
+        assert_eq!(
+            plain.report.stats, traced.report.stats,
+            "{alg}: tracing changed a run"
+        );
         assert_eq!(plain.cells, traced.cells, "{alg}: tracing changed cells");
     }
 }
@@ -199,7 +202,7 @@ fn traced_and_untraced_runs_have_identical_statistics() {
 #[test]
 fn phase_cost_rows_cover_load_and_compute_for_every_node() {
     let out = traced_run(Algorithm::Pt, None);
-    let csv = phase_cost_csv(&out.trace.unwrap());
+    let csv = phase_cost_csv(&out.report.trace.unwrap());
     for node in 0..NODES {
         assert!(
             csv.contains(&format!("\n{node},load,")) || csv.starts_with(&format!("{node},load,")),
