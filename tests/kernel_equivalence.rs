@@ -7,6 +7,7 @@
 //! call, because fault injection keys off exact virtual times).
 
 use icecube::cluster::{ClusterConfig, FaultPlan, SimCluster};
+use icecube::core::aht::AhtHash;
 use icecube::core::buc::{bpp_buc, bpp_buc_with, BucScratch};
 use icecube::core::cell::CellBuf;
 use icecube::core::naive::naive_iceberg_cube;
@@ -373,7 +374,7 @@ fn sequential_runs_match_their_golden_fingerprints() {
 /// One golden per (algorithm, variant): the cluster shapes, fault plans,
 /// option switches and trace exports that the seed × minsup sweep above
 /// never reaches. Recorded from the hand-written `run_*` schedulers.
-const GOLDEN_VARIANT_FPS: [(Algorithm, &str, u64); 23] = [
+const GOLDEN_VARIANT_FPS: [(Algorithm, &str, u64); 24] = [
     (Algorithm::Rp, "crash", 0xad60efa489474137),
     (Algorithm::Rp, "heterogeneous_16", 0x69fd2a008a39a8db),
     (Algorithm::Rp, "no_affinity", 0x32bc9a15323839d3),
@@ -396,6 +397,7 @@ const GOLDEN_VARIANT_FPS: [(Algorithm, &str, u64); 23] = [
     (Algorithm::Aht, "crash", 0x8b01dc7fc6b81259),
     (Algorithm::Aht, "heterogeneous_16", 0x380b34d0c8ae94e2),
     (Algorithm::Aht, "no_affinity", 0x0fd4cc4ac4b6b491),
+    (Algorithm::Aht, "aht_fibonacci", 0x1531e52f851a6131),
     (Algorithm::Aht, "traced_chaos", 0x2e63cb0f5fe5e227),
 ];
 
@@ -436,6 +438,13 @@ fn variant_runs_match_their_golden_fingerprints() {
                 four.clone(),
                 RunOptions {
                     asl_longest_prefix: true,
+                    ..defaults
+                },
+            ),
+            "aht_fibonacci" => (
+                four.clone(),
+                RunOptions {
+                    aht_hash: AhtHash::Fibonacci,
                     ..defaults
                 },
             ),
