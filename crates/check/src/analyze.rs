@@ -28,6 +28,7 @@ use crate::callgraph::{CallGraph, Sink, SinkKind, SourceFile, Unresolved};
 use crate::lints;
 use crate::policy::policy_for;
 use crate::report::{finding_json, json_str, Finding, SCHEMA};
+use crate::workspace::collect_rs_files;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,15 +61,16 @@ impl AnalyzeConfig {
                 ("core/src/buc.rs", Some("Engine"), "df_descend"),
                 ("core/src/buc.rs", Some("Engine"), "bpp_from_root"),
                 ("core/src/buc.rs", Some("Engine"), "bpp_recurse"),
-                // ASL: per-task cuboid construction and emission.
+                // ASL: per-task cuboid construction.
                 ("core/src/asl.rs", None, "prefix_reuse"),
                 ("core/src/asl.rs", None, "subset_create"),
                 ("core/src/asl.rs", None, "scratch_create"),
-                ("core/src/asl.rs", None, "emit_list"),
-                // AHT: the collapse/upsert loop and table emission.
+                // AHT: the collapse/upsert loop.
                 ("core/src/aht.rs", Some("AffinityHashTable"), "upsert"),
                 ("core/src/aht.rs", Some("AffinityHashTable"), "collapse"),
-                ("core/src/aht.rs", None, "emit_table"),
+                // The thresholded cuboid emit ASL, AHT and the top-down
+                // comparators share.
+                ("core/src/cell.rs", None, "emit_cuboid"),
                 // PT: the shared sort-cache fill.
                 ("core/src/pt.rs", Some("SortCache"), "prepare"),
             ],
@@ -178,19 +180,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalysisReport> {
         &sources,
         &AnalyzeConfig::workspace_default(),
     ))
-}
-
-/// Recursively collects `.rs` files under `dir`.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Renders an [`AnalysisReport`] as the v2 JSON document.

@@ -14,22 +14,12 @@
 //! acquisitions, thread spawns) are recorded per node instead of being
 //! edges, so every pass is a reachability question plus a sink filter.
 
+use crate::lints::PANIC_MACROS;
 use crate::parser::{parse_file, EventKind, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Method names that are panic sources when called on anything.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-/// Macros that panic in release builds (`debug_assert*` compiles out and
-/// is deliberately absent).
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
 /// Method names that allocate.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "collect"];
 /// Macros that allocate.

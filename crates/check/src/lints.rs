@@ -76,6 +76,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/partition.rs",
     "crates/core/src/asl.rs",
     "crates/core/src/aht.rs",
+    // The schedule ASL and AHT share, once per task.
+    "crates/core/src/affinity.rs",
     "crates/skiplist/src/lib.rs",
     // The sink every kernel emits into, and the block it appends to: one
     // call away from the kernels, once per cell.
@@ -83,7 +85,10 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/block.rs",
 ];
 
-const PANIC_MACROS: &[&str] = &[
+/// Macros that panic in release builds (`debug_assert*` compiles out and
+/// is deliberately absent): the lint pass's and the call graph's panic
+/// sources.
+pub(crate) const PANIC_MACROS: &[&str] = &[
     "panic",
     "unreachable",
     "todo",
@@ -677,10 +682,12 @@ mod tests {
         // The affinity kernels and the skip list joined the hot-path
         // list when they became executor workloads (ROADMAP item 1); the
         // cell sink and its block when `emit` stopped copying the key
-        // (`key.to_vec()` per cell sat one call away from `buc.rs`).
+        // (`key.to_vec()` per cell sat one call away from `buc.rs`); the
+        // affinity driver when ASL and AHT came to share it.
         for file in [
             "crates/core/src/asl.rs",
             "crates/core/src/aht.rs",
+            "crates/core/src/affinity.rs",
             "crates/skiplist/src/lib.rs",
             "crates/core/src/cell.rs",
             "crates/core/src/block.rs",

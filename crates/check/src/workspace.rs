@@ -60,7 +60,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 /// Recursively collects `.rs` files under `dir`.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

@@ -14,6 +14,9 @@
 //! collisions pile up in the chains, and performance degrades — the
 //! behaviour Figures 4.4 and 4.6 show. The chains are real here, so the
 //! degradation emerges rather than being modelled.
+//!
+//! The manager/worker schedule is ASL's, written once in the crate's
+//! `affinity` driver; this module supplies the table as its cell store.
 
 // check:allow-file(panic-in-lib): asserts and expects in this module
 // guard internal algorithm invariants; a violation is a bug in the
@@ -25,15 +28,10 @@
 // itself constructs; a violation is a bug, not runtime input. Tracked
 // by the panic-path triage note in DESIGN section 12.
 
+use crate::affinity::{CellStore, PrefixScan};
 use crate::agg::Aggregate;
-use crate::algorithms::RunOptions;
-use crate::asl::{affinity_ladder, cuboid_of, head, lattice_plan, Affine, Held};
-use crate::backend::{charge_replicated_load, task_sink};
-use crate::cell::{Cell, CellBuf, CellSink};
-use crate::query::IcebergQuery;
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
-use icecube_exec::{TaskSpec, Workload};
 use icecube_lattice::CuboidMask;
 
 /// The bucket-index function AHT uses (Section 4.9.2 suggests replacing
@@ -174,21 +172,11 @@ impl AffinityHashTable {
     /// cardinalities, sized to the fixed bucket budget: every attribute
     /// gets its share of `log2(target_buckets)` index bits.
     pub fn new(cuboid: CuboidMask, cards: Vec<u32>, target_buckets: usize) -> Self {
-        Self::with_hash(cuboid, cards, target_buckets, AhtHash::NaiveMod)
-    }
-
-    /// [`AffinityHashTable::new`] with an explicit hash function.
-    pub fn with_hash(
-        cuboid: CuboidMask,
-        cards: Vec<u32>,
-        target_buckets: usize,
-        hash: AhtHash,
-    ) -> Self {
         let s = TableStorage {
             cards,
             ..TableStorage::default()
         };
-        Self::from_storage(s, cuboid, target_buckets, hash)
+        Self::from_storage(s, cuboid, target_buckets, AhtHash::NaiveMod)
     }
 
     /// Assembles an empty table over (possibly recycled) storage whose
@@ -234,11 +222,6 @@ impl AffinityHashTable {
     /// The per-dimension index bit widths currently in force.
     pub fn bit_widths(&self) -> &[u8] {
         &self.s.bits
-    }
-
-    /// The cuboid this table holds.
-    pub fn cuboid(&self) -> CuboidMask {
-        self.cuboid
     }
 
     /// Number of cells.
@@ -325,31 +308,17 @@ impl AffinityHashTable {
 
     /// Builds a table from the raw relation.
     pub fn build(cuboid: CuboidMask, rel: &Relation, target_buckets: usize) -> Self {
-        let dims = cuboid.dims();
-        let cards: Vec<u32> = dims.iter().map(|&d| rel.schema().cardinality(d)).collect();
-        Self::build_with_hash(cuboid, rel, target_buckets, AhtHash::NaiveMod, cards)
+        Self::build_pooled(
+            cuboid,
+            rel,
+            target_buckets,
+            AhtHash::NaiveMod,
+            &mut AhtPool::new(),
+        )
     }
 
-    /// [`AffinityHashTable::build`] with an explicit hash function.
-    pub fn build_with_hash(
-        cuboid: CuboidMask,
-        rel: &Relation,
-        target_buckets: usize,
-        hash: AhtHash,
-        cards: Vec<u32>,
-    ) -> Self {
-        let dims = cuboid.dims();
-        let mut table = Self::with_hash(cuboid, cards, target_buckets, hash);
-        let mut key: Vec<u32> = std::iter::repeat_n(0u32, dims.len()).collect();
-        for (row, m) in rel.rows() {
-            cuboid.project_row(row, &mut key);
-            table.upsert(&key, &Aggregate::of(m));
-        }
-        table
-    }
-
-    /// [`AffinityHashTable::build_with_hash`] over recycled pool storage —
-    /// the drivers' form, allocation-free once the pool is warm.
+    /// Builds a table from the raw relation over recycled pool storage
+    /// with the given hash: allocation-free once the pool is warm.
     pub fn build_pooled(
         cuboid: CuboidMask,
         rel: &Relation,
@@ -536,98 +505,6 @@ impl AffinityHashTable {
             .max()
             .unwrap_or(0)
     }
-
-    /// Approximate memory footprint: bucket headers plus cells. A chain
-    /// header is three words whether it holds boxed pairs or arena
-    /// indices, and a cell is charged at its key words plus a fixed
-    /// 48-byte record, so the figure is unchanged by the arena layout.
-    pub fn memory_bytes(&self) -> u64 {
-        (self.bucket_count * std::mem::size_of::<Vec<u32>>()) as u64
-            + self.len as u64 * (self.s.dims.len() as u64 * 4 + 48)
-    }
-}
-
-/// Streams a finished table's qualifying cells in bucket order (no sort:
-/// post-sorting is deferred to query time in AHT) and charges the write.
-fn emit_table<S: CellSink>(
-    built: &AffinityHashTable,
-    minsup: u64,
-    node: &mut SimNode,
-    sink: &mut S,
-) {
-    let mut cells = 0u64;
-    for (key, agg) in built.iter() {
-        if agg.meets(minsup) {
-            sink.emit(built.cuboid(), key, agg);
-            cells += 1;
-        }
-    }
-    if cells > 0 {
-        node.write_cells(
-            built.cuboid().bits() as u64,
-            cells * Cell::disk_bytes(built.cuboid().dim_count()),
-            cells,
-        );
-    }
-}
-
-/// Per-worker state: the first and most recent tables the worker built,
-/// plus its private storage pool.
-pub(crate) struct AhtScratch {
-    first: Option<AffinityHashTable>,
-    prev: Option<AffinityHashTable>,
-    pool: AhtPool,
-}
-
-/// AHT's decomposition: one task per cuboid, built by collapse when the
-/// worker holds a superset table and from the raw relation otherwise.
-/// AHT treats prefix affinity as ordinary subset affinity (Section
-/// 3.5.2), so the manager's ladder has two passes — subset of previous,
-/// subset of first — then the largest remaining cuboid. A table's final
-/// contents are the same cells either way, so outputs stay
-/// byte-identical however tasks land on workers.
-pub(crate) struct AhtWorkload<'a> {
-    rel: &'a Relation,
-    minsup: u64,
-    hash: AhtHash,
-    affinity: bool,
-    collect: bool,
-}
-
-/// Builds AHT's plan for the given query.
-pub(crate) fn plan<'a>(
-    rel: &'a Relation,
-    query: &IcebergQuery,
-    opts: &RunOptions,
-) -> (Vec<TaskSpec>, AhtWorkload<'a>) {
-    let workload = AhtWorkload {
-        rel,
-        minsup: query.minsup,
-        hash: opts.aht_hash,
-        affinity: opts.affinity,
-        collect: opts.collect_cells,
-    };
-    (lattice_plan(query.dims, false), workload)
-}
-
-impl AhtWorkload<'_> {
-    /// The two subset passes resolved against this worker's held tables.
-    fn ladder(&self, pending: &[TaskSpec], scratch: &AhtScratch) -> Option<Affine> {
-        if !self.affinity {
-            return None;
-        }
-        let prev = scratch.prev.as_ref().map(AffinityHashTable::cuboid);
-        let first = scratch.first.as_ref().map(AffinityHashTable::cuboid);
-        affinity_ladder(pending, prev, first, false, false)
-    }
-
-    /// Builds a cuboid's table from the raw relation (the paper fixes the
-    /// bucket count to the tuple count), charging the scan.
-    fn build(&self, task: CuboidMask, pool: &mut AhtPool) -> (AffinityHashTable, u64) {
-        let rows = self.rel.len();
-        let table = AffinityHashTable::build_pooled(task, self.rel, rows, self.hash, pool);
-        (table, rows as u64)
-    }
 }
 
 /// Charges a table construction that scanned `scanned` source entries,
@@ -640,79 +517,64 @@ fn charge_build(table: &mut AffinityHashTable, scanned: u64, node: &mut SimNode)
     node.charge_comparisons(cmps);
 }
 
-impl Workload for AhtWorkload<'_> {
-    type Scratch = AhtScratch;
-    type Out = CellBuf;
+/// AHT's cell store: the collapsible hash table with the paper's fixed
+/// bucket budget of one bucket per tuple. AHT treats prefix affinity as
+/// ordinary subset affinity (Section 3.5.2), so its ladder has only the
+/// two subset passes, and a table's cells stream out in bucket order
+/// (post-sorting is deferred to query time).
+impl CellStore for AffinityHashTable {
+    type Pool = AhtPool;
+    type Params = AhtHash;
+    const PREFIX_SCAN: Option<PrefixScan<Self>> = None;
 
-    fn scratch(&self, _worker: usize) -> AhtScratch {
-        AhtScratch {
-            first: None,
-            prev: None,
-            pool: AhtPool::new(),
-        }
+    fn cuboid(&self) -> CuboidMask {
+        self.cuboid
     }
 
-    fn prologue(&self, node: &mut SimNode) {
-        charge_replicated_load(self.rel, node);
+    /// Approximate memory footprint: bucket headers plus cells. A chain
+    /// header is three words whether it holds boxed pairs or arena
+    /// indices, and a cell is charged at its key words plus a fixed
+    /// 48-byte record, so the figure is unchanged by the arena layout.
+    fn memory_bytes(&self) -> u64 {
+        (self.bucket_count * std::mem::size_of::<Vec<u32>>()) as u64
+            + self.len as u64 * (self.s.dims.len() as u64 * 4 + 48)
     }
 
-    fn pick(&self, pending: &[TaskSpec], scratch: &AhtScratch) -> usize {
-        self.ladder(pending, scratch)
-            .map_or_else(|| head(pending), |hit| hit.at)
+    fn cells(&self) -> impl Iterator<Item = (&[u32], &Aggregate)> {
+        self.iter()
     }
 
-    fn run(
-        &self,
-        spec: &TaskSpec,
-        scratch: &mut AhtScratch,
+    fn from_rows(
+        rel: &Relation,
+        task: CuboidMask,
+        hash: AhtHash,
         node: &mut SimNode,
-        steered: bool,
-    ) -> CellBuf {
-        let task = cuboid_of(spec);
-        let mut sink = task_sink(self.collect);
-        // With no manager steering affine tasks its way, a cold worker
-        // materializes the full-lattice table before anything else so
-        // the subset passes always have a donor (every task collapses
-        // from the lattice root at worst, never rebuilding from raw data
-        // mid-run). Contents are identical either way.
-        let full = CuboidMask::full(self.rel.arity());
-        if !steered && self.affinity && scratch.first.is_none() && task != full {
-            let (mut table, scanned) = self.build(full, &mut scratch.pool);
-            charge_build(&mut table, scanned, node);
-            node.alloc(table.memory_bytes());
-            scratch.first = Some(table);
-        }
-        let hit = self.ladder(std::slice::from_ref(spec), scratch);
-        let AhtScratch { first, prev, pool } = scratch;
-        let donor = hit.and_then(|hit| match hit.held {
-            Held::Prev => prev.as_ref(),
-            Held::First => first.as_ref(),
-        });
-        let (mut built, scanned) = match donor {
-            Some(held) => (held.collapse(task, pool), held.len() as u64),
-            None => self.build(task, pool),
-        };
-        charge_build(&mut built, scanned, node);
-        emit_table(&built, self.minsup, node, &mut sink);
-        // Install as the worker's previous (and first, if none yet),
-        // releasing the superseded previous table.
-        node.alloc(built.memory_bytes());
-        if first.is_none() {
-            *first = Some(built);
-        } else if let Some(old) = prev.replace(built) {
-            node.free(old.memory_bytes());
-            pool.release(old);
-        }
-        sink
+        pool: &mut AhtPool,
+    ) -> Self {
+        let mut table = Self::build_pooled(task, rel, rel.len(), hash, pool);
+        charge_build(&mut table, rel.len() as u64, node);
+        table
+    }
+
+    fn derive(&self, task: CuboidMask, _: AhtHash, node: &mut SimNode, pool: &mut AhtPool) -> Self {
+        let mut table = self.collapse(task, pool);
+        charge_build(&mut table, self.len() as u64, node);
+        table
+    }
+
+    fn release(self, pool: &mut AhtPool) {
+        pool.release(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm};
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOptions};
+    use crate::cell::Cell;
     use crate::fixtures::sales;
     use crate::naive::{naive_cuboid, naive_iceberg_cube};
+    use crate::query::IcebergQuery;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;

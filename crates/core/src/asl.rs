@@ -16,10 +16,12 @@
 //!   (subroutine `subset-create`).
 //!
 //! Only when neither applies does the worker fall back to scanning the raw
-//! data, and the manager then hands it the largest remaining cuboid to
-//! maximize future affinity. Each worker keeps its first list alive for
-//! the whole run — it has the most dimensions and thus the widest subset
-//! coverage.
+//! data (subroutine `scratch-create`), and the manager then hands it the
+//! largest remaining cuboid to maximize future affinity. Each worker keeps
+//! its first list alive for the whole run — it has the most dimensions and
+//! thus the widest subset coverage. That schedule is AHT's too and is
+//! written once, in the crate's `affinity` driver; this module supplies
+//! the skip list as its cell store, with the three subroutines.
 //!
 //! ASL cannot prune: whether a cell meets the threshold is unknown until
 //! the scan ends, and sub-threshold cells still feed later tasks, so the
@@ -36,156 +38,25 @@
 // itself constructs; a violation is a bug, not runtime input. Tracked
 // by the panic-path triage note in DESIGN section 12.
 
+use crate::affinity::{CellStore, PrefixScan};
 use crate::agg::Aggregate;
-use crate::algorithms::RunOptions;
-use crate::backend::{charge_replicated_load, task_sink};
-use crate::cell::{Cell, CellBuf, CellSink};
-use crate::query::IcebergQuery;
+use crate::cell::{Cell, CellSink};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
-use icecube_exec::{TaskSpec, Workload};
-use icecube_lattice::{CuboidMask, Lattice};
+use icecube_lattice::CuboidMask;
 use icecube_skiplist::{SkipList, SkipListPool};
-use std::cmp::Reverse;
-
-/// Every cuboid of the `d`-lattice, most dimensions first (ties by mask
-/// for determinism): the manager's pool order for ASL and AHT, and so the
-/// id order of their plans.
-pub(crate) fn cuboid_tasks(d: usize) -> Vec<CuboidMask> {
-    let lattice = Lattice::new(d);
-    let mut tasks: Vec<CuboidMask> = lattice.cuboids().collect();
-    tasks.sort_unstable_by(|a, b| b.dim_count().cmp(&a.dim_count()).then(a.cmp(b)));
-    tasks
-}
-
-/// The cuboid a lattice-plan task computes (its affinity hint is the
-/// cuboid's mask).
-pub(crate) fn cuboid_of(spec: &TaskSpec) -> CuboidMask {
-    CuboidMask::from_bits(spec.affinity as u32)
-}
-
-/// Which of a worker's held structures an affinity decision resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Held {
-    /// The most recently installed one.
-    Prev,
-    /// The worker's first (widest), kept for the whole run.
-    First,
-}
-
-/// An affinity hit: which pending task, sourced from which held
-/// structure, and whether by prefix (one accumulate-runs scan, nothing
-/// new installed) or by subset (a new structure seeded from the held one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Affine {
-    pub(crate) at: usize,
-    pub(crate) held: Held,
-    pub(crate) prefix: bool,
-}
-
-/// The manager's task-selection ladder (Section 3.3.2) for a worker
-/// holding the cuboids `prev` and `first`: prefix of the previous, prefix
-/// of the first, subset of the previous, subset of the first — ASL's
-/// four passes, or AHT's two with `prefix_passes` off. Within a pass the
-/// hit is the pending task earliest in pool order (most dimensions
-/// first), or with `longest_prefix` (Section 4.9.2) the subset candidate
-/// sharing the longest key prefix with the held cuboid — its cells then
-/// stream out in near-sorted order. `None` means no pending task is
-/// affine: the worker builds from raw data, and [`head`] names which.
-pub(crate) fn affinity_ladder(
-    pending: &[TaskSpec],
-    prev: Option<CuboidMask>,
-    first: Option<CuboidMask>,
-    prefix_passes: bool,
-    longest_prefix: bool,
-) -> Option<Affine> {
-    let passes = [
-        (prev, Held::Prev, true),
-        (first, Held::First, true),
-        (prev, Held::Prev, false),
-        (first, Held::First, false),
-    ];
-    for (donor, held, prefix) in passes {
-        let Some(donor) = donor else { continue };
-        if prefix && !prefix_passes {
-            continue;
-        }
-        let affine = pending.iter().enumerate().filter(|(_, spec)| {
-            if prefix {
-                cuboid_of(spec).is_prefix_of(donor)
-            } else {
-                cuboid_of(spec).is_subset_of(donor)
-            }
-        });
-        let hit = if longest_prefix && !prefix {
-            affine.max_by_key(|(_, s)| (cuboid_of(s).shared_prefix_len(donor), Reverse(s.id)))
-        } else {
-            affine.min_by_key(|(_, spec)| spec.id)
-        };
-        if let Some((at, _)) = hit {
-            return Some(Affine { at, held, prefix });
-        }
-    }
-    None
-}
-
-/// With no affinity to exploit the manager hands out the pending task
-/// earliest in pool order — the largest remaining cuboid, to maximize
-/// future affinity. (Reclaimed tasks sit at the back of the queue, so
-/// this is not always position 0.)
-pub(crate) fn head(pending: &[TaskSpec]) -> usize {
-    (0..pending.len())
-        .min_by_key(|&at| pending[at].id)
-        .unwrap_or(0)
-}
-
-/// The lattice as a plan. Ids follow [`cuboid_tasks`] (the manager's pool
-/// order). Slice order is the sequence one worker would pull under the
-/// manager's ladder, so that contiguous slice blocks keep unsteered
-/// workers on prefix/subset chains without a demand scheduler: in pool
-/// order most tasks would find no affine held structure (siblings at the
-/// same dimension count are never subsets of each other), forcing
-/// raw-data rebuilds the manager avoids.
-pub(crate) fn lattice_plan(d: usize, prefix_passes: bool) -> Vec<TaskSpec> {
-    let mut pending: Vec<TaskSpec> = cuboid_tasks(d)
-        .iter()
-        .enumerate()
-        .map(|(id, cuboid)| TaskSpec {
-            id,
-            affinity: cuboid.bits() as u64,
-            weight: 1u64 << cuboid.dim_count(),
-        })
-        .collect();
-    let mut chain = Vec::with_capacity(pending.len());
-    let mut first: Option<CuboidMask> = None;
-    let mut prev: Option<CuboidMask> = None;
-    while !pending.is_empty() {
-        let hit = affinity_ladder(&pending, prev, first, prefix_passes, false);
-        let spec = pending.remove(hit.map_or(0, |hit| hit.at));
-        // A prefix hit emits from the held structure and installs nothing.
-        if !hit.is_some_and(|hit| hit.prefix) {
-            if first.is_none() {
-                first = Some(cuboid_of(&spec));
-            } else {
-                prev = Some(cuboid_of(&spec));
-            }
-        }
-        chain.push(spec);
-    }
-    chain
-}
 
 /// A materialized cuboid: its identity plus the skip list of *all* its
 /// cells (unfiltered — sub-threshold cells feed later tasks).
 pub(crate) struct CuboidList {
-    pub(crate) cuboid: CuboidMask,
-    pub(crate) list: SkipList<Aggregate>,
+    cuboid: CuboidMask,
+    list: SkipList<Aggregate>,
 }
 
 /// The per-task scratch buffers shared by the ASL subroutines: cleared
 /// (never shrunk) between tasks so the per-cell loops run allocation-free.
 #[derive(Default)]
-struct AslBufs {
+pub(crate) struct AslBufs {
     /// Projected-key buffer for subset/scratch builds.
     key: Vec<u32>,
     /// Held-list positions of the task's dimensions (subset builds).
@@ -308,191 +179,75 @@ fn scratch_create(
     CuboidList { cuboid: task, list }
 }
 
-/// Streams a finished skip list to disk in key order (breadth-first: one
-/// contiguous cuboid write), filtering by minimum support.
-fn emit_list<S: CellSink>(built: &CuboidList, minsup: u64, node: &mut SimNode, sink: &mut S) {
-    let mut cells = 0u64;
-    for (key, agg) in built.list.iter() {
-        if agg.meets(minsup) {
-            sink.emit(built.cuboid, key, agg);
-            cells += 1;
-        }
-    }
-    if cells > 0 {
-        node.write_cells(
-            built.cuboid.bits() as u64,
-            cells * Cell::disk_bytes(built.cuboid.dim_count()),
-            cells,
-        );
-    }
+/// The skip list's seed per (node, cuboid): it shapes only tower heights
+/// (search cost), never contents or iteration order.
+fn list_seed(seed: u64, task: CuboidMask, node: &SimNode) -> u64 {
+    seed ^ ((node.id() as u64) << 32) ^ task.bits() as u64
 }
 
-/// Per-worker state: the first and most recent skip lists the worker
-/// built, plus its private arena pool and task buffers. The first list is
-/// kept for the whole run — it has the most dimensions and thus the
-/// widest subset coverage.
-pub(crate) struct AslScratch {
-    first: Option<CuboidList>,
-    prev: Option<CuboidList>,
-    pool: SkipListPool<Aggregate>,
-    bufs: AslBufs,
-}
+/// ASL's cell store: the skip list, salted by the plan's seed, with the
+/// prefix passes on.
+impl CellStore for CuboidList {
+    type Pool = (SkipListPool<Aggregate>, AslBufs);
+    type Params = u64;
+    const PREFIX_SCAN: Option<PrefixScan<Self>> = Some(|held, task, minsup, node, sink, pool| {
+        prefix_reuse(held, task, minsup, node, sink, &mut pool.1);
+    });
 
-impl AslScratch {
-    /// Installs a freshly built list as the worker's previous (and
-    /// first, if none yet). A superseded previous list is released and
-    /// retires its arena into the worker's pool.
-    fn install(&mut self, node: &mut SimNode, built: CuboidList) {
-        node.alloc(built.list.memory_bytes());
-        if self.first.is_none() {
-            self.first = Some(built);
-        } else if let Some(old) = self.prev.replace(built) {
-            node.free(old.list.memory_bytes());
-            self.pool.release(old.list);
-        }
-    }
-}
-
-/// ASL's decomposition: one task per cuboid, built by whichever rung of
-/// the manager's ladder the worker's held lists allow. Affinity changes
-/// only *how* a cuboid is built (reuse vs raw scan), never its cells, so
-/// outputs stay byte-identical however tasks land on workers.
-pub(crate) struct AslWorkload<'a> {
-    rel: &'a Relation,
-    minsup: u64,
-    seed: u64,
-    affinity: bool,
-    longest_prefix: bool,
-    collect: bool,
-}
-
-/// Builds ASL's plan for the given query; `seed` salts the skip lists.
-pub(crate) fn plan<'a>(
-    rel: &'a Relation,
-    query: &IcebergQuery,
-    opts: &RunOptions,
-    seed: u64,
-) -> (Vec<TaskSpec>, AslWorkload<'a>) {
-    let workload = AslWorkload {
-        rel,
-        minsup: query.minsup,
-        seed,
-        affinity: opts.affinity,
-        longest_prefix: opts.asl_longest_prefix,
-        collect: opts.collect_cells,
-    };
-    (lattice_plan(query.dims, true), workload)
-}
-
-impl AslWorkload<'_> {
-    /// The ladder resolved against this worker's held lists.
-    fn ladder(&self, pending: &[TaskSpec], scratch: &AslScratch) -> Option<Affine> {
-        if !self.affinity {
-            return None;
-        }
-        let prev = scratch.prev.as_ref().map(|l| l.cuboid);
-        let first = scratch.first.as_ref().map(|l| l.cuboid);
-        affinity_ladder(pending, prev, first, true, self.longest_prefix)
+    fn cuboid(&self) -> CuboidMask {
+        self.cuboid
     }
 
-    /// Builds `task`'s skip list from the raw data, seeded per (node,
-    /// cuboid): the seed shapes only tower heights (search cost), never
-    /// contents or iteration order.
-    fn build(&self, task: CuboidMask, scratch: &mut AslScratch, node: &mut SimNode) -> CuboidList {
-        let seed = self.list_seed(task, node);
-        scratch_create(
-            self.rel,
-            task,
-            seed,
-            node,
-            &mut scratch.pool,
-            &mut scratch.bufs,
-        )
+    fn memory_bytes(&self) -> u64 {
+        self.list.memory_bytes()
     }
 
-    fn list_seed(&self, task: CuboidMask, node: &SimNode) -> u64 {
-        self.seed ^ ((node.id() as u64) << 32) ^ task.bits() as u64
-    }
-}
-
-impl Workload for AslWorkload<'_> {
-    type Scratch = AslScratch;
-    type Out = CellBuf;
-
-    fn scratch(&self, _worker: usize) -> AslScratch {
-        AslScratch {
-            first: None,
-            prev: None,
-            pool: SkipListPool::new(),
-            bufs: AslBufs::default(),
-        }
+    fn cells(&self) -> impl Iterator<Item = (&[u32], &Aggregate)> {
+        self.list.iter()
     }
 
-    fn prologue(&self, node: &mut SimNode) {
-        charge_replicated_load(self.rel, node);
-    }
-
-    fn pick(&self, pending: &[TaskSpec], scratch: &AslScratch) -> usize {
-        self.ladder(pending, scratch)
-            .map_or_else(|| head(pending), |hit| hit.at)
-    }
-
-    fn run(
-        &self,
-        spec: &TaskSpec,
-        scratch: &mut AslScratch,
+    fn from_rows(
+        rel: &Relation,
+        task: CuboidMask,
+        seed: u64,
         node: &mut SimNode,
-        steered: bool,
-    ) -> CellBuf {
-        let task = cuboid_of(spec);
-        let mut sink = task_sink(self.collect);
-        // With no manager steering affine tasks its way, a cold worker
-        // materializes the widest cuboid before anything else, so the
-        // ladder's subset passes always have a donor: every task is a
-        // subset of the full lattice root, which caps the worst case at
-        // one subset build instead of a raw-data rebuild. (A task's cells
-        // are the same bytes whichever path builds them.)
-        let full = CuboidMask::full(self.rel.arity());
-        if !steered && self.affinity && scratch.first.is_none() && task != full {
-            let built = self.build(full, scratch, node);
-            scratch.install(node, built);
-        }
-        let donor = self.ladder(std::slice::from_ref(spec), scratch);
-        let donor = donor.and_then(|hit| {
-            let held = match hit.held {
-                Held::Prev => scratch.prev.as_ref(),
-                Held::First => scratch.first.as_ref(),
-            };
-            Some((held?, hit.prefix))
-        });
-        let built = match donor {
-            Some((held, true)) => {
-                prefix_reuse(held, task, self.minsup, node, &mut sink, &mut scratch.bufs);
-                // No new list: the worker's held lists are unchanged.
-                return sink;
-            }
-            Some((held, false)) => {
-                let seed = self.list_seed(task, node);
-                subset_create(held, task, seed, node, &mut scratch.pool, &mut scratch.bufs)
-            }
-            None => self.build(task, scratch, node),
-        };
-        emit_list(&built, self.minsup, node, &mut sink);
-        scratch.install(node, built);
-        sink
+        (lists, bufs): &mut Self::Pool,
+    ) -> Self {
+        let seed = list_seed(seed, task, node);
+        scratch_create(rel, task, seed, node, lists, bufs)
+    }
+
+    fn derive(
+        &self,
+        task: CuboidMask,
+        seed: u64,
+        node: &mut SimNode,
+        (lists, bufs): &mut Self::Pool,
+    ) -> Self {
+        let seed = list_seed(seed, task, node);
+        subset_create(self, task, seed, node, lists, bufs)
+    }
+
+    fn release(self, (lists, _): &mut Self::Pool) {
+        lists.release(self.list);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{run_parallel_with, Algorithm};
+    use crate::affinity::{
+        affinity_ladder, cuboid_of, cuboid_tasks, head, lattice_plan, Affine, Held,
+    };
+    use crate::algorithms::{run_parallel_with, Algorithm, RunOptions};
     use crate::backend::ExecOutcome;
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
+    use crate::query::IcebergQuery;
     use crate::verify::assert_same_cells;
     use icecube_cluster::ClusterConfig;
     use icecube_data::presets;
+    use icecube_exec::TaskSpec;
 
     fn check(rel: &Relation, minsup: u64, nodes: usize) {
         let q = IcebergQuery::count_cube(rel.arity(), minsup);

@@ -16,11 +16,13 @@
 //! pure function of `(relation, query, options)` regardless of width,
 //! seed, backend, worker count, or stealing order.
 
+use crate::aht::AffinityHashTable;
 use crate::algorithms::{validate, Algorithm, RunOptions};
+use crate::asl::CuboidList;
 use crate::cell::{collect_cells, Cell, CellBuf};
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
-use crate::{aht, asl, bpp, htree, pt, rp};
+use crate::{affinity, bpp, htree, pt, rp};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_exec::{ExecReport, Executor, TaskSpec, Workload};
@@ -87,9 +89,16 @@ pub fn run_parallel_exec<E: Executor>(
     match algorithm {
         Algorithm::Rp => go(executor, rp::plan(rel, query, opts), Ok),
         Algorithm::Bpp => go(executor, bpp::plan(rel, query, opts, units), Ok),
-        Algorithm::Asl => go(executor, asl::plan(rel, query, opts, seed), Ok),
+        Algorithm::Asl => go(
+            executor,
+            affinity::plan::<CuboidList>(rel, query, opts, seed),
+            Ok,
+        ),
         Algorithm::Pt => go(executor, pt::plan(rel, query, opts, units), Ok),
-        Algorithm::Aht => go(executor, aht::plan(rel, query, opts), Ok),
+        Algorithm::Aht => {
+            let plan = affinity::plan::<AffinityHashTable>(rel, query, opts, opts.aht_hash);
+            go(executor, plan, Ok)
+        }
         Algorithm::HashTree => go(executor, htree::plan(rel, query, opts), identity),
     }
 }

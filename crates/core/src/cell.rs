@@ -1,7 +1,8 @@
 //! Cube cells and cell sinks: how cells leave a kernel.
 //!
-//! Kernels hand every qualifying cell to a [`CellSink`]. The standard
-//! sink, [`CellBuf`], appends it to a per-cuboid columnar
+//! Kernels hand every qualifying cell to a [`CellSink`] (a whole cuboid
+//! at a time through `emit_cuboid`, where they write breadth-first). The
+//! standard sink, [`CellBuf`], appends it to a per-cuboid columnar
 //! [`CellBlock`] — no allocation per cell — so what a task leaves behind
 //! is, per cuboid, one contiguous run in emission order: the paper's
 //! breadth-first writing (§3.2) kept all the way to the host side.
@@ -11,6 +12,7 @@
 
 use crate::agg::Aggregate;
 use crate::block::{sorted_order, CellBlock};
+use icecube_cluster::SimNode;
 use icecube_lattice::CuboidMask;
 use std::collections::BTreeMap;
 
@@ -135,6 +137,31 @@ impl CellSink for CellBuf {
 impl<S: CellSink + ?Sized> CellSink for &mut S {
     fn emit(&mut self, cuboid: CuboidMask, key: &[u32], agg: &Aggregate) {
         (**self).emit(cuboid, key, agg);
+    }
+}
+
+/// Writes the cells of `g` that meet `minsup` to `sink` (keys in `g`'s
+/// ascending dimension order) and charges them as one contiguous write:
+/// the top-down comparators, ASL and AHT write breadth-first, a finished
+/// cuboid at a time.
+pub(crate) fn emit_cuboid<'a, K: AsRef<[u32]>, S: CellSink>(
+    g: CuboidMask,
+    cells: impl IntoIterator<Item = (K, &'a Aggregate)>,
+    minsup: u64,
+    node: &mut SimNode,
+    sink: &mut S,
+) {
+    let mut count = 0u64;
+    for (key, agg) in cells.into_iter().filter(|(_, a)| a.meets(minsup)) {
+        sink.emit(g, key.as_ref(), agg);
+        count += 1;
+    }
+    if count > 0 {
+        node.write_cells(
+            u64::from(g.bits()),
+            count * Cell::disk_bytes(g.dim_count()),
+            count,
+        );
     }
 }
 

@@ -33,6 +33,7 @@
 //! node count; [`run_sequential`] runs a Chapter 2 comparator on one
 //! node. All of them return an [`ExecOutcome`].
 
+mod affinity;
 pub mod agg;
 pub mod aht;
 pub mod algorithms;

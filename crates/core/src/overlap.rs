@@ -15,10 +15,10 @@
 //! paper cites [14]'s criticism that it still produces heavy intermediate
 //! I/O on sparse cubes — visible here in the materialized-cells traffic.
 
-use crate::cell::CellSink;
+use crate::cell::{emit_cuboid, CellSink};
 use crate::query::IcebergQuery;
 use crate::topdown::{
-    accumulate, emit, est_size, last_read, parents, positions, project_sorted, sort_raw, sort_work,
+    accumulate, est_size, last_read, parents, positions, project_sorted, sort_raw, sort_work,
     top_down_order, Cells,
 };
 use icecube_cluster::SimNode;
@@ -91,7 +91,7 @@ pub(crate) fn overlap<S: CellSink>(
     // The top cuboid from the raw data, sorted in the root order.
     let top = Lattice::new(query.dims).top();
     let top_cells = sort_raw(rel, &top.dims(), node);
-    emit(
+    emit_cuboid(
         top,
         top_cells.iter().map(|(k, a)| (k, a)),
         query.minsup,
@@ -114,7 +114,7 @@ pub(crate) fn overlap<S: CellSink>(
             continue;
         };
         let cells = from_parent(parent_cells, p, g, shared, node);
-        emit(
+        emit_cuboid(
             g,
             cells.iter().map(|(k, a)| (k, a)),
             query.minsup,

@@ -17,9 +17,9 @@
 //! node.
 
 use crate::agg::Aggregate;
-use crate::cell::CellSink;
+use crate::cell::{emit_cuboid, CellSink};
 use crate::query::IcebergQuery;
-use crate::topdown::{emit, est_size, parents, positions, project, top_down_order};
+use crate::topdown::{est_size, parents, positions, project, top_down_order};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_lattice::{CuboidMask, Lattice};
@@ -173,7 +173,7 @@ fn build_all<S: CellSink>(
     // The top cuboid always contains the split attribute, so in
     // partitioned mode its per-fragment cells are disjoint and emitting
     // them fragment by fragment is exact.
-    emit(top, &top_table, query.minsup, node, sink);
+    emit_cuboid(top, &top_table, query.minsup, node, sink);
     tables.insert(top, top_table);
 
     // Remaining cuboids by descending level, each from its MST parent.
@@ -220,7 +220,7 @@ fn derive<S: CellSink>(
     node.charge_scan(n);
     node.charge_hash_probes(n);
     node.charge_agg_updates(n);
-    emit(child, &table, minsup, node, sink);
+    emit_cuboid(child, &table, minsup, node, sink);
     node.alloc(table.len() as u64 * cell_mem(child.dim_count()));
     tables.insert(child, table);
 }

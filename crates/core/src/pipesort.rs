@@ -21,10 +21,10 @@
 //! support; the threshold filters output only.
 
 use crate::agg::Aggregate;
-use crate::cell::CellSink;
+use crate::cell::{emit_cuboid, CellSink};
 use crate::query::IcebergQuery;
 use crate::topdown::{
-    emit, est_size, last_read, parents, positions, project, resort, sort_raw, top_down_order, Cells,
+    est_size, last_read, parents, positions, project, resort, sort_raw, top_down_order, Cells,
 };
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
@@ -221,7 +221,7 @@ pub(crate) fn pipesort<S: CellSink>(
             };
             let remap = positions(&member.dims(), &planned.order);
             let keys = cells.iter().map(|(k, a)| (project(k, &remap), a));
-            emit(member, keys, query.minsup, node, sink);
+            emit_cuboid(member, keys, query.minsup, node, sink);
             // Materialize only cuboids some later pipeline reads.
             if readers.get(&member).is_some_and(|&n| n > 0) {
                 node.alloc(cells_bytes(&cells));

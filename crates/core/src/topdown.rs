@@ -24,7 +24,7 @@
 //! `ablation_sequential` measures exactly those differences.
 
 use crate::agg::Aggregate;
-use crate::cell::{Cell, CellSink};
+use crate::cell::{emit_cuboid, CellSink};
 use crate::query::IcebergQuery;
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
@@ -152,30 +152,6 @@ pub(crate) fn resort(
     out
 }
 
-/// Writes the cells of `g` that meet `minsup` to `sink` (keys in `g`'s
-/// ascending dimension order) and charges them as one contiguous write:
-/// top-down algorithms write breadth-first, a finished cuboid at a time.
-pub(crate) fn emit<'a, K: AsRef<[u32]>, S: CellSink>(
-    g: CuboidMask,
-    cells: impl IntoIterator<Item = (K, &'a Aggregate)>,
-    minsup: u64,
-    node: &mut SimNode,
-    sink: &mut S,
-) {
-    let mut count = 0u64;
-    for (key, agg) in cells.into_iter().filter(|(_, a)| a.meets(minsup)) {
-        sink.emit(g, key.as_ref(), agg);
-        count += 1;
-    }
-    if count > 0 {
-        node.write_cells(
-            u64::from(g.bits()),
-            count * Cell::disk_bytes(g.dim_count()),
-            count,
-        );
-    }
-}
-
 /// Counts one read of the materialized cuboid `p` off its planned
 /// readers; true once the last of them has run and `p` can be dropped.
 pub(crate) fn last_read(readers: &mut BTreeMap<CuboidMask, usize>, p: CuboidMask) -> bool {
@@ -218,7 +194,7 @@ pub(crate) fn topdown_shared<S: CellSink>(
         cuboid: top,
         cells: sort_raw(rel, &top.dims(), node),
     };
-    emit(
+    emit_cuboid(
         top.cuboid,
         top.cells.iter().map(|(k, a)| (k, a)),
         query.minsup,
@@ -237,7 +213,7 @@ fn descend<S: CellSink>(
 ) {
     for &child in children.get(&parent.cuboid).into_iter().flatten() {
         let m = aggregate_from_parent(parent, child, node);
-        emit(
+        emit_cuboid(
             m.cuboid,
             m.cells.iter().map(|(k, a)| (k, a)),
             minsup,
@@ -278,7 +254,7 @@ fn aggregate_from_parent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{sort_cells, CellBuf};
+    use crate::cell::{sort_cells, Cell, CellBuf};
     use crate::fixtures::sales;
     use crate::naive::naive_iceberg_cube;
     use icecube_cluster::{ClusterConfig, SimCluster};
