@@ -8,14 +8,6 @@ use icecube_core::Algorithm;
 use icecube_data::presets;
 use icecube_data::Relation;
 
-const EVAL: [Algorithm; 5] = [
-    Algorithm::Rp,
-    Algorithm::Bpp,
-    Algorithm::Asl,
-    Algorithm::Pt,
-    Algorithm::Aht,
-];
-
 fn baseline_rel(ctx: &Ctx) -> Relation {
     let mut spec = presets::baseline();
     spec.tuples = ctx.tuples(presets::BASELINE_TUPLES);
@@ -24,11 +16,12 @@ fn baseline_rel(ctx: &Ctx) -> Relation {
 
 /// Figure 4.1 — load on each of 8 parallel computing nodes.
 pub fn fig4_1(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let rel = baseline_rel(ctx);
     let mut headers = vec!["node".to_string()];
-    headers.extend(EVAL.iter().map(|a| format!("{a}_load_s")));
+    headers.extend(eval.iter().map(|a| format!("{a}_load_s")));
     let mut t = Table::new(headers);
-    let stats: Vec<_> = EVAL
+    let stats: Vec<_> = eval
         .iter()
         .map(|&a| measure(a, &rel, presets::BASELINE_MINSUP, 8).report.stats)
         .collect();
@@ -41,7 +34,8 @@ pub fn fig4_1(ctx: &Ctx) -> Report {
     imb.extend(stats.iter().map(|s| f2(s.imbalance())));
     t.row(imb);
     let mut r = Report::new("fig4_1", "Load balancing on 8 processors (Figure 4.1)", t);
-    let get = |a: Algorithm| stats[EVAL.iter().position(|&x| x == a).expect("in EVAL")].imbalance();
+    let get =
+        |a: Algorithm| stats[eval.iter().position(|&x| x == a).expect("evaluated")].imbalance();
     let strong = get(Algorithm::Asl)
         .max(get(Algorithm::Aht))
         .max(get(Algorithm::Pt));
@@ -62,19 +56,20 @@ pub fn fig4_1(ctx: &Ctx) -> Report {
 
 /// Figure 4.2 — speedup when varying the number of processors.
 pub fn fig4_2(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let rel = baseline_rel(ctx);
     let procs = [1usize, 2, 4, 8, 16];
     let mut headers = vec!["procs".to_string()];
-    for a in EVAL {
+    for a in eval {
         headers.push(format!("{a}_s"));
         headers.push(format!("{a}_speedup"));
     }
     let mut t = Table::new(headers);
     let mut base: Vec<f64> = Vec::new();
-    let mut at8: Vec<f64> = vec![0.0; EVAL.len()];
+    let mut at8: Vec<f64> = vec![0.0; eval.len()];
     for &p in &procs {
         let mut row = vec![p.to_string()];
-        for (i, &a) in EVAL.iter().enumerate() {
+        for (i, &a) in eval.iter().enumerate() {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, p);
             let w = out.report.wall_ns as f64 / 1e9;
             if p == 1 {
@@ -109,9 +104,10 @@ pub fn fig4_2(ctx: &Ctx) -> Report {
 
 /// Figure 4.3 — varying the dataset size (up to ~1M tuples).
 pub fn fig4_3(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let sizes = [176_631usize, 353_262, 706_524, 1_059_786];
     let mut headers = vec!["tuples".to_string()];
-    headers.extend(EVAL.iter().map(|a| format!("{a}_s")));
+    headers.extend(eval.iter().map(|a| format!("{a}_s")));
     let mut t = Table::new(headers);
     let mut firsts = Vec::new();
     let mut lasts = Vec::new();
@@ -120,7 +116,7 @@ pub fn fig4_3(ctx: &Ctx) -> Report {
         spec.seed ^= si as u64; // independent draws per size
         let rel = spec.generate().expect("sized preset is valid");
         let mut row = vec![rel.len().to_string()];
-        for &a in &EVAL {
+        for a in eval {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, 8);
             let w = out.report.wall_ns as f64 / 1e9;
             if si == 0 {
@@ -152,24 +148,25 @@ pub fn fig4_3(ctx: &Ctx) -> Report {
 
 /// Figure 4.4 — varying the number of cube dimensions (5..13).
 pub fn fig4_4(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let dims: Vec<usize> = [5usize, 7, 9, 11, 13]
         .into_iter()
         .filter(|&d| d <= ctx.max_dims)
         .collect();
     let mut headers = vec!["dims".to_string()];
-    headers.extend(EVAL.iter().map(|a| format!("{a}_s")));
-    headers.extend(EVAL.iter().map(|a| format!("{a}_comm_kb")));
+    headers.extend(eval.iter().map(|a| format!("{a}_s")));
+    headers.extend(eval.iter().map(|a| format!("{a}_comm_kb")));
     let mut t = Table::new(headers);
     let top = *dims.last().expect("non-empty sweep");
-    let mut at13: Vec<f64> = vec![0.0; EVAL.len()];
-    let mut at5: Vec<f64> = vec![0.0; EVAL.len()];
+    let mut at13: Vec<f64> = vec![0.0; eval.len()];
+    let mut at5: Vec<f64> = vec![0.0; eval.len()];
     for &d in &dims {
         let mut spec = presets::with_dims(d);
         spec.tuples = ctx.tuples(presets::BASELINE_TUPLES);
         let rel = spec.generate().expect("dims preset is valid");
         let mut row = vec![d.to_string()];
-        let mut comm = Vec::with_capacity(EVAL.len());
-        for (i, &a) in EVAL.iter().enumerate() {
+        let mut comm = Vec::with_capacity(eval.len());
+        for (i, &a) in eval.iter().enumerate() {
             // Traced run: the trace charges nothing, so the makespan is
             // the untraced one, and the communication volume falls out of
             // the recorded message events.
@@ -221,10 +218,11 @@ pub fn fig4_4(ctx: &Ctx) -> Report {
 /// Figure 4.5 — varying the minimum support (1..32), including the output
 /// sizes the paper quotes (469/86/27/11 MB for supports 1/2/4/8).
 pub fn fig4_5(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let rel = baseline_rel(ctx);
     let supports = [1u64, 2, 4, 8, 16, 32];
     let mut headers = vec!["minsup".to_string()];
-    headers.extend(EVAL.iter().map(|a| format!("{a}_s")));
+    headers.extend(eval.iter().map(|a| format!("{a}_s")));
     headers.push("output_mb".to_string());
     let mut t = Table::new(headers);
     let mut out_sizes = Vec::new();
@@ -232,7 +230,7 @@ pub fn fig4_5(ctx: &Ctx) -> Report {
     for &minsup in &supports {
         let mut row = vec![minsup.to_string()];
         let mut bytes = 0u64;
-        for &a in &EVAL {
+        for a in eval {
             let out = measure(a, &rel, minsup, 8);
             row.push(f2(out.report.wall_ns as f64 / 1e9));
             if a == Algorithm::Pt {
@@ -266,18 +264,19 @@ pub fn fig4_5(ctx: &Ctx) -> Report {
 
 /// Figure 4.6 — varying the sparseness (cardinality-product exponent).
 pub fn fig4_6(ctx: &Ctx) -> Report {
+    let eval = Algorithm::evaluated();
     let exponents = [6.0f64, 10.0, 14.0, 18.0, 22.0];
     let mut headers = vec!["card_exp".to_string()];
-    headers.extend(EVAL.iter().map(|a| format!("{a}_s")));
+    headers.extend(eval.iter().map(|a| format!("{a}_s")));
     let mut t = Table::new(headers);
-    let mut dense: Vec<f64> = vec![0.0; EVAL.len()];
-    let mut sparse: Vec<f64> = vec![0.0; EVAL.len()];
+    let mut dense: Vec<f64> = vec![0.0; eval.len()];
+    let mut sparse: Vec<f64> = vec![0.0; eval.len()];
     for (ei, &e) in exponents.iter().enumerate() {
         let mut spec = presets::with_sparseness(e);
         spec.tuples = ctx.tuples(presets::BASELINE_TUPLES);
         let rel = spec.generate().expect("sparseness preset is valid");
         let mut row = vec![format!("{e:.0}")];
-        for (i, &a) in EVAL.iter().enumerate() {
+        for (i, &a) in eval.iter().enumerate() {
             let out = measure(a, &rel, presets::BASELINE_MINSUP, 8);
             let w = out.report.wall_ns as f64 / 1e9;
             if ei == 0 {

@@ -15,14 +15,6 @@ use icecube_cluster::{ClusterConfig, FaultPlan};
 use icecube_core::{run_parallel_with, Algorithm, IcebergQuery, RunOptions};
 use icecube_data::SyntheticSpec;
 
-const ALGS: [Algorithm; 5] = [
-    Algorithm::Rp,
-    Algorithm::Bpp,
-    Algorithm::Asl,
-    Algorithm::Pt,
-    Algorithm::Aht,
-];
-
 /// Fault-plan seed; fixed so every run injects the identical faults.
 const SEED: u64 = 0x1ceb_fa17;
 
@@ -56,7 +48,7 @@ pub fn fault(ctx: &Ctx) -> Report {
     ]);
     let mut all_match = true;
     let mut worst_overhead = 1.0f64;
-    for alg in ALGS {
+    for alg in Algorithm::evaluated() {
         let mut baseline_ns = 0u64;
         let mut baseline_cells = 0u64;
         for severity in SEVERITIES {
@@ -117,7 +109,10 @@ mod tests {
     fn fault_experiment_heals_exactly_and_is_deterministic() {
         let ctx = Ctx::quick();
         let r = fault(&ctx);
-        assert_eq!(r.table.len(), ALGS.len() * SEVERITIES.len());
+        assert_eq!(
+            r.table.len(),
+            Algorithm::evaluated().len() * SEVERITIES.len()
+        );
         for i in 0..r.table.len() {
             assert_eq!(r.table.cell(i, 10), "yes", "row {i} lost cells");
         }

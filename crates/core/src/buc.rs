@@ -163,37 +163,15 @@ pub fn bpp_buc_with<S: CellSink>(
     eng.bpp_from_root(groups, task);
 }
 
-/// Computes `task`'s group-bys with BPP-BUC over an index that is already
-/// sorted (grouped) by the task root's dimensions — PT's entry point, which
-/// lets a worker reuse the sort it made for a previous task with a shared
-/// root prefix (Section 3.4: "sort R on the root of T, exploiting prefix
-/// affinity if possible").
+/// Computes `task`'s group-bys with BPP-BUC, over `scratch`, from an index
+/// that is already sorted (grouped) by the task root's dimensions — PT's
+/// entry point, which lets a worker reuse the sort it made for a previous
+/// task with a shared root prefix (Section 3.4: "sort R on the root of T,
+/// exploiting prefix affinity if possible").
 ///
 /// `groups` must be the runs of equal root-dimension values over `idx`,
 /// *unpruned* (this function applies the support filter itself). For a
 /// task rooted at "all", pass the single group covering the whole index.
-pub fn bpp_buc_presorted<S: CellSink>(
-    rel: &Relation,
-    minsup: u64,
-    task: TreeTask,
-    idx: &[u32],
-    groups: &[Group],
-    node: &mut SimNode,
-    sink: &mut S,
-) {
-    bpp_buc_presorted_with(
-        &mut BucScratch::new(),
-        rel,
-        minsup,
-        task,
-        idx,
-        groups,
-        node,
-        sink,
-    );
-}
-
-/// [`bpp_buc_presorted`] with caller-provided scratch (PT's demand loop).
 #[allow(clippy::too_many_arguments)]
 pub fn bpp_buc_presorted_with<S: CellSink>(
     scratch: &mut BucScratch,

@@ -48,6 +48,12 @@
 //! assert!(outcome.cells.len() > 0);
 //! ```
 
+/// The README's Rust code, compiled and run as a doctest so that its
+/// quick-start cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use icecube_cluster as cluster;
 pub use icecube_core as core;
 pub use icecube_data as data;
