@@ -10,10 +10,11 @@
 //!    call path file:line-by-file:line from the nearest pub root, so a
 //!    suppression sits next to the code whose invariant justifies it.
 //! 2. **alloc-hot-path** — no fn reachable from the configured kernel
-//!    recursion roots (BUC/ASL/AHT/PT) may reach an allocating
-//!    constructor. The roots are the *inner* recursion fns, so the
-//!    scratch-arena prologue (which allocates by design, before
-//!    recursion starts) is naturally out of scope.
+//!    recursion roots (BUC/ASL/AHT/PT) or the delta-merge loops may
+//!    reach an allocating constructor. The roots are the *inner*
+//!    recursion fns and the per-cuboid merges, so the scratch-arena
+//!    prologue and the caller-allocated successors (which allocate by
+//!    design, before the loop starts) are naturally out of scope.
 //! 3. **lock-order + spawn-site** — functions in the lock scope
 //!    (`exec/native.rs`, `crates/serve/src/`) get a transitive
 //!    first-acquisition lock sequence; two functions acquiring the same
@@ -51,8 +52,8 @@ pub struct AnalyzeConfig {
 
 impl AnalyzeConfig {
     /// The workspace's own configuration: the BUC/ASL/AHT/PT recursion
-    /// cores, the executor-and-server lock scope, and the two sanctioned
-    /// spawn files.
+    /// cores and the delta-merge loops, the executor-and-server lock
+    /// scope, and the two sanctioned spawn files.
     pub fn workspace_default() -> AnalyzeConfig {
         AnalyzeConfig {
             alloc_roots: vec![
@@ -73,6 +74,10 @@ impl AnalyzeConfig {
                 ("core/src/cell.rs", None, "emit_cuboid"),
                 // PT: the shared sort-cache fill.
                 ("core/src/pt.rs", Some("SortCache"), "prepare"),
+                // The delta merge and the view upsert: their caller
+                // allocates each successor, they only fill it.
+                ("core/src/store.rs", None, "merge_cuboid"),
+                ("core/src/store.rs", None, "upsert_cuboid"),
             ],
             lock_scope: vec!["crates/exec/src/native.rs", "crates/serve/src/"],
             spawn_allowed_files: vec!["crates/exec/src/native.rs", "crates/serve/src/server.rs"],

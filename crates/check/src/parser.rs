@@ -458,12 +458,12 @@ impl Parser {
                 }
                 Tok::Ident(id) => {
                     // Part of a path or method name already considered?
-                    if self.pos > 0
-                        && matches!(
-                            self.code[self.pos - 1].0.tok,
-                            Tok::Punct('.') | Tok::Punct(':')
-                        )
-                    {
+                    // A lone `:` (a struct-literal field) starts a fresh
+                    // expression.
+                    let after_path = self.pos >= 2
+                        && self.punct(self.pos - 1, ':')
+                        && self.punct(self.pos - 2, ':');
+                    if after_path || self.pos > 0 && self.punct(self.pos - 1, '.') {
                         self.pos += 1;
                         continue;
                     }
@@ -694,6 +694,23 @@ mod tests {
         }));
         assert!(ev.contains(&&EventKind::MacroUse { name: "vec".into() }));
         assert!(ev.contains(&&EventKind::Index));
+    }
+
+    #[test]
+    fn struct_literal_fields_hold_path_calls() {
+        let src = "fn f(n: usize) -> B {\n    B { k: Vec::with_capacity(n), m: mk(n) }\n}";
+        let fs = fns(src);
+        let ev = events_of(&fs[0]);
+        assert!(ev.contains(&&EventKind::PathCall {
+            segments: vec!["Vec".into(), "with_capacity".into()]
+        }));
+        assert!(ev.contains(&&EventKind::PathCall {
+            segments: vec!["mk".into()]
+        }));
+        // The tail of a path is still not a call of its own.
+        assert!(!ev.contains(&&EventKind::PathCall {
+            segments: vec!["with_capacity".into()]
+        }));
     }
 
     #[test]

@@ -129,6 +129,41 @@ pub struct AffinityHashTable {
     s: TableStorage,
 }
 
+/// Inserts `key` into a bucket's sorted `chain` as entry `len` of the
+/// arena (bumping `len`), or merges `agg` into the entry already holding
+/// it. Returns the key comparisons a linearly probed chain (the paper's
+/// implementation) would pay: about half the chain fails on its first
+/// key element and the hit compares the whole key, while a miss scans
+/// the whole chain.
+#[inline]
+fn chain_upsert(
+    chain: &mut Vec<u32>,
+    entry_keys: &mut Vec<u32>,
+    entry_aggs: &mut Vec<Aggregate>,
+    len: &mut usize,
+    key: &[u32],
+    agg: &Aggregate,
+) -> u64 {
+    let klen = key.len();
+    match chain.binary_search_by(|&e| {
+        let at = e as usize * klen;
+        entry_keys[at..at + klen].cmp(key)
+    }) {
+        Ok(pos) => {
+            entry_aggs[chain[pos] as usize].merge(agg);
+            (chain.len() as u64).div_ceil(2) + klen as u64
+        }
+        Err(pos) => {
+            let probed = chain.len() as u64;
+            entry_keys.extend_from_slice(key);
+            entry_aggs.push(*agg);
+            chain.insert(pos, *len as u32);
+            *len += 1;
+            probed
+        }
+    }
+}
+
 impl AffinityHashTable {
     /// Distributes index bits over the attributes: each starts at
     /// `ceil(log2 cardinality)` and the widest attributes shed bits until
@@ -277,33 +312,20 @@ impl AffinityHashTable {
         debug_assert_eq!(key.len(), self.s.dims.len());
         let idx = self.index(key);
         self.probes += 1;
-        let klen = key.len();
         let TableStorage {
             chains,
             entry_keys,
             entry_aggs,
             ..
         } = &mut self.s;
-        let chain = &mut chains[idx];
-        match chain.binary_search_by(|&e| {
-            let at = e as usize * klen;
-            entry_keys[at..at + klen].cmp(key)
-        }) {
-            Ok(pos) => {
-                // Linear probe: ~half the chain fails on its first key
-                // element, the hit compares the whole key.
-                self.key_cmps += (chain.len() as u64).div_ceil(2) + klen as u64;
-                entry_aggs[chain[pos] as usize].merge(agg);
-            }
-            Err(pos) => {
-                self.key_cmps += chain.len() as u64;
-                let entry = self.len as u32;
-                entry_keys.extend_from_slice(key);
-                entry_aggs.push(*agg);
-                chain.insert(pos, entry);
-                self.len += 1;
-            }
-        }
+        self.key_cmps += chain_upsert(
+            &mut chains[idx],
+            entry_keys,
+            entry_aggs,
+            &mut self.len,
+            key,
+            agg,
+        );
     }
 
     /// Builds a table from the raw relation.
@@ -445,25 +467,14 @@ impl AffinityHashTable {
                 let chain = &mut chains[b];
                 for &ord in &order[end - cnt..end] {
                     let at = ord as usize * klen;
-                    let key = &proj[at..at + klen];
-                    match chain.binary_search_by(|&e| {
-                        let at = e as usize * klen;
-                        entry_keys[at..at + klen].cmp(key)
-                    }) {
-                        Ok(pos) => {
-                            key_cmps += (chain.len() as u64).div_ceil(2) + klen as u64;
-                            entry_aggs[chain[pos] as usize]
-                                .merge(&self.s.entry_aggs[src[ord as usize] as usize]);
-                        }
-                        Err(pos) => {
-                            key_cmps += chain.len() as u64;
-                            let entry = len as u32;
-                            entry_keys.extend_from_slice(key);
-                            entry_aggs.push(self.s.entry_aggs[src[ord as usize] as usize]);
-                            chain.insert(pos, entry);
-                            len += 1;
-                        }
-                    }
+                    key_cmps += chain_upsert(
+                        chain,
+                        entry_keys,
+                        entry_aggs,
+                        &mut len,
+                        &proj[at..at + klen],
+                        &self.s.entry_aggs[src[ord as usize] as usize],
+                    );
                 }
             }
         }

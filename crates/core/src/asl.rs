@@ -40,7 +40,7 @@
 
 use crate::affinity::{CellStore, PrefixScan};
 use crate::agg::Aggregate;
-use crate::cell::{Cell, CellSink};
+use crate::cell::{emit_cuboid, CellSink};
 use icecube_cluster::SimNode;
 use icecube_data::Relation;
 use icecube_lattice::CuboidMask;
@@ -61,53 +61,38 @@ pub(crate) struct AslBufs {
     key: Vec<u32>,
     /// Held-list positions of the task's dimensions (subset builds).
     positions: Vec<usize>,
-    /// Current run's key during a prefix-reuse scan.
-    run_key: Vec<u32>,
 }
 
 /// Subroutine `prefix-reuse` (Figure 3.8): the held list is sorted with the
 /// task's dimensions as a key prefix, so one accumulate-runs scan both
-/// aggregates and emits in sorted order.
+/// aggregates and emits in sorted order. Each run is keyed by its first
+/// cell's prefix, borrowed from the list, and streams to the thresholded
+/// emit.
 fn prefix_reuse<S: CellSink>(
     held: &CuboidList,
     task: CuboidMask,
     minsup: u64,
     node: &mut SimNode,
     sink: &mut S,
-    bufs: &mut AslBufs,
 ) {
     debug_assert!(task.is_prefix_of(held.cuboid));
     let k = task.dim_count();
-    let run_key = &mut bufs.run_key;
-    run_key.clear();
-    let mut run_agg = Aggregate::empty();
-    let mut cells = 0u64;
-    let flush = |key: &mut Vec<u32>, agg: &mut Aggregate, sink: &mut S, cells: &mut u64| {
-        if !key.is_empty() {
-            if agg.meets(minsup) {
-                sink.emit(task, key, agg);
-                *cells += 1;
-            }
-            key.clear();
-            *agg = Aggregate::empty();
-        }
-    };
-    let mut scanned = 0u64;
-    for (key, agg) in held.list.iter() {
-        scanned += 1;
-        let prefix = &key[..k];
-        if run_key.as_slice() != prefix {
-            flush(run_key, &mut run_agg, sink, &mut cells);
-            run_key.extend_from_slice(prefix);
-        }
-        run_agg.merge(agg);
-    }
-    flush(run_key, &mut run_agg, sink, &mut cells);
+    // The scan compares each cell's prefix with its run's and merges the
+    // cell into the run: charged before the emit's write, as one pass.
+    let scanned = held.list.len() as u64;
     node.charge_comparisons(scanned * k as u64);
     node.charge_agg_updates(scanned);
-    if cells > 0 {
-        node.write_cells(task.bits() as u64, cells * Cell::disk_bytes(k), cells);
-    }
+    let mut cells = held.list.iter().peekable();
+    let runs = std::iter::from_fn(|| {
+        let (key, agg) = cells.next()?;
+        let prefix = &key[..k];
+        let mut run = *agg;
+        while let Some((_, more)) = cells.next_if(|(next, _)| &next[..k] == prefix) {
+            run.merge(more);
+        }
+        Some((prefix, run))
+    });
+    emit_cuboid(task, runs, minsup, node, sink);
 }
 
 /// Subroutine `subset-create` (Figure 3.8): seed a new skip list from the
@@ -190,8 +175,8 @@ fn list_seed(seed: u64, task: CuboidMask, node: &SimNode) -> u64 {
 impl CellStore for CuboidList {
     type Pool = (SkipListPool<Aggregate>, AslBufs);
     type Params = u64;
-    const PREFIX_SCAN: Option<PrefixScan<Self>> = Some(|held, task, minsup, node, sink, pool| {
-        prefix_reuse(held, task, minsup, node, sink, &mut pool.1);
+    const PREFIX_SCAN: Option<PrefixScan<Self>> = Some(|held, task, minsup, node, sink, _| {
+        prefix_reuse(held, task, minsup, node, sink);
     });
 
     fn cuboid(&self) -> CuboidMask {

@@ -14,6 +14,7 @@ use crate::agg::Aggregate;
 use crate::block::{sorted_order, CellBlock};
 use icecube_cluster::SimNode;
 use icecube_lattice::CuboidMask;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// One iceberg cell: a group-by, its key values (in ascending dimension
@@ -143,18 +144,22 @@ impl<S: CellSink + ?Sized> CellSink for &mut S {
 /// Writes the cells of `g` that meet `minsup` to `sink` (keys in `g`'s
 /// ascending dimension order) and charges them as one contiguous write:
 /// the top-down comparators, ASL and AHT write breadth-first, a finished
-/// cuboid at a time.
-pub(crate) fn emit_cuboid<'a, K: AsRef<[u32]>, S: CellSink>(
+/// cuboid at a time. Aggregates come stored (`&Aggregate`) or streamed
+/// by value, as ASL's prefix scan accumulates them.
+pub(crate) fn emit_cuboid<K: AsRef<[u32]>, A: Borrow<Aggregate>, S: CellSink>(
     g: CuboidMask,
-    cells: impl IntoIterator<Item = (K, &'a Aggregate)>,
+    cells: impl IntoIterator<Item = (K, A)>,
     minsup: u64,
     node: &mut SimNode,
     sink: &mut S,
 ) {
     let mut count = 0u64;
-    for (key, agg) in cells.into_iter().filter(|(_, a)| a.meets(minsup)) {
-        sink.emit(g, key.as_ref(), agg);
-        count += 1;
+    for (key, agg) in cells.into_iter() {
+        let agg = agg.borrow();
+        if agg.meets(minsup) {
+            sink.emit(g, key.as_ref(), agg);
+            count += 1;
+        }
     }
     if count > 0 {
         node.write_cells(

@@ -4,8 +4,8 @@
 //! module keeps a cube live under append batches, HaCube-style: the stored
 //! cube reuses its materialization by *merging* delta aggregates instead of
 //! rebuilding. A [`MaintainedCube`] owns a **floor** store — full partial
-//! aggregates at minimum support 1 — and serves thresholded snapshots at
-//! its current serving minsup:
+//! aggregates at minimum support 1 — and a **view**, the floor
+//! thresholded at its current serving minsup, which it serves:
 //!
 //! * **Ingest** counting-sorts just the batch (a BUC pass at minsup 1, no
 //!   pruning — the floor needs every partial so sub-threshold cells can be
@@ -18,12 +18,22 @@
 //!   The merge touches exactly the lattice region the batch's cells
 //!   project into (`Σ_g |π_g(batch)|` cells over the
 //!   cuboids with at least one delta cell) — never the whole cube.
+//! * **The merge keeps the view.** For each touched cuboid the floor
+//!   merge also hands back its merged cells that meet the serving minsup,
+//!   and they are upserted into the cuboid's view block: a promoted cell
+//!   is inserted, an updated one replaced. Appends never lower a count,
+//!   so no cell leaves the view between threshold changes, and a cuboid
+//!   with no qualifying change keeps its block. [`MaintainedCube::visible`]
+//!   is then a clone of the view's per-cuboid blocks, shared with the
+//!   served epoch and the next refresh — no per-cell work.
 //! * **Promotion/demotion is tombstone-free.** The floor always holds the
-//!   truth; [`MaintainedCube::visible`] simply does not copy cells below
-//!   the serving threshold. A cell crossing minsup upward (ingest) appears,
-//!   and one crossing downward ([`MaintainedCube::set_minsup`] raising the
-//!   threshold — append-only counts never shrink) retires, atomically with
-//!   the epoch bump that publishes the next snapshot.
+//!   truth; the view simply holds no cell below the serving threshold. A
+//!   cell crossing minsup upward (ingest) appears, and one crossing
+//!   downward ([`MaintainedCube::set_minsup`] raising the threshold —
+//!   append-only counts never shrink) retires, atomically with the epoch
+//!   bump that publishes the next snapshot. A threshold change rebuilds
+//!   the view once from the floor ([`CubeStore::thresholded`]); a fold
+//!   drops it, and the next ingest rebuilds it the same way.
 //! * **Equivalence contract** (the tier-1 oracle in
 //!   `tests/incremental_equivalence.rs`): after any batch sequence, the
 //!   visible snapshot is byte-identical to a from-scratch recompute over
@@ -49,7 +59,7 @@ use crate::cell::Cell;
 use crate::error::AlgoError;
 use crate::query::IcebergQuery;
 use crate::sequential::{run_sequential_sink, SeqAlgorithm};
-use crate::store::{merge_cuboid, CubeStore, MergeStats};
+use crate::store::{blocks_of, merge_cuboid, CubeStore, MergeStats};
 use icecube_cluster::{ClusterConfig, SimNode};
 use icecube_data::{DeltaBatch, Relation};
 use icecube_exec::{NativeExecutor, TaskSpec, Workload};
@@ -85,6 +95,9 @@ pub struct MaintainedCube {
     minsup: u64,
     epoch: u64,
     floor: CubeStore,
+    /// The floor thresholded at `minsup`, kept current by every ingest's
+    /// merge. `None` after a fold, until the next ingest re-seeds it.
+    view: Option<CubeStore>,
 }
 
 impl MaintainedCube {
@@ -95,11 +108,14 @@ impl MaintainedCube {
             return Err(AlgoError::NoDimensions);
         }
         check_dims(dims)?;
+        let minsup = minsup.max(1);
+        let floor = CubeStore::from_cells(dims, 1, Vec::new());
         Ok(MaintainedCube {
             dims,
-            minsup: minsup.max(1),
+            minsup,
             epoch: 0,
-            floor: CubeStore::from_cells(dims, 1, Vec::new()),
+            view: Some(floor.thresholded(minsup)),
+            floor,
         })
     }
 
@@ -134,8 +150,16 @@ impl MaintainedCube {
 
     /// The servable snapshot at the current serving minsup — byte-identical
     /// to a from-scratch build over everything ingested so far.
+    ///
+    /// A clone of the view the merges keep current: it shares every block
+    /// with the view, so it copies no cell, and a later merge replaces the
+    /// view's blocks rather than writing them. After a fold, and until the
+    /// next ingest, it is thresholded from the floor instead.
     pub fn visible(&self) -> CubeStore {
-        self.floor.thresholded(self.minsup)
+        match &self.view {
+            Some(view) => view.clone(),
+            None => self.floor.thresholded(self.minsup),
+        }
     }
 
     /// Ingests an append batch of raw rows: counting-sorts just the batch
@@ -152,8 +176,9 @@ impl MaintainedCube {
     /// thread: the pass is BPP-BUC at minsup 1 on one simulated node
     /// under `config`, so `clock_ns` is that node's virtual time; its sink
     /// blocks merge into the floor as they are, with no `Vec<Cell>` on the
-    /// way, each touched cuboid's successor installed before the next is
-    /// allocated. On error the floor is unchanged.
+    /// way, each touched cuboid's successor, and its view successor,
+    /// installed before the next is allocated. On error the floor is
+    /// unchanged.
     pub fn ingest_with(
         &mut self,
         batch: &Relation,
@@ -163,7 +188,7 @@ impl MaintainedCube {
         if delta.blocks.is_empty() {
             return Ok(self.noop_report());
         }
-        let stats = self.floor.merge_blocks(delta.blocks, self.minsup);
+        let stats = self.merge_delta(delta.blocks);
         Ok(self.published(stats, delta.clock_ns))
     }
 
@@ -196,6 +221,10 @@ impl MaintainedCube {
     /// alive until the plan returns, which costs nothing when a served
     /// epoch shares them anyway, as a progressive build's does. On error
     /// the floor is unchanged.
+    ///
+    /// A fold does not keep the thresholded view: a progressive build
+    /// serves its floor. It drops the view, and the next ingest seeds it
+    /// again from the floor.
     pub fn fold(
         &mut self,
         delta: ChunkDelta,
@@ -237,6 +266,7 @@ impl MaintainedCube {
         let report = if blocks.is_empty() {
             self.noop_report()
         } else {
+            self.view = None;
             self.published(stats, clock_ns)
         };
         Ok((report, aggregated))
@@ -286,7 +316,8 @@ impl MaintainedCube {
     /// Re-thresholds the serving minsup (clamped to at least 1), counting
     /// the cells that appear (threshold lowered) and retire (raised). The
     /// floor is untouched — promotion and demotion are pure visibility
-    /// changes, atomic with the epoch bump.
+    /// changes, atomic with the epoch bump. A changed threshold rebuilds
+    /// the view once, from the floor.
     pub fn set_minsup(&mut self, minsup: u64) -> DeltaReport {
         let minsup = minsup.max(1);
         let mut promoted = 0usize;
@@ -300,6 +331,7 @@ impl MaintainedCube {
         if minsup != self.minsup {
             self.minsup = minsup;
             self.epoch += 1;
+            self.view = Some(self.floor.thresholded(minsup));
         }
         DeltaReport {
             epoch: self.epoch,
@@ -317,8 +349,20 @@ impl MaintainedCube {
     }
 
     fn merge(&mut self, cells: Vec<Cell>, clock_ns: u64) -> Result<DeltaReport, AlgoError> {
-        let stats = self.floor.merge_cells(cells, self.minsup)?;
+        self.floor.check_cells(&cells)?;
+        let stats = self.merge_delta(blocks_of(cells));
         Ok(self.published(stats, clock_ns))
+    }
+
+    /// Merges delta blocks into the floor, keeping the view current, or
+    /// seeding it afterwards when a fold dropped it.
+    fn merge_delta(&mut self, blocks: Vec<CellBlock>) -> MergeStats {
+        if let Some(view) = self.view.as_mut() {
+            return self.floor.merge_blocks(blocks, self.minsup, Some(view));
+        }
+        let stats = self.floor.merge_blocks(blocks, self.minsup, None);
+        self.view = Some(self.floor.thresholded(self.minsup));
+        stats
     }
 
     /// Bumps the epoch for a successful merge and reports it.
@@ -414,7 +458,7 @@ impl Workload for FoldPlan<'_> {
             .and_then(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).take());
         let mut merged = taken.unwrap_or_else(|| self.floor.successor(run));
         let old = self.floor.block(run.cuboid());
-        let stats = merge_cuboid(old, run, &mut merged, self.watch_minsup);
+        let stats = merge_cuboid(old, run, &mut merged, self.watch_minsup, None);
         Some((merged, stats))
     }
 }
@@ -424,6 +468,7 @@ mod tests {
     use super::*;
     use crate::naive::naive_iceberg_cube;
     use icecube_data::Schema;
+    use icecube_lattice::CuboidMask;
 
     fn rel(rows: &[(&[u32], i64)], cards: &[u32]) -> Relation {
         let mut r = Relation::new(Schema::from_cardinalities(cards).unwrap());
@@ -603,6 +648,101 @@ mod tests {
         assert_eq!(report.epoch, 1);
         assert_eq!(cube.epoch(), 1);
         assert!(next.is_some_and(|delta| delta.is_ok_and(|d| d.clock_ns() > 0)));
+    }
+
+    /// The view oracle: the served snapshot equals the floor thresholded
+    /// from scratch at the serving minsup.
+    fn assert_view_is_current(cube: &MaintainedCube, step: &str) {
+        assert_eq!(
+            bytes(&cube.visible()),
+            bytes(&cube.floor().thresholded(cube.minsup())),
+            "after {step}"
+        );
+    }
+
+    #[test]
+    fn the_view_stays_current_through_every_kind_of_step() {
+        let rel = icecube_data::presets::tiny(11).generate().unwrap();
+        let chunks = rel.split_even(7);
+        let cfg = ClusterConfig::fast_ethernet(1);
+        let floor_query = IcebergQuery::count_cube(rel.arity(), 1);
+        let mut cube = MaintainedCube::new(rel.arity(), 2).unwrap();
+        assert_view_is_current(&cube, "new");
+        cube.ingest(&chunks[0]).unwrap();
+        assert_view_is_current(&cube, "ingest");
+        cube.ingest_cells(naive_iceberg_cube(&chunks[1], &floor_query))
+            .unwrap();
+        assert_view_is_current(&cube, "ingest_cells");
+        let delta = cube.aggregate(&chunks[2], &cfg).unwrap();
+        cube.fold(delta, None, &cfg).unwrap();
+        assert_view_is_current(&cube, "fold");
+        cube.ingest(&chunks[3]).unwrap();
+        assert_view_is_current(&cube, "ingest after a fold");
+        cube.set_minsup(4);
+        assert_view_is_current(&cube, "raising minsup");
+        cube.ingest_on_cluster(Algorithm::Pt, &chunks[4], &ClusterConfig::fast_ethernet(2))
+            .unwrap();
+        assert_view_is_current(&cube, "ingest_on_cluster");
+        cube.set_minsup(1);
+        assert_view_is_current(&cube, "lowering minsup");
+        let delta = cube.aggregate(&chunks[5], &cfg).unwrap();
+        cube.fold(delta, None, &cfg).unwrap();
+        cube.set_minsup(3);
+        assert_view_is_current(&cube, "a threshold change after a fold");
+        cube.ingest(&chunks[6]).unwrap();
+        assert_view_is_current(&cube, "the last ingest");
+        assert_eq!(bytes(&cube.visible()), bytes(&scratch(&rel, 3)));
+    }
+
+    #[test]
+    fn visible_snapshots_share_the_view_blocks() {
+        let rel = icecube_data::presets::tiny(5).generate().unwrap();
+        let cube = MaintainedCube::from_relation(&rel, 2).unwrap();
+        let (a, b) = (cube.visible(), cube.visible());
+        let masks = a.cuboid_masks();
+        assert!(!masks.is_empty());
+        for g in masks {
+            assert!(a.shares_block(&b, g), "cuboid {g} was copied");
+        }
+    }
+
+    #[test]
+    fn a_cuboid_without_a_qualifying_change_keeps_its_view_block() {
+        let cards = [2, 2];
+        let base = rel(&[(&[0, 0], 1), (&[0, 0], 2), (&[0, 1], 3)], &cards);
+        let mut cube = MaintainedCube::from_relation(&base, 2).unwrap();
+        let before = cube.visible();
+        // (1, 1) lifts {1}:[1] to support 2; {0}:[1] and {0,1}:[1,1] get
+        // support 1 and stay out of the view.
+        let batch = rel(&[(&[1, 1], 4)], &cards);
+        let report = cube.ingest(&batch).unwrap();
+        assert_eq!((report.touched_cuboids, report.promoted), (3, 1));
+        let after = cube.visible();
+        let g = CuboidMask::from_dims;
+        assert!(after.shares_block(&before, g(&[0])));
+        assert!(after.shares_block(&before, g(&[0, 1])));
+        assert!(!after.shares_block(&before, g(&[1])));
+        let mut concat = base.clone();
+        concat.extend_from(&batch).unwrap();
+        assert_eq!(bytes(&after), bytes(&scratch(&concat, 2)));
+        // A batch that touches only one cuboid leaves the others alone
+        // outright, and an ingest after a fold serves shared blocks again.
+        let one = Cell {
+            cuboid: g(&[0]),
+            key: vec![1],
+            agg: crate::agg::Aggregate::of(5),
+        };
+        cube.ingest_cells(vec![one]).unwrap();
+        let next = cube.visible();
+        assert!(next.shares_block(&after, g(&[1])));
+        assert!(next.shares_block(&after, g(&[0, 1])));
+        assert!(!next.shares_block(&after, g(&[0])));
+        let cfg = ClusterConfig::fast_ethernet(1);
+        let delta = cube.aggregate(&batch, &cfg).unwrap();
+        cube.fold(delta, None, &cfg).unwrap();
+        cube.ingest(&batch).unwrap();
+        let (a, b) = (cube.visible(), cube.visible());
+        assert!(a.cuboid_masks().into_iter().all(|m| a.shares_block(&b, m)));
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl CubeStore {
     /// the cells into blocks and run the one block merge.
     pub fn from_cells(dims: usize, minsup: u64, cells: Vec<Cell>) -> Self {
         let mut store = CubeStore::empty(dims, minsup);
-        store.merge_blocks(blocks_of(cells), minsup);
+        store.merge_blocks(blocks_of(cells), minsup, None);
         store
     }
 
@@ -464,7 +464,14 @@ impl CubeStore {
         cells: Vec<Cell>,
         watch_minsup: u64,
     ) -> Result<MergeStats, AlgoError> {
-        for cell in &cells {
+        self.check_cells(&cells)?;
+        Ok(self.merge_blocks(blocks_of(cells), watch_minsup, None))
+    }
+
+    /// Checks that every cell fits this store: its cuboid lies within the
+    /// store's dimensions and its key has the cuboid's arity.
+    pub(crate) fn check_cells(&self, cells: &[Cell]) -> Result<(), AlgoError> {
+        for cell in cells {
             if cell.cuboid.max_dim().is_some_and(|m| m >= self.dims) {
                 return Err(AlgoError::DimensionMismatch {
                     query_dims: cell.cuboid.max_dim().unwrap_or(0) + 1,
@@ -478,7 +485,7 @@ impl CubeStore {
                 });
             }
         }
-        Ok(self.merge_blocks(blocks_of(cells), watch_minsup))
+        Ok(())
     }
 
     /// Merges delta blocks into the store, cuboid by cuboid.
@@ -499,21 +506,56 @@ impl CubeStore {
     ///
     /// `watch_minsup` is the serving threshold used for the promotion
     /// counter in the returned [`MergeStats`] (merging appends can only
-    /// grow counts, so cells cross it upward only).
-    pub(crate) fn merge_blocks(&mut self, delta: Vec<CellBlock>, watch_minsup: u64) -> MergeStats {
+    /// grow counts, so cells cross it upward only). When `view` is given
+    /// — this store thresholded at `watch_minsup` — it is kept equal to
+    /// that: the merge records its merged cells that meet the threshold
+    /// and they are upserted into the cuboid's view block
+    /// ([`upsert_cuboid`]), whose successor is installed before the next
+    /// cuboid merges. A cuboid with no qualifying cell keeps its view
+    /// block.
+    pub(crate) fn merge_blocks(
+        &mut self,
+        delta: Vec<CellBlock>,
+        watch_minsup: u64,
+        mut view: Option<&mut CubeStore>,
+    ) -> MergeStats {
         let mut stats = MergeStats::default();
         for run in delta {
+            let g = run.cuboid();
             let mut merged = self.successor(&run);
-            let old = self.cuboids.remove(&run.cuboid());
-            stats.absorb(merge_cuboid(
+            let mut changes = view
+                .is_some()
+                .then(|| CellBlock::with_capacity(g, run.len()));
+            let old = self.cuboids.remove(&g);
+            let cuboid_stats = merge_cuboid(
                 old.as_deref(),
                 &run,
                 &mut merged,
                 watch_minsup,
-            ));
+                changes.as_mut(),
+            );
+            stats.absorb(cuboid_stats);
             self.install(merged);
+            if let (Some(view), Some(changes)) = (view.as_deref_mut(), changes) {
+                view.upsert(&changes, cuboid_stats.promoted);
+            }
         }
         stats
+    }
+
+    /// Upserts `changes`, ascending cells of one cuboid of which
+    /// `promoted` are new to this store, into that cuboid's block: a
+    /// successor allocated here at its exact size, every stored cell plus
+    /// every new one, and filled by [`upsert_cuboid`]. No changes leave
+    /// the block as it is.
+    fn upsert(&mut self, changes: &CellBlock, promoted: usize) {
+        if changes.is_empty() {
+            return;
+        }
+        let g = changes.cuboid();
+        let mut merged = CellBlock::with_capacity(g, self.cuboid_len(g) + promoted);
+        upsert_cuboid(self.block(g), changes, &mut merged);
+        self.install(merged);
     }
 
     /// The stored block of cuboid `g`, if materialized.
@@ -538,12 +580,15 @@ impl CubeStore {
     /// A thresholded snapshot: the cells meeting `minsup`, as a standalone
     /// store computed *at* `minsup`.
     ///
-    /// This is how a maintained floor store (full partials at minimum
-    /// support 1) becomes a servable iceberg cube: cells below the
-    /// threshold are simply not copied (no tombstones), and cuboids left
-    /// with no qualifying cell are dropped entirely — so the snapshot is
-    /// byte-identical to a from-scratch [`CubeStore::from_cells`] build
-    /// over the same relation at `minsup`.
+    /// Cells below the threshold are simply not copied (no tombstones),
+    /// and cuboids left with no qualifying cell are dropped entirely — so
+    /// thresholding a maintained floor store (full partials at minimum
+    /// support 1) is byte-identical to a from-scratch
+    /// [`CubeStore::from_cells`] build over the same relation at
+    /// `minsup`. A maintained cube keeps that snapshot current through
+    /// its merges instead; this full pass seeds it after a threshold
+    /// change or a progressive fold, and is the oracle its tests hold it
+    /// to.
     pub fn thresholded(&self, minsup: u64) -> CubeStore {
         let mut snapshot = CubeStore::empty(self.dims, minsup);
         for (&mask, stored) in &self.cuboids {
@@ -556,6 +601,16 @@ impl CubeStore {
             }
         }
         snapshot
+    }
+
+    /// Whether cuboid `g`'s block is one and the same allocation in both
+    /// stores (both lacking it counts as shared).
+    #[cfg(test)]
+    pub(crate) fn shares_block(&self, other: &CubeStore, g: CuboidMask) -> bool {
+        match (self.cuboids.get(&g), other.cuboids.get(&g)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
     /// Even-quantile split keys dividing cuboid `g`'s cells into `parts`
@@ -595,16 +650,21 @@ impl CubeStore {
 /// galloping search from the previous one and the old cells in between
 /// are copied as whole runs, so a small delta into a large cuboid costs
 /// two slice copies per delta key rather than a comparison per old cell.
-/// The merge reads nothing but its three blocks, so the cuboids of one
-/// delta can merge on different threads.
+/// The merge reads nothing but its blocks, so the cuboids of one delta
+/// can merge on different threads.
+///
+/// When `changes` is given (an empty block of the cuboid with room for
+/// `run.len()` cells), every merged cell that meets `watch_minsup` is
+/// appended to it too, ascending: the cells the store's thresholded view
+/// gains or updates. Appends never lower a count, so no other view cell
+/// changes.
 pub(crate) fn merge_cuboid(
     old: Option<&CellBlock>,
     run: &CellBlock,
     merged: &mut CellBlock,
     watch_minsup: u64,
+    mut changes: Option<&mut CellBlock>,
 ) -> MergeStats {
-    let empty = CellBlock::new(run.cuboid());
-    let old = old.unwrap_or(&empty);
     let mut stats = MergeStats {
         touched_cuboids: 1,
         ..MergeStats::default()
@@ -613,38 +673,80 @@ pub(crate) fn merge_cuboid(
     // cell.
     let (mut at, mut i) = (0, 0);
     while let Some((key, _)) = run.cell(i) {
-        let pos = old.lower_bound_from(at, key);
-        merged.extend_from(old, at..pos);
-        let stored = old.cell(pos).filter(|(k, _)| *k == key).map(|(_, a)| *a);
+        let (pos, stored) = copy_up_to(old, at, key, merged);
         // The stored cell first, then every delta cell with its key.
         let mut agg = stored.unwrap_or_else(Aggregate::empty);
         while let Some((_, more)) = run.cell(i).filter(|(k, _)| *k == key) {
             agg.merge(more);
             i += 1;
         }
+        let meets = agg.meets(watch_minsup);
         match stored {
             Some(before) => {
                 stats.updated += 1;
-                stats.promoted +=
-                    usize::from(!before.meets(watch_minsup) && agg.meets(watch_minsup));
+                stats.promoted += usize::from(!before.meets(watch_minsup) && meets);
                 at = pos + 1;
             }
             None => {
                 stats.inserted += 1;
-                stats.promoted += usize::from(agg.meets(watch_minsup));
+                stats.promoted += usize::from(meets);
                 at = pos;
             }
         }
         merged.push(key, agg);
+        if let Some(changes) = changes.as_deref_mut().filter(|_| meets) {
+            changes.push(key, agg);
+        }
     }
-    merged.extend_from(old, at..old.len());
+    copy_rest(old, at, merged);
     stats
+}
+
+/// Upserts `changes`, ascending cells of one cuboid with unique keys,
+/// into its block `old` (`None` when absent) as `merged`, an empty block
+/// of the cuboid the caller sized for the result: a change whose key
+/// `old` holds replaces that cell, any other is inserted. This is how a
+/// thresholded view takes a merge's [`merge_cuboid`] changes: the
+/// inserted ones are exactly the merge's promoted cells.
+pub(crate) fn upsert_cuboid(old: Option<&CellBlock>, changes: &CellBlock, merged: &mut CellBlock) {
+    let mut at = 0;
+    for (key, agg) in changes.iter() {
+        let (pos, stored) = copy_up_to(old, at, key, merged);
+        at = pos + usize::from(stored.is_some());
+        merged.push(key, *agg);
+    }
+    copy_rest(old, at, merged);
+}
+
+/// Copies `old`'s cells from `at` up to the first one whose key is not
+/// below `key` into `out`, and returns that cell's position with its
+/// aggregate when its key is `key`. An absent block copies nothing.
+fn copy_up_to(
+    old: Option<&CellBlock>,
+    at: usize,
+    key: &[u32],
+    out: &mut CellBlock,
+) -> (usize, Option<Aggregate>) {
+    let Some(old) = old else {
+        return (at, None);
+    };
+    let pos = old.lower_bound_from(at, key);
+    out.extend_from(old, at..pos);
+    let stored = old.cell(pos).filter(|(k, _)| *k == key).map(|(_, a)| *a);
+    (pos, stored)
+}
+
+/// Copies `old`'s cells from `at` on into `out`.
+fn copy_rest(old: Option<&CellBlock>, at: usize, out: &mut CellBlock) {
+    if let Some(old) = old {
+        out.extend_from(old, at..old.len());
+    }
 }
 
 /// Groups cells, in any order, into per-cuboid blocks ascending by mask
 /// and key (equal keys kept side by side) — the form
 /// [`CubeStore::merge_blocks`] takes.
-fn blocks_of(cells: Vec<Cell>) -> Vec<CellBlock> {
+pub(crate) fn blocks_of(cells: Vec<Cell>) -> Vec<CellBlock> {
     let mut sink = CellBuf::collecting();
     for cell in cells {
         sink.emit(cell.cuboid, &cell.key, &cell.agg);
@@ -1091,11 +1193,41 @@ mod tests {
                 let mut successor = old.successor(&run);
                 let capacity = successor.capacity();
                 let stored = old.block(run.cuboid());
-                per_cuboid_stats.absorb(merge_cuboid(stored, &run, &mut successor, watch));
+                per_cuboid_stats.absorb(merge_cuboid(stored, &run, &mut successor, watch, None));
                 prop_assert_eq!(successor.capacity(), capacity);
                 per_cuboid.install(successor);
             }
             prop_assert_eq!(bytes(&per_cuboid), bytes(&merged));
+            // The view the merge keeps: the old store thresholded at
+            // `watch`, upserted with each cuboid's recorded changes,
+            // equals the merged store thresholded; the changes never
+            // outgrow what their caller reserved, and a view successor
+            // sized by the promotions comes out exactly full.
+            let mut viewed = old.clone();
+            let mut view = old.thresholded(watch);
+            let before = view.clone();
+            let viewed_stats = viewed.merge_blocks(blocks_of(delta.clone()), watch, Some(&mut view));
+            prop_assert_eq!(viewed_stats, stats);
+            prop_assert_eq!(bytes(&viewed), bytes(&merged));
+            prop_assert_eq!(bytes(&view), bytes(&merged.thresholded(watch)));
+            for run in blocks_of(delta.clone()) {
+                let g = run.cuboid();
+                let mut successor = old.successor(&run);
+                let mut changes = CellBlock::with_capacity(g, run.len());
+                let capacity = changes.capacity();
+                let promoted =
+                    merge_cuboid(old.block(g), &run, &mut successor, watch, Some(&mut changes))
+                        .promoted;
+                prop_assert_eq!(changes.capacity(), capacity);
+                let size = before.cuboid_len(g) + promoted;
+                let mut upserted = CellBlock::with_capacity(g, size);
+                let capacity = upserted.capacity();
+                upsert_cuboid(before.block(g), &changes, &mut upserted);
+                prop_assert_eq!(upserted.capacity(), capacity);
+                prop_assert_eq!(upserted.len(), size);
+                // A cuboid with no qualifying change keeps its view block.
+                prop_assert_eq!(changes.is_empty(), view.shares_block(&before, g));
+            }
             // And into an empty floor.
             let mut fresh = CubeStore::from_cells(3, 1, Vec::new());
             fresh.merge_cells(delta.clone(), watch).unwrap();
